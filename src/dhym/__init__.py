@@ -9,9 +9,8 @@ from .levelcurve import (LevelSetContext, SolutionCurve, TraceError,
                          graphical_existence, level_context, phi,
                          phi_gradient, same_component, trace_solution,
                          verify_solution)
-from .lifting import (LiftedAngle, LiftUndefined, OriginHit,
-                      continuous_arg_track, cxy_path_lift, lift_exists,
-                      sector_lift)
+from .lifting import (LiftedAngle, LiftUndefined, OriginHit, cxy_path_lift,
+                      lift_exists, sector_lift)
 from .rays import (RaySet, SectorVerdict, Sign, check_alternation, ray_set,
                    rays_strictly_between, sector_of)
 from .stability import (Existence, ExistenceVerdict, Overall, StabilityReport,

@@ -1,8 +1,8 @@
 """Command-line front end: analyze, solve, sweep, and figure.
 
 Exit codes: 0 a solution exists, 1 no solution, 2 inconclusive or
-degenerate, 3 internal anomaly (trace failed despite a yes-verdict),
-64 configuration errors.
+degenerate, 3 internal anomaly (trace failed despite a yes-verdict, or
+arithmetic overflow), 64 usage and configuration errors.
 """
 
 from __future__ import annotations
@@ -62,8 +62,7 @@ def analysis_report(g: Geometry, tol: Tolerances) -> dict:
     out["existence"] = {
         "value": verdict.value.value,
         "route": verdict.route.value,
-        "notes": {k: (v if not isinstance(v, float) else v)
-                  for k, v in sorted(verdict.notes.items())},
+        "notes": dict(sorted(verdict.notes.items())),
     }
     if rep.degenerate:
         out["charge"]["degenerate_m"] = degeneracy_check(g, tol)
@@ -241,8 +240,17 @@ def _read_config(path: str) -> RunConfig:
         return load_config(fh.read())
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors with EXIT_USAGE; argparse's own 2 would read as
+    an inconclusive verdict."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dhym",
         description="Existence tests and level-curve solver for the deformed "
                     "Hermitian-Yang-Mills equation on the blowup of P^n.")
@@ -255,8 +263,6 @@ def main(argv=None) -> int:
         sp.add_argument("--config", required=True,
                         help="path to JSON config, or - for stdin")
         sp.add_argument("--out", default=None, help="output file path")
-        sp.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized runs (reserved)")
     args = parser.parse_args(argv)
 
     try:
@@ -276,6 +282,9 @@ def main(argv=None) -> int:
     except (ConfigError, FigureError, InvalidGeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OverflowError as exc:
+        print(f"error: arithmetic overflow: {exc}", file=sys.stderr)
+        return EXIT_ANOMALY
 
 
 if __name__ == "__main__":

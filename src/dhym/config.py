@@ -82,7 +82,10 @@ def parse_config(doc) -> RunConfig:
             raise ConfigError("tolerances must be an object")
         fields = {f.name for f in dataclasses.fields(Tolerances)}
         _require_keys(tdoc, fields, "tolerances")
-        tol = dataclasses.replace(tol, **tdoc)
+        try:
+            tol = dataclasses.replace(tol, **tdoc)
+        except ValueError as exc:
+            raise ConfigError(f"invalid tolerances: {exc}") from exc
 
     sweep = None
     if "sweep" in doc:

@@ -1,11 +1,11 @@
 """Lifting the average angle from the circle to the real line.
 
-Two routes are provided.  The volume path gamma(t) = (a+itp)^n - (1+itq)^n
-starts at the positive real number a^n - 1 and ends at zeta; when it
-misses the origin its continuous argument defines a lift.  The sector
-deformation instead shrinks the arguments of z1 and z2 simultaneously
-(real parts fixed), which works whenever |arg z2 - arg z1| < pi/n and
-never passes through the origin.
+Two routes are provided, both in closed form.  The volume path
+gamma(t) = (a+itp)^n - (1+itq)^n starts at the positive real number a^n - 1
+and ends at zeta; when it misses the origin its continuous argument defines
+a lift.  The sector deformation instead shrinks the arguments of z1 and z2
+simultaneously (real parts fixed), which works whenever
+|arg z2 - arg z1| < pi/n and never passes through the origin.
 """
 
 from __future__ import annotations
@@ -15,14 +15,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
-from .charges import Geometry, cpow, principal_angle, theta_hat
+from .charges import Geometry, cpow, theta_hat
 from .tolerances import DEFAULT_TOL, Tolerances
-
-
-class ArgTrackError(RuntimeError):
-    """Argument tracking could not bound consecutive jumps below pi/4."""
 
 
 @dataclass(frozen=True)
@@ -31,7 +26,7 @@ class LiftedAngle:
     winding: int
     lifted: float  # theta_principal + 2*pi*winding
     method: str  # "volume_path" | "sector_path"
-    margin: float  # min |path| along the way, relative to the local scale
+    margin: float  # angular slack (radians) before the route breaks down
 
 
 @dataclass(frozen=True)
@@ -46,134 +41,57 @@ class LiftUndefined:
     detail: str = ""
 
 
-def continuous_arg_track(samples, min_modulus: float = 0.0) -> tuple[int, float]:
-    """Unwrap the argument along a discrete path.
-
-    Returns (winding, final_arg) where final_arg is the unwrapped argument
-    of the last sample and winding = round((final - principal(final)) / 2pi).
-    Raises ArgTrackError when a consecutive jump reaches pi/2, i.e. the
-    sampling is too coarse to unwrap reliably.
-    """
-    zs = np.asarray(samples, dtype=complex)
-    if zs.size == 0:
-        raise ValueError("empty sample path")
-    mods = np.abs(zs)
-    if np.any(mods <= min_modulus):
-        raise ValueError("path sample at or below the modulus floor")
-    args = np.angle(zs)
-    deltas = np.remainder(np.diff(args) + np.pi, 2 * np.pi) - np.pi
-    if deltas.size and np.max(np.abs(deltas)) >= np.pi / 2:
-        raise ArgTrackError("argument jump >= pi/2 between consecutive samples")
-    final = float(args[0] + deltas.sum())
-    winding = round((final - principal_angle(final)) / math.tau)
-    return winding, final
-
-
-def _track_path(f, steps: int, scale_fn, eps_zero: float, max_depth: int = 48):
-    """Adaptively accumulate the argument change of f over t in [0, 1].
-
-    Bisects any segment whose wrapped argument change exceeds pi/4.
-    scale_fn(t) gives the local magnitude against which |f(t)| is judged:
-    the path is declared to hit the origin when |f(t)| <= eps_zero *
-    scale_fn(t), i.e. the two power terms cancel to relative tolerance.
-    Returns (total_arg_change, min_ratio, t_at_min); total is None on a hit.
-    """
-    ts = np.linspace(0.0, 1.0, steps + 1)
-    zs = [f(t) for t in ts]
-    total = 0.0
-    min_ratio = math.inf
-    t_min = 0.0
-    for t, z in zip(ts, zs):
-        r = abs(z) / scale_fn(t)
-        if r < min_ratio:
-            min_ratio, t_min = r, t
-    if min_ratio <= eps_zero:
-        return None, min_ratio, t_min
-
-    # stack of (t0, z0, t1, z1, depth)
-    stack = [(ts[i], zs[i], ts[i + 1], zs[i + 1], 0)
-             for i in range(steps - 1, -1, -1)]
-    cap = math.pi / 4
-    while stack:
-        t0, z0, t1, z1, depth = stack.pop()
-        d = math.remainder(cmath.phase(z1) - cmath.phase(z0), math.tau)
-        if abs(d) <= cap:
-            total += d
-            continue
-        if depth >= max_depth:
-            raise ArgTrackError(
-                f"argument jump {d:.3f} rad persists at depth {depth} "
-                f"near t = {0.5 * (t0 + t1):.6g}")
-        tm = 0.5 * (t0 + t1)
-        zm = f(tm)
-        r = abs(zm) / scale_fn(tm)
-        if r < min_ratio:
-            min_ratio, t_min = r, tm
-            if min_ratio <= eps_zero:
-                return None, min_ratio, t_min
-        stack.append((tm, zm, t1, z1, depth + 1))
-        stack.append((t0, z0, tm, zm, depth + 1))
-    return total, min_ratio, t_min
-
-
-def _refine_origin_hit(f, scale_fn, t_guess: float,
-                       width: float) -> tuple[float, float]:
-    """Locate the minimum of |f|/scale near t_guess; returns (t*, |f(t*)|)."""
-    lo = max(0.0, t_guess - width)
-    hi = min(1.0, t_guess + width)
-    res = minimize_scalar(lambda t: abs(f(t)) / scale_fn(t), bounds=(lo, hi),
-                          method="bounded",
-                          options={"xatol": 1e-12})
-    t_star = float(res.x)
-    return t_star, abs(f(t_star))
-
-
-def _finish_lift(g: Geometry, total: float, min_ratio: float, method: str,
+def _finish_lift(g: Geometry, total: float, margin: float, method: str,
                  tol: Tolerances) -> LiftedAngle:
     th, _ = theta_hat(g, tol)
-    final = total  # paths start on the positive real axis (argument 0)
-    winding = round((final - th) / math.tau)
+    # paths start on the positive real axis (argument 0)
+    winding = round((total - th) / math.tau)
     lifted = th + math.tau * winding
     return LiftedAngle(theta_principal=th, winding=winding, lifted=lifted,
-                       method=method, margin=min_ratio)
+                       method=method, margin=margin)
 
 
-def cxy_path_lift(g: Geometry, tol: Tolerances = DEFAULT_TOL,
-                  steps: int | None = None) -> LiftedAngle | OriginHit:
+def cxy_path_lift(g: Geometry,
+                  tol: Tolerances = DEFAULT_TOL) -> LiftedAngle | OriginHit:
     """Lift via the straight volume path (a+itp)^n - (1+itq)^n, t in [0,1].
 
-    Returns OriginHit when the path meets the origin to tolerance, in which
-    case this route defines no lift.
+    With w_j = exp(2 pi i j / n) the path factors as
+    prod_j (alpha_j + t beta_j), where alpha_j = a - w_j (never 0, as a > 1)
+    and beta_j = i (p - w_j q).  Each factor runs along a straight segment,
+    so its argument changes by the angle the segment subtends at the origin,
+    phase((z2 - w_j z1) / (a - w_j)), and the total change is the sum.  A
+    segment passes through the origin exactly when that angle reaches pi.
+
+    Returns OriginHit when some segment's slack pi - |angle| is at most
+    eps_angle; t_star is then the point of that segment nearest the origin.
+    The margin of a lift is the smallest slack.
     """
-    n = g.n
-    a, p, q = g.a, g.p, g.q
-
-    def f(t):
-        return cpow(complex(a, t * p), n) - cpow(complex(1.0, t * q), n)
-
-    def scale_fn(t):
-        return max(abs(complex(a, t * p)), abs(complex(1.0, t * q))) ** n
-
-    steps = steps or tol.lift_steps
-    try:
-        total, min_ratio, t_min = _track_path(f, steps, scale_fn, tol.eps_zero)
-    except ArgTrackError:
-        # unresolvable jumps only happen skimming the origin; report the hit
-        t_star, m = _refine_origin_hit(f, scale_fn, 0.5, 0.5)
-        return OriginHit(t_star=t_star, min_modulus=m)
-    if total is None:
-        t_star, m = _refine_origin_hit(f, scale_fn, t_min, 2.0 / steps)
-        return OriginHit(t_star=t_star, min_modulus=m)
-    return _finish_lift(g, total, min_ratio, "volume_path", tol)
+    w = np.exp(2j * np.pi * np.arange(g.n) / g.n)
+    alpha = g.a - w
+    subtended = np.angle((g.z2 - w * g.z1) / alpha)
+    slack = math.pi - np.abs(subtended)
+    j = int(np.argmin(slack))
+    if slack[j] <= tol.eps_angle:
+        beta = 1j * (g.p - w[j] * g.q)
+        t_star = float(-(alpha[j] * beta.conjugate()).real / abs(beta) ** 2)
+        gamma = (cpow(complex(g.a, t_star * g.p), g.n)
+                 - cpow(complex(1.0, t_star * g.q), g.n))
+        return OriginHit(t_star=t_star, min_modulus=abs(gamma))
+    return _finish_lift(g, float(subtended.sum()), float(slack[j]),
+                        "volume_path", tol)
 
 
-def sector_lift(g: Geometry, tol: Tolerances = DEFAULT_TOL,
-                steps: int | None = None) -> LiftedAngle | LiftUndefined:
+def sector_lift(g: Geometry,
+                tol: Tolerances = DEFAULT_TOL) -> LiftedAngle | LiftUndefined:
     """Lift via simultaneous argument shrinking of z1 and z2.
 
-    Defined when |arg z2 - arg z1| < pi/n (minus the angular deadband).
-    Both points keep their real parts while their arguments scale linearly
-    to zero, so the difference of n-th powers stays away from the origin.
+    Defined when |arg z2 - arg z1| < pi/n (minus the angular deadband); the
+    margin is pi/n - |arg z2 - arg z1|.  Both points keep their real parts
+    while their arguments scale linearly to zero.  Writing the path as
+    z2(t)^n (1 - rho(t) e^{i t d}) with d = n (arg z1 - arg z2) and
+    rho = (|z1|/|z2|)^n, the imaginary part of the second factor keeps one
+    sign because |t d| < pi, so its argument stays on the principal branch
+    and the lift is n arg z2 + atan2(-rho sin d, 1 - rho cos d).
     """
     n = g.n
     psi1 = cmath.phase(g.z1)
@@ -184,27 +102,10 @@ def sector_lift(g: Geometry, tol: Tolerances = DEFAULT_TOL,
             reason="sector condition fails",
             detail=f"|arg z2 - arg z1| = {gap:.6f} >= pi/{n} = {math.pi / n:.6f}")
 
-    a = g.a
-
-    def f(t):
-        w2 = complex(a, a * math.tan(t * psi2))
-        w1 = complex(1.0, math.tan(t * psi1))
-        return cpow(w2, n) - cpow(w1, n)
-
-    def scale_fn(t):
-        return max(a / math.cos(t * psi2), 1.0 / math.cos(t * psi1)) ** n
-
-    steps = steps or tol.lift_steps
-    try:
-        total, min_ratio, _ = _track_path(f, steps, scale_fn, tol.eps_zero)
-    except ArgTrackError as exc:
-        return LiftUndefined(reason="path degenerate", detail=str(exc))
-    if total is None:
-        return LiftUndefined(
-            reason="path degenerate",
-            detail=f"|path| dipped to {min_ratio:.3e} of the local scale "
-                   "despite sector condition")
-    lift = _finish_lift(g, total, min_ratio, "sector_path", tol)
+    d = n * (psi1 - psi2)
+    rho = (abs(g.z1) / abs(g.z2)) ** n
+    total = n * psi2 + math.atan2(-rho * math.sin(d), 1.0 - rho * math.cos(d))
+    lift = _finish_lift(g, total, math.pi / n - gap, "sector_path", tol)
     if not -n * math.pi / 2 < lift.lifted < n * math.pi / 2:
         return LiftUndefined(
             reason="lift out of range",

@@ -8,7 +8,8 @@ grow like max(|1+iq|, |a+ip|)**n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 
 @dataclass(frozen=True)
@@ -28,8 +29,18 @@ class Tolerances:
     min_step_frac: float = 1e-9
     # number of samples in an emitted solution curve (>= 257)
     curve_samples: int = 257
-    # initial uniform sample count for argument tracking along lift paths
-    lift_steps: int = 1024
+
+    def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.name == "curve_samples":
+                if isinstance(v, bool) or not isinstance(v, int) or v < 257:
+                    raise ValueError(
+                        f"curve_samples must be an integer >= 257, got {v!r}")
+            elif (isinstance(v, bool) or not isinstance(v, (int, float))
+                  or not math.isfinite(v) or v <= 0):
+                raise ValueError(
+                    f"{f.name} must be a finite positive number, got {v!r}")
 
 
 DEFAULT_TOL = Tolerances()

@@ -214,3 +214,43 @@ def test_analyze_determinism(tmp_path):
     r1 = run_cli(["analyze", "--config", path])
     r2 = run_cli(["analyze", "--config", path])
     assert r1.stdout == r2.stdout
+
+
+def test_usage_errors_exit_64():
+    # argparse's default of 2 would read as an inconclusive verdict
+    for args in (["analyze"], ["bogus", "--config", "x.json"], []):
+        res = run_cli(args)
+        assert res.returncode == 64, args
+        assert "usage:" in res.stderr and "Traceback" not in res.stderr
+
+
+def test_seed_flag_removed(tmp_path):
+    path = write_config(tmp_path, {"n": 2, "a": 2.0, "p": 2.0, "q": 1.0})
+    res = run_cli(["analyze", "--config", path, "--seed", "1"])
+    assert res.returncode == 64
+    assert "--seed" in res.stderr
+
+
+def test_tolerances_validated(tmp_path):
+    base = '{"n": 2, "a": 2.0, "p": 2.0, "q": 1.0, "tolerances": %s}'
+    for bad in ('{"curve_samples": "x"}', '{"curve_samples": 2}',
+                '{"curve_samples": 300.0}', '{"eps_zero": -1}',
+                '{"tol_level": 0}', '{"eps_angle": true}',
+                '{"lift_steps": 1024}'):
+        with pytest.raises(ConfigError):
+            load_config(base % bad)
+    cfg = load_config(base % '{"curve_samples": 513}')
+    assert cfg.tolerances.curve_samples == 513
+    path = write_config(tmp_path, {"n": 2, "a": 2.0, "p": 2.0, "q": 1.0,
+                                   "tolerances": {"curve_samples": "x"}})
+    res = run_cli(["solve", "--config", path,
+                   "--out", str(tmp_path / "no.csv")])
+    assert res.returncode == 64
+    assert "curve_samples" in res.stderr and "Traceback" not in res.stderr
+
+
+def test_overflow_exits_3(tmp_path):
+    path = write_config(tmp_path, {"n": 400, "a": 10.0, "p": 1.0, "q": 1.0})
+    res = run_cli(["analyze", "--config", path])
+    assert res.returncode == 3
+    assert "overflow" in res.stderr and "Traceback" not in res.stderr

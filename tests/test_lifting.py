@@ -3,13 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from dhym.charges import Geometry, principal_angle, theta_hat
+from dhym.charges import Geometry, theta_hat
 from dhym.lifting import (
-    ArgTrackError,
     LiftUndefined,
     LiftedAngle,
     OriginHit,
-    continuous_arg_track,
     cxy_path_lift,
     lift_exists,
     sector_lift,
@@ -18,38 +16,40 @@ from dhym.lifting import (
 from conftest import random_geometry, sample_stable, scaled_example
 
 
-def test_arg_track_constant_path():
-    winding, final = continuous_arg_track(np.full(16, 2.0 + 0j))
-    assert winding == 0
-    assert final == 0.0
+def _unwrapped_final(path):
+    """Oracle: continuous argument at the end of a densely sampled path that
+    starts on the positive real axis, via numpy's unwrap."""
+    args = np.unwrap(np.angle(path))
+    assert abs(args[0]) < 1e-12
+    assert np.max(np.abs(np.diff(args))) < math.pi / 4, "sampling too coarse"
+    return float(args[-1])
 
 
-def test_arg_track_multiple_loops():
-    th = np.linspace(0.0, 3.5 * math.pi, 600)
-    winding, final = continuous_arg_track(np.exp(1j * th))
-    assert final == pytest.approx(3.5 * math.pi, abs=1e-9)
-    assert winding == 2
+_T = np.linspace(0.0, 1.0, 20_001)
 
 
-def test_arg_track_branch_cut_consistency():
-    # final angle 3*pi lands exactly on the branch cut; the winding may
-    # round either way but the reconstruction must stay consistent
-    th = np.linspace(0.0, 3.0 * math.pi, 600)
-    winding, final = continuous_arg_track(np.exp(1j * th))
-    assert final == pytest.approx(3.0 * math.pi, abs=1e-9)
-    assert principal_angle(final) + math.tau * winding == pytest.approx(
-        final, abs=1e-9)
+def test_volume_path_matches_unwrap_oracle(rng):
+    for n in range(2, 65):
+        for _ in range(3):
+            g = random_geometry(rng, n_lo=n, n_hi=n)
+            lift = cxy_path_lift(g)
+            # fixed sampling cannot unwrap a path that skims the origin
+            if not isinstance(lift, LiftedAngle) or lift.margin < 1e-2:
+                continue
+            final = _unwrapped_final((g.a + 1j * _T * g.p) ** n
+                                     - (1.0 + 1j * _T * g.q) ** n)
+            assert lift.lifted == pytest.approx(final, abs=1e-6), g
 
 
-def test_arg_track_rejects_coarse_path():
-    th = np.linspace(0.0, 2 * math.pi, 4)
-    with pytest.raises(ArgTrackError):
-        continuous_arg_track(np.exp(1j * th))
-
-
-def test_arg_track_rejects_zero():
-    with pytest.raises(ValueError):
-        continuous_arg_track(np.array([1.0, 0.0, 1.0], dtype=complex))
+def test_sector_path_matches_unwrap_oracle(rng):
+    for n in range(2, 65):
+        g = sample_stable(rng, n_lo=n, n_hi=n)
+        lift = sector_lift(g)
+        assert isinstance(lift, LiftedAngle)
+        psi1, psi2 = math.atan(g.q), math.atan2(g.p, g.a)
+        final = _unwrapped_final((g.a + 1j * g.a * np.tan(_T * psi2)) ** n
+                                 - (1.0 + 1j * np.tan(_T * psi1)) ** n)
+        assert lift.lifted == pytest.approx(final, abs=1e-6), g
 
 
 def test_cxy_lift_examples():

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 
 from .charges import Geometry, InvalidGeometryError
@@ -86,6 +87,11 @@ def parse_config(doc) -> RunConfig:
             tol = dataclasses.replace(tol, **tdoc)
         except ValueError as exc:
             raise ConfigError(f"invalid tolerances: {exc}") from exc
+    # rays of the top fan are pi/n apart, so deadbands this wide leave no
+    # argument off a ray and every sector lift undefined
+    if tol.eps_angle >= math.pi / (2 * n):
+        raise ConfigError(f"tolerances.eps_angle must be below pi/(2n) = "
+                          f"{math.pi / (2 * n):.6g}, got {tol.eps_angle!r}")
 
     sweep = None
     if "sweep" in doc:
@@ -119,8 +125,10 @@ def parse_config(doc) -> RunConfig:
         if not (window.xmin < window.xmax and window.ymin < window.ymax):
             raise ConfigError("figure window must be non-empty")
         samples = fdoc.get("samples", 256)
-        if isinstance(samples, bool) or not isinstance(samples, int) or samples < 64:
-            raise ConfigError("figure samples must be an integer >= 64")
+        # the contour oracle holds several (samples+1)^2 arrays at once
+        if (isinstance(samples, bool) or not isinstance(samples, int)
+                or not 64 <= samples <= 2048):
+            raise ConfigError("figure samples must be an integer in [64, 2048]")
         overlays = tuple(fdoc.get("overlays", _OVERLAYS))
         bad = set(overlays) - set(_OVERLAYS)
         if bad:

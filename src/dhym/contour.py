@@ -1,10 +1,11 @@
 """Marching-squares extraction of level-set polylines.
 
 This is the brute-force oracle for component questions: it never looks at
-ray combinatorics, only at signs of Phi - c on a grid.  Segments are keyed
-by the grid edge they cross, so chains stitch together exactly and each
-connected component of the level set inside the window becomes one
-polyline (open chain or closed loop).
+ray combinatorics, only at signs of Phi - c on a grid.  Numpy classifies
+the cells and interpolates the crossed edges; Python only walks the
+segments of crossed cells, which are keyed by the grid edge they cross,
+so chains stitch together exactly and each connected component of the
+level set inside the window becomes one polyline (open chain or loop).
 """
 
 from __future__ import annotations
@@ -35,6 +36,20 @@ def _cell_segments(signs, center_positive: bool):
     # disagrees with the cell center
     minority = [c for c in range(4) if signs[c] != center_positive]
     return tuple(_CORNER_EDGES[c] for c in minority)
+
+
+def _segment_table() -> np.ndarray:
+    """Local edge pairs per cell, indexed by 2 * case + (center > 0); a
+    cell has at most two segments and unused slots hold -1."""
+    table = np.full((32, 2, 2), -1)
+    for key in range(32):
+        signs = [bool(key >> (k + 1) & 1) for k in range(4)]
+        for s, pair in enumerate(_cell_segments(signs, bool(key & 1))):
+            table[key, s] = pair
+    return table
+
+
+_SEGMENTS = _segment_table()
 
 
 @dataclass(frozen=True)
@@ -97,85 +112,59 @@ def marching_squares(values: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> list
     """
     nx, ny = values.shape
     pos = values > 0
+    # case bit k is the sign of local corner k
+    case = (pos[:-1, :-1] + 2 * pos[1:, :-1] + 4 * pos[1:, 1:]
+            + 8 * pos[:-1, 1:])
+    ci, cj = np.nonzero((case != 0) & (case != 15))  # row-major cell order
+    center = (values[ci, cj] + values[ci + 1, cj]
+              + values[ci + 1, cj + 1] + values[ci, cj + 1])
+    segs = _SEGMENTS[2 * case[ci, cj] + (center > 0)]
+    # grid edges are numbered x-edges ((i,j),(i+1,j)) first, then
+    # y-edges ((i,j),(i,j+1)); columns are the cell's local edges 0..3
+    n_xedges = (nx - 1) * ny
+    edges = np.column_stack([ci * ny + cj, n_xedges + (ci + 1) * (ny - 1) + cj,
+                             ci * ny + cj + 1, n_xedges + ci * (ny - 1) + cj])
+    # (segment, end) grid edge ids, in cell order then table order
+    ends = edges[np.arange(len(ci))[:, None, None], segs][segs[:, :, 0] >= 0]
 
-    def interp(i0, j0, i1, j1):
-        v0 = values[i0, j0]
-        v1 = values[i1, j1]
-        t = v0 / (v0 - v1) if v0 != v1 else 0.5
-        t = min(max(t, 0.0), 1.0)
-        return (xs[i0] + t * (xs[i1] - xs[i0]),
-                ys[j0] + t * (ys[j1] - ys[j0]))
+    adj: dict = {}  # node -> neighbours, both in first-seen order
+    for a, b in ends.tolist():
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
 
-    # adjacency over canonical edge keys ((i,j),(i',j')) of crossed edges
-    adj: dict = {}
-    points: dict = {}
-
-    def edge_key(i, j, local):
-        if local == 0:
-            return ((i, j), (i + 1, j))
-        if local == 1:
-            return ((i + 1, j), (i + 1, j + 1))
-        if local == 2:
-            return ((i, j + 1), (i + 1, j + 1))
-        return ((i, j), (i, j + 1))
-
-    for i in range(nx - 1):
-        for j in range(ny - 1):
-            signs = (pos[i, j], pos[i + 1, j], pos[i + 1, j + 1],
-                     pos[i, j + 1])
-            center = (values[i, j] + values[i + 1, j]
-                      + values[i + 1, j + 1] + values[i, j + 1])
-            for la, lb in _cell_segments(signs, center > 0):
-                ka, kb = edge_key(i, j, la), edge_key(i, j, lb)
-                if ka not in points:
-                    points[ka] = interp(*ka[0], *ka[1])
-                if kb not in points:
-                    points[kb] = interp(*kb[0], *kb[1])
-                adj.setdefault(ka, []).append(kb)
-                adj.setdefault(kb, []).append(ka)
-
-    return _stitch(adj, points)
+    nodes = np.unique(ends)
+    is_x = nodes < n_xedges
+    i0 = np.where(is_x, nodes // ny, (nodes - n_xedges) // (ny - 1))
+    j0 = np.where(is_x, nodes % ny, (nodes - n_xedges) % (ny - 1))
+    i1, j1 = i0 + is_x, j0 + ~is_x
+    v0, v1 = values[i0, j0], values[i1, j1]
+    t = np.clip(v0 / (v0 - v1), 0.0, 1.0)
+    points = np.column_stack([xs[i0] + t * (xs[i1] - xs[i0]),
+                              ys[j0] + t * (ys[j1] - ys[j0])])
+    return [points[np.searchsorted(nodes, chain)] for chain in _stitch(adj)]
 
 
-def _stitch(adj: dict, points: dict) -> list:
-    visited = set()
-    polylines = []
+def _stitch(adj: dict) -> list:
+    """Node chains of a graph whose nodes have degree 1 or 2.
 
-    def walk(start, first):
-        chain = [start, first]
-        visited.add(_pair(start, first))
-        cur, prev = first, start
-        while True:
-            nxt = None
-            for cand in adj[cur]:
-                if _pair(cur, cand) not in visited:
-                    nxt = cand
-                    break
-            if nxt is None:
-                break
-            visited.add(_pair(cur, nxt))
-            chain.append(nxt)
-            prev, cur = cur, nxt
-        return chain
-
-    def _pair(a, b):
-        return (a, b) if a <= b else (b, a)
-
-    # open chains first: start at degree-1 nodes
-    for node, nbrs in adj.items():
-        if len(nbrs) == 1:
-            if _pair(node, nbrs[0]) in visited:
-                continue
-            chain = walk(node, nbrs[0])
-            polylines.append(np.array([points[k] for k in chain]))
-    # remaining loops
-    for node, nbrs in adj.items():
-        for nb in nbrs:
-            if _pair(node, nb) not in visited:
-                chain = walk(node, nb)
-                polylines.append(np.array([points[k] for k in chain]))
-                break
-    return polylines
+    Open chains come first, each walked from its first-seen end; then
+    loops, each walked from its first-seen node towards that node's first
+    neighbour and closed by repeating the start.
+    """
+    seen = set()
+    chains = []
+    for start in [node for node, nbrs in adj.items() if len(nbrs) == 1] + list(adj):
+        if start in seen:
+            continue
+        chain, cur = [], start
+        while cur is not None:
+            chain.append(cur)
+            seen.add(cur)
+            cur = next((nb for nb in adj[cur] if nb not in seen), None)
+        if len(adj[start]) == 2:
+            chain.append(start)
+        chains.append(chain)
+    return chains
 
 
 def extract_level_set(ctx: LevelSetContext, window: Window,

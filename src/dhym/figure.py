@@ -36,14 +36,17 @@ class _Mapper:
         self.sx = _W / (window.xmax - window.xmin)
         self.sy = _H / (window.ymax - window.ymin)
 
-    def __call__(self, x: float, y: float) -> tuple[float, float]:
+    def __call__(self, x, y):
+        """Pixel coordinates of scalars or arrays of window coordinates."""
         return ((x - self.window.xmin) * self.sx,
                 _H - (y - self.window.ymin) * self.sy)
 
 
 def _polyline(points, cls: str, style: str, mapper: _Mapper) -> str:
-    coords = " ".join(f"{_fmt(px)},{_fmt(py)}"
-                      for px, py in (mapper(x, y) for x, y in points))
+    px, py = mapper(*np.asarray(points, dtype=float).T)
+    # with three decimals per number, a match is always a whole coordinate
+    coords = " ".join(map("{:.3f},{:.3f}".format, px.tolist(), py.tolist())
+                      ).replace("-0.000", "0.000")
     return f'<polyline class="{cls}" points="{coords}" style="{style}" fill="none"/>'
 
 

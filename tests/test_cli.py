@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import subprocess
@@ -200,6 +201,31 @@ def test_figure_determinism(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+# sha256 of the SVG on stdout, recorded before the contour oracle and the
+# SVG writer were vectorized; the figure bytes must not drift
+PINNED_FIGURES = [
+    # the n = 11 portrait of acceptance criterion 9
+    ({"n": 11, "a": 2.0, "p": 1.1, "q": 0.4,
+      "figure": {"window": [-3.0, 3.0, -3.0, 3.0], "samples": 256}},
+     "e934bd03de372cffd58882c7b04746d7b01a330c43b1cc7fa93f43b4ee82a040"),
+    # c = 0: the zero rays cross at the origin through saddle cells
+    ({"n": 2, "a": 2.0, "p": 2.0, "q": 1.0,
+      "figure": {"window": [-3.0, 3.0, -3.0, 3.0], "samples": 256}},
+     "d81f2894a8cc1846cf9c4b1e95d4b5b1ba843fcb3a50fb20ba93b4b1b4288898"),
+    # a non-square, off-centre window at the smallest grid
+    ({"n": 11, "a": 2.0, "p": 1.1, "q": 0.4,
+      "figure": {"window": [0.1, 3.0, -3.0, 3.0], "samples": 64}},
+     "635e348d53192f64f0060fc7a722ae2de17dffcc48eb80876c96f655797cbdd4"),
+]
+
+
+@pytest.mark.parametrize("doc,digest", PINNED_FIGURES)
+def test_figure_bytes_pinned(doc, digest):
+    res = run_cli(["figure", "--config", "-"], stdin_text=json.dumps(doc))
+    assert res.returncode == 0, res.stderr
+    assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
+
+
 def test_figure_window_must_contain_endpoints(tmp_path):
     doc = {"n": 2, "a": 2.0, "p": 2.0, "q": 1.0,
            "figure": {"window": [-1.0, 1.0, -1.0, 1.0]}}
@@ -207,6 +233,20 @@ def test_figure_window_must_contain_endpoints(tmp_path):
     res = run_cli(["figure", "--config", path,
                    "--out", str(tmp_path / "fig.svg")])
     assert res.returncode == 64
+
+
+def test_figure_samples_bounded(tmp_path):
+    # only the rejection is exercised: an oversized grid is never run
+    base = {"n": 2, "a": 2.0, "p": 2.0, "q": 1.0}
+    cfg = load_config(json.dumps(
+        {**base, "figure": {"window": [-3, 3, -3, 3], "samples": 2048}}))
+    assert cfg.figure.samples == 2048
+    path = write_config(tmp_path, {
+        **base, "figure": {"window": [-3, 3, -3, 3], "samples": 2049}})
+    res = run_cli(["figure", "--config", path])
+    assert res.returncode == 64
+    assert "samples" in res.stderr and "Traceback" not in res.stderr
+    assert res.stdout == ""
 
 
 def test_analyze_determinism(tmp_path):
@@ -236,17 +276,26 @@ def test_tolerances_validated(tmp_path):
     for bad in ('{"curve_samples": "x"}', '{"curve_samples": 2}',
                 '{"curve_samples": 300.0}', '{"eps_zero": -1}',
                 '{"tol_level": 0}', '{"eps_angle": true}',
-                '{"lift_steps": 1024}'):
+                '{"lift_steps": 1024}',
+                # n = 2: deadbands of pi/4 around rays pi/2 apart cover
+                # every argument
+                '{"eps_angle": 10}', '{"eps_angle": 0.7854}'):
         with pytest.raises(ConfigError):
             load_config(base % bad)
     cfg = load_config(base % '{"curve_samples": 513}')
     assert cfg.tolerances.curve_samples == 513
+    assert load_config(base % '{"eps_angle": 0.785}').tolerances.eps_angle == 0.785
     path = write_config(tmp_path, {"n": 2, "a": 2.0, "p": 2.0, "q": 1.0,
                                    "tolerances": {"curve_samples": "x"}})
     res = run_cli(["solve", "--config", path,
                    "--out", str(tmp_path / "no.csv")])
     assert res.returncode == 64
     assert "curve_samples" in res.stderr and "Traceback" not in res.stderr
+    path = write_config(tmp_path, {"n": 2, "a": 2.0, "p": 1.0, "q": 1.0,
+                                   "tolerances": {"eps_angle": 10}})
+    res = run_cli(["analyze", "--config", path])
+    assert res.returncode == 64
+    assert "eps_angle" in res.stderr and "Traceback" not in res.stderr
 
 
 def test_overflow_exits_3(tmp_path):

@@ -143,3 +143,52 @@ def test_window_counts_random_instances(rng):
         hi = polar_component_count(
             ctx, Window(w.xmin - pad, w.xmax + pad, w.ymin - pad, w.ymax + pad))
         assert lo <= len(cs.polylines) <= hi, g
+
+
+def _vertex_edge(x, y):
+    """Grid edge of a vertex on the integer grid: ("x", i, j) joins (i, j)
+    and (i+1, j); ("y", i, j) joins (i, j) and (i, j+1)."""
+    if y == math.floor(y) and x != math.floor(x):
+        return ("x", math.floor(x), int(y))
+    if x == math.floor(x) and y != math.floor(y):
+        return ("y", int(x), math.floor(y))
+    raise AssertionError(f"vertex ({x}, {y}) is not inside a grid edge")
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_stitch_random_sign_patterns(seed):
+    # unit-spaced grid: vertices on x-edges have integral y, and vice versa;
+    # noise makes about one cell in eight a saddle
+    m = 33
+    vals = np.random.default_rng(seed).standard_normal((m, m))
+    xs = ys = np.arange(m, dtype=float)
+    pos = vals > 0
+    crossed = {("x", i, j) for i in range(m - 1) for j in range(m)
+               if pos[i, j] != pos[i + 1, j]}
+    crossed |= {("y", i, j) for i in range(m) for j in range(m - 1)
+                if pos[i, j] != pos[i, j + 1]}
+
+    def on_boundary(edge):
+        kind, i, j = edge
+        return j in (0, m - 1) if kind == "x" else i in (0, m - 1)
+
+    def cells(edge):
+        kind, i, j = edge
+        if kind == "x":
+            return {(i, j - 1), (i, j)}
+        return {(i - 1, j), (i, j)}
+
+    seen = []
+    for poly in marching_squares(vals, xs, ys):
+        edges = [_vertex_edge(x, y) for x, y in poly.tolist()]
+        if np.array_equal(poly[0], poly[-1]):
+            edges = edges[:-1]  # a loop repeats its start
+        else:
+            assert on_boundary(edges[0]) and on_boundary(edges[-1])
+        # consecutive vertices share a cell, including a loop's closing step
+        closing = [(edges[-1], edges[0])] if len(edges) < len(poly) else []
+        for e0, e1 in list(zip(edges, edges[1:])) + closing:
+            assert cells(e0) & cells(e1), (e0, e1)
+        seen.extend(edges)
+    assert len(seen) == len(set(seen))
+    assert set(seen) == crossed

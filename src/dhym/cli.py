@@ -218,12 +218,10 @@ def run_figure(cfg: RunConfig, out_path: str | None, stdout) -> int:
     g, tol = cfg.geometry, cfg.tolerances
     curve = None
     if "solution" in cfg.figure.overlays:
-        ge = graphical_existence(g, tol)
-        if ge.yes:
-            try:
-                curve = trace_solution(g, tol)
-            except TraceError:
-                curve = None
+        try:  # GraphicalPreconditionError is a TraceError
+            curve = trace_solution(g, tol)
+        except TraceError:
+            curve = None
     svg = render_figure(g, cfg.figure, curve=curve, tol=tol)
     if out_path:
         with open(out_path, "w") as fh:

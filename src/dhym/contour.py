@@ -169,13 +169,19 @@ def _stitch(adj: dict) -> list:
 
 def extract_level_set(ctx: LevelSetContext, window: Window,
                       nx: int = 256, ny: int = 256) -> ContourSet:
-    """Contours of Phi = c on an (nx+1) x (ny+1) node grid over the window."""
+    """Contours of Phi = c on an (nx+1) x (ny+1) node grid over the window.
+
+    Raises OverflowError when Phi is not finite somewhere on the grid.
+    """
     if nx < 64 or ny < 64:
         raise ValueError("oracle grid must be at least 64x64 cells")
     xs = np.linspace(window.xmin, window.xmax, nx + 1)
     ys = np.linspace(window.ymin, window.ymax, ny + 1)
     zx = xs[:, None] + 1j * ys[None, :]
-    values = np.imag(np.exp(-1j * ctx.theta_hat) * zx ** ctx.n) - ctx.c
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.imag(np.exp(-1j * ctx.theta_hat) * zx ** ctx.n) - ctx.c
+    if not np.all(np.isfinite(values)):
+        raise OverflowError(f"Phi overflows float64 on the window for n={ctx.n}")
     # nudge exact zeros off the grid so every crossing is a sign change
     eps = 1e-300 + 1e-15 * float(np.max(np.abs(values)))
     values = np.where(values == 0.0, eps, values)

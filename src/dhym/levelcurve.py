@@ -2,9 +2,11 @@
 boundary-value solver.
 
 Both endpoints (1, q) and (a, p) always share the level value c, so a
-solution is a graphical arc of the level curve over [1, a].  The trace
-integrates dy/dx = -Phi_x / Phi_y with an embedded 4(5) pair and projects
-every accepted point back onto Phi = c with a Newton step in y.
+solution is a graphical arc of the level curve over [1, a].  In polar form
+that arc is explicit, r(phi) = (c / sin(n phi - theta_hat))^(1/n) for phi
+between arg z1 and arg z2, so nothing is integrated: every node of the
+output grid is solved at once, seeded by bisecting for the angle with
+r(phi) cos(phi) = x and polished by Newton steps in y on Phi = c.
 """
 
 from __future__ import annotations
@@ -28,12 +30,11 @@ class GraphicalPreconditionError(TraceError):
     """trace_solution called on an instance without a graphical arc."""
 
 
-class VerticalTangentError(TraceError):
-    """|Phi_y| collapsed mid-trace; contradicts the graphical check."""
-
-
-class StepLimitExceededError(TraceError):
-    pass
+# halvings that shrink the angle bracket, no wider than pi/n <= pi/2, below
+# the spacing of doubles near 1
+_BISECTIONS = 53
+# Newton steps in y allowed to reach |Phi - c| <= tol_level * scale
+_NEWTON_STEPS = 16
 
 
 @dataclass(frozen=True)
@@ -81,6 +82,9 @@ class VerificationReport:
     theta_in_range: bool
     endpoint_error: float
     endpoint_ok: bool
+    level_max: float
+    level_bound: float
+    level_ok: bool
     lift_match: bool | None
     passed: bool
 
@@ -97,7 +101,11 @@ def phi_gradient(x: float, y: float, ctx: LevelSetContext) -> tuple[float, float
 
 
 def level_context(g: Geometry, tol: Tolerances = DEFAULT_TOL) -> LevelSetContext:
-    """Level value shared by (1, q) and (a, p); verified from both ends."""
+    """Level value shared by (1, q) and (a, p); verified from both ends.
+
+    Each end's value carries a rounding error of order eps * |z|^n, while
+    |c| <= min(|z1|, |z2|)^n, so c is taken from the end nearer the origin.
+    """
     th, _ = theta_hat(g, tol)
     scale = max(1.0, g.scale)
     ctx = LevelSetContext(n=g.n, theta_hat=th, c=0.0, scale=scale)
@@ -105,17 +113,20 @@ def level_context(g: Geometry, tol: Tolerances = DEFAULT_TOL) -> LevelSetContext
     c2 = phi(g.a, g.p, ctx)
     if abs(c1 - c2) > 1e-9 * scale:
         raise TraceError(f"endpoint level values disagree: {c1!r} vs {c2!r}")
-    return LevelSetContext(n=g.n, theta_hat=th, c=0.5 * (c1 + c2), scale=scale)
+    c = c1 if abs(g.z1) <= abs(g.z2) else c2
+    return LevelSetContext(n=g.n, theta_hat=th, c=c, scale=scale)
 
 
-def same_component(g: Geometry, tol: Tolerances = DEFAULT_TOL) -> SameComponentResult:
+def same_component(g: Geometry, tol: Tolerances = DEFAULT_TOL,
+                   ctx: LevelSetContext | None = None) -> SameComponentResult:
     """Do the two endpoints sit on the same component of the level set?
 
     For c = 0 the level set is n rays; the endpoints match iff they sit on
     the same ray.  Otherwise components occupy alternating sectors, so the
     endpoints agree iff no top-level ray lies strictly between them.
+    ``ctx`` is ``level_context(g, tol)`` when the caller already has it.
     """
-    ctx = level_context(g, tol)
+    ctx = ctx or level_context(g, tol)
     a1 = cmath.phase(g.z1)
     a2 = cmath.phase(g.z2)
     rs = ray_set(g.n, ctx.theta_hat, g.n)
@@ -135,10 +146,15 @@ def same_component(g: Geometry, tol: Tolerances = DEFAULT_TOL) -> SameComponentR
     return SameComponentResult("different", rays_between=nb)
 
 
-def graphical_existence(g: Geometry, tol: Tolerances = DEFAULT_TOL) -> GraphicalResult:
-    """Can the endpoints be joined by a graphical arc (no vertical slope)?"""
-    ctx = level_context(g, tol)
-    sc = same_component(g, tol)
+def graphical_existence(g: Geometry, tol: Tolerances = DEFAULT_TOL,
+                        ctx: LevelSetContext | None = None,
+                        sc: SameComponentResult | None = None) -> GraphicalResult:
+    """Can the endpoints be joined by a graphical arc (no vertical slope)?
+
+    ``ctx`` and ``sc`` are level_context and same_component of (g, tol),
+    when the caller already has them."""
+    ctx = ctx or level_context(g, tol)
+    sc = sc or same_component(g, tol, ctx)
     if sc.status == "different":
         return GraphicalResult(False, f"endpoints on different components "
                                       f"({sc.rays_between} rays between)")
@@ -159,168 +175,119 @@ def graphical_existence(g: Geometry, tol: Tolerances = DEFAULT_TOL) -> Graphical
     return GraphicalResult(True)
 
 
-def _project_onto_level(x: float, y: float, ctx: LevelSetContext,
-                        tol: Tolerances, max_iter: int = 16) -> float:
-    """Newton step in y until |Phi - c| <= tol_level * scale."""
-    target = tol.tol_level * ctx.scale
-    grad_scale = ctx.n * max(1.0, math.hypot(x, y)) ** (ctx.n - 1)
-    for _ in range(max_iter):
-        r = phi(x, y, ctx) - ctx.c
-        if abs(r) <= target:
-            return y
-        gy = phi_gradient(x, y, ctx)[1]
-        if abs(gy) <= 1e-12 * grad_scale:
-            raise VerticalTangentError(f"|Phi_y| ~ 0 during projection at x={x!r}")
-        y -= r / gy
-    raise StepLimitExceededError(f"level projection failed to converge at x={x!r}")
+def _level_terms(x: np.ndarray, y: np.ndarray, ctx: LevelSetContext):
+    """Phi - c and the gradient (Phi_x, Phi_y) at arrays of points."""
+    z = x + 1j * y
+    u = np.exp(-1j * ctx.theta_hat) * z ** (ctx.n - 1)
+    return np.imag(u * z) - ctx.c, ctx.n * u.imag, ctx.n * u.real
 
 
-# Cash-Karp embedded 4(5) coefficients
-_CK_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (3 / 10, -9 / 10, 6 / 5),
-    (-11 / 54, 5 / 2, -70 / 27, 35 / 27),
-    (1631 / 55296, 175 / 512, 575 / 13824, 44275 / 110592, 253 / 4096),
-)
-_CK_B5 = (37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771)
-_CK_B4 = (2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4)
+def _arc_angles(g: Geometry, ctx: LevelSetContext, xs: np.ndarray) -> np.ndarray:
+    """Angle phi of the arc point above each x, by bisection on
+    r(phi) cos(phi) = x: a graphical arc has no vertical tangent, so that
+    abscissa runs monotonically from 1 at arg z1 to a at arg z2."""
+    n = ctx.n
+    # sin(n phi - theta_hat) has the sign of c between the endpoint
+    # arguments; the floor keeps a rounding slip at either end finite
+    sign = math.copysign(1.0, ctx.c)
+    floor = np.finfo(float).tiny
+    root_c = abs(ctx.c) ** (1.0 / n)
+    lo = np.full(xs.shape, cmath.phase(g.z1))
+    hi = np.full(xs.shape, cmath.phase(g.z2))
+    for _ in range(_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        s = np.maximum(sign * np.sin(n * mid - ctx.theta_hat), floor)
+        short = root_c * s ** (-1.0 / n) * np.cos(mid) < xs
+        lo = np.where(short, mid, lo)
+        hi = np.where(short, hi, mid)
+    return 0.5 * (lo + hi)
 
 
-def _slope(x: float, y: float, ctx: LevelSetContext) -> float:
-    gx, gy = phi_gradient(x, y, ctx)
-    grad_scale = ctx.n * max(1.0, math.hypot(x, y)) ** (ctx.n - 1)
-    if abs(gy) <= 1e-12 * grad_scale:
-        raise VerticalTangentError(f"vertical tangent at x={x!r}, y={y!r}")
-    return -gx / gy
-
-
-def _linear_curve(g: Geometry, ctx: LevelSetContext, tol: Tolerances) -> SolutionCurve:
-    xs = np.linspace(1.0, g.a, tol.curve_samples)
-    f = g.q * xs
-    fp = np.full_like(xs, g.q)
-    return _assemble_curve(g, ctx, xs, f, fp)
-
-
-def _assemble_curve(g: Geometry, ctx: LevelSetContext, xs, f, fp) -> SolutionCurve:
-    zr = 1.0 + 1j * f / xs
+def _ode_terms(x, f, fp, ctx: LevelSetContext):
+    """Residual Im(e^(-i theta_hat) (1 + i f/x)^(n-1) (1 + i f')) of the ODE
+    and the pointwise angle (n-1) arctan(f/x) + arctan(f')."""
+    zr = 1.0 + 1j * f / x
     res = np.imag(np.exp(-1j * ctx.theta_hat) * zr ** (ctx.n - 1) * (1.0 + 1j * fp))
-    theta = (ctx.n - 1) * np.arctan2(f, xs) + np.arctan(fp)
-    return SolutionCurve(
-        x=xs, f=f, f_prime=fp, c=ctx.c,
-        residual_max=float(np.max(np.abs(res))),
-        residual_l2=float(np.sqrt(np.mean(res ** 2))),
-        theta_pointwise=theta,
-        endpoint_error=float(abs(f[-1] - g.p)),
-    )
+    return res, (ctx.n - 1) * np.arctan2(f, x) + np.arctan(fp)
 
 
 def trace_solution(g: Geometry, tol: Tolerances = DEFAULT_TOL) -> SolutionCurve:
-    """Trace the level curve from (1, q) to x = a on a fixed output grid.
+    """Solve the level curve Phi = c on x = linspace(1, a, curve_samples).
 
-    Adaptive Cash-Karp 4(5) steps between grid nodes, each accepted point
-    projected back onto Phi = c.  The reported slope is the exact level-set
-    slope at the projected samples.
+    All nodes at once: each is seeded from the polar form of the arc, or
+    from the common ray on the zero level, and polished by Newton steps in
+    y until |Phi - c| <= tol_level * scale.  The reported slope is the
+    exact level-set slope -Phi_x / Phi_y there.
     """
-    ge = graphical_existence(g, tol)
+    ctx = level_context(g, tol)
+    sc = same_component(g, tol, ctx)
+    ge = graphical_existence(g, tol, ctx, sc)
     if not ge.yes:
         raise GraphicalPreconditionError(ge.reason)
-    ctx = level_context(g, tol)
-    sc = same_component(g, tol)
+    xs = np.linspace(1.0, g.a, tol.curve_samples)
     if sc.status == "on_zero_level":
-        return _linear_curve(g, ctx, tol)
-
-    m = tol.curve_samples
-    xs = np.linspace(1.0, g.a, m)
-    f = np.empty(m)
-    fp = np.empty(m)
-    f[0] = g.q
-    fp[0] = _slope(1.0, g.q, ctx)
-
-    span = g.a - 1.0
-    h = span * tol.initial_step_frac
-    h_min = span * tol.min_step_frac
-    err_tol = 1e-10
-    y_scale = max(1.0, abs(g.p), abs(g.q))
-    x, y = 1.0, g.q
-    max_steps = 200_000
-    steps = 0
-    ks = [0.0] * 6
-
-    for j in range(1, m):
-        target = xs[j]
-        while x < target - 1e-15 * span:
-            steps += 1
-            if steps > max_steps:
-                raise StepLimitExceededError(f"step budget exhausted at x={x!r}")
-            hs = min(h, target - x)
-            ks[0] = _slope(x, y, ctx)
-            rejected = False
-            for i in range(1, 6):
-                yi = y + hs * sum(a * k for a, k in zip(_CK_A[i], ks))
-                ci = sum(_CK_A[i])
-                try:
-                    ks[i] = _slope(x + ci * hs, yi, ctx)
-                except VerticalTangentError:
-                    rejected = True
-                    break
-            if not rejected:
-                y5 = y + hs * sum(b * k for b, k in zip(_CK_B5, ks))
-                y4 = y + hs * sum(b * k for b, k in zip(_CK_B4, ks))
-                err = abs(y5 - y4)
-                tol_step = err_tol * (y_scale + abs(y5))
-                rejected = err > tol_step
-            if rejected:
-                h = max(hs * 0.5, h_min)
-                if hs <= h_min * 1.0000001 and rejected:
-                    raise StepLimitExceededError(
-                        f"minimum step reached at x={x!r} without convergence")
-                continue
-            x += hs
-            y = _project_onto_level(x, y5, ctx, tol)
-            if err > 0:
-                h = min(span, hs * min(5.0, 0.9 * (tol_step / err) ** 0.2))
-            else:
-                h = min(span, hs * 5.0)
-        x = target  # kill accumulated drift; projection keeps y on the level
-        y = _project_onto_level(x, y, ctx, tol)
-        f[j] = y
-        fp[j] = _slope(x, y, ctx)
-
-    return _assemble_curve(g, ctx, xs, f, fp)
+        y = g.q * xs  # the common ray; exact when c is exactly zero
+    else:
+        y = xs * np.tan(_arc_angles(g, ctx, xs))
+    target = tol.tol_level * ctx.scale
+    for _ in range(_NEWTON_STEPS):
+        r, gx, gy = _level_terms(xs, y, ctx)
+        vertical = np.abs(gy) <= 1e-12 * np.hypot(gx, gy)
+        if np.any(vertical):
+            raise TraceError(f"vertical tangent at x={xs[np.argmax(vertical)]!r}")
+        off = np.abs(r) > target
+        if not np.any(off):
+            break
+        y = np.where(off, y - r / gy, y)
+    else:
+        raise TraceError(f"level polish did not converge at x={xs[np.argmax(off)]!r}")
+    fp = -gx / gy
+    res, theta = _ode_terms(xs, y, fp, ctx)
+    return SolutionCurve(
+        x=xs, f=y, f_prime=fp, c=ctx.c,
+        residual_max=float(np.max(np.abs(res))),
+        residual_l2=float(np.sqrt(np.mean(res ** 2))),
+        theta_pointwise=theta,
+        endpoint_error=float(abs(y[-1] - g.p)),
+    )
 
 
 def verify_solution(curve: SolutionCurve, g: Geometry,
                     tol: Tolerances = DEFAULT_TOL,
                     lift: float | None = None) -> VerificationReport:
-    """Independent check of a traced curve against the original equation."""
+    """Independent check of a traced curve against the original equation.
+
+    The level check reads only the samples (x, f): every node must satisfy
+    |Phi(x, f) - c| <= tol_level * scale, the target the trace polishes to.
+    The residual and the pointwise angle read the curve's own f_prime.
+    """
     ctx = level_context(g, tol)
-    zr = 1.0 + 1j * curve.f / curve.x
-    res = np.imag(np.exp(-1j * ctx.theta_hat) * zr ** (ctx.n - 1)
-                  * (1.0 + 1j * curve.f_prime))
+    level_max = float(np.max(np.abs(_level_terms(curve.x, curve.f, ctx)[0])))
+    level_bound = tol.tol_level * ctx.scale
+    res, theta = _ode_terms(curve.x, curve.f, curve.f_prime, ctx)
     residual_max = float(np.max(np.abs(res)))
     zmax = float(np.max(np.hypot(curve.x, curve.f)))
     residual_bound = tol.tol_endpoint * (1.0 + zmax ** (ctx.n - 1))
-    theta = ((ctx.n - 1) * np.arctan2(curve.f, curve.x)
-             + np.arctan(curve.f_prime))
     osc = float(np.max(theta) - np.min(theta))
     mean = float(np.mean(theta))
     matches = abs(math.remainder(mean - ctx.theta_hat, math.tau)) <= tol.tol_angle
     in_range = -ctx.n * math.pi / 2 < mean < ctx.n * math.pi / 2
-    endpoint_ok = curve.endpoint_error <= tol.tol_endpoint * max(1.0, abs(g.p))
+    endpoint_error = float(abs(curve.f[-1] - g.p))
+    endpoint_ok = endpoint_error <= tol.tol_endpoint * max(1.0, abs(g.p))
     lift_match = None
     if lift is not None:
         lift_match = abs(mean - lift) <= tol.tol_angle
     passed = (residual_max <= residual_bound and osc <= tol.tol_angle
               and matches and in_range and endpoint_ok
-              and lift_match is not False)
+              and level_max <= level_bound and lift_match is not False)
     return VerificationReport(
         residual_max=residual_max, residual_bound=residual_bound,
         residual_ok=residual_max <= residual_bound,
         theta_oscillation=osc, oscillation_ok=osc <= tol.tol_angle,
         theta_mean=mean, theta_matches_average_angle=matches,
         theta_in_range=in_range,
-        endpoint_error=curve.endpoint_error, endpoint_ok=endpoint_ok,
+        endpoint_error=endpoint_error, endpoint_ok=endpoint_ok,
+        level_max=level_max, level_bound=level_bound,
+        level_ok=level_max <= level_bound,
         lift_match=lift_match, passed=passed,
     )

@@ -18,15 +18,12 @@ class Tolerances:
     eps_zero: float = 1e-9
     # angular deadband (radians) for on-ray / sector-boundary classification
     eps_angle: float = 1e-8
-    # per-step level adherence |Phi - c| during the trace, relative to scale
+    # level adherence |Phi - c| at every traced node, relative to scale
     tol_level: float = 1e-10
     # endpoint error budget, relative to max(1, |p|)
     tol_endpoint: float = 1e-6
     # pointwise-angle oscillation budget along an accepted curve (radians)
     tol_angle: float = 1e-6
-    # continuation stepping over [1, a]
-    initial_step_frac: float = 1.0 / 256.0
-    min_step_frac: float = 1e-9
     # number of samples in an emitted solution curve (>= 257)
     curve_samples: int = 257
 

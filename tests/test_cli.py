@@ -128,6 +128,17 @@ def test_solve_zero_class(tmp_path):
     assert all(float(r["f"]) == 0.0 for r in rows)
 
 
+def test_solve_near_vertical_tangent(tmp_path):
+    # z1 lies 6.3e-6 rad from a vertical-tangent ray, so the curve leaves
+    # (1, q) almost vertically
+    path = write_config(tmp_path, {"n": 5, "a": 7.3278, "p": 42.4857,
+                                   "q": 4.6127})
+    res = run_cli(["solve", "--config", path,
+                   "--out", str(tmp_path / "solution.csv")])
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["verified"] is True
+
+
 def test_solve_refuses_inconclusive(tmp_path):
     path = write_config(tmp_path, geometry_doc(scaled_example()))
     res = run_cli(["solve", "--config", path, "--out",
@@ -276,7 +287,8 @@ def test_tolerances_validated(tmp_path):
     for bad in ('{"curve_samples": "x"}', '{"curve_samples": 2}',
                 '{"curve_samples": 300.0}', '{"eps_zero": -1}',
                 '{"tol_level": 0}', '{"eps_angle": true}',
-                '{"lift_steps": 1024}',
+                '{"lift_steps": 1024}', '{"initial_step_frac": 0.01}',
+                '{"min_step_frac": 1e-9}',
                 # n = 2: deadbands of pi/4 around rays pi/2 apart cover
                 # every argument
                 '{"eps_angle": 10}', '{"eps_angle": 0.7854}'):
@@ -296,10 +308,25 @@ def test_tolerances_validated(tmp_path):
     res = run_cli(["analyze", "--config", path])
     assert res.returncode == 64
     assert "eps_angle" in res.stderr and "Traceback" not in res.stderr
+    # the step knobs of the former adaptive integrator are unknown keys
+    for key, value in (("initial_step_frac", 0.01), ("min_step_frac", 1e-9)):
+        path = write_config(tmp_path, {"n": 2, "a": 2.0, "p": 2.0, "q": 1.0,
+                                       "tolerances": {key: value}})
+        res = run_cli(["solve", "--config", path,
+                       "--out", str(tmp_path / "no.csv")])
+        assert res.returncode == 64
+        assert "unknown key" in res.stderr and key in res.stderr
 
 
 def test_overflow_exits_3(tmp_path):
-    path = write_config(tmp_path, {"n": 400, "a": 10.0, "p": 1.0, "q": 1.0})
-    res = run_cli(["analyze", "--config", path])
-    assert res.returncode == 3
-    assert "overflow" in res.stderr and "Traceback" not in res.stderr
+    for command, doc in (
+            ("analyze", {"n": 400, "a": 10.0, "p": 1.0, "q": 1.0}),
+            # the charges are finite, but z^n overflows on the figure grid
+            ("figure", {"n": 1200, "a": 1.01, "p": 0, "q": 0,
+                        "figure": {"window": [-1.3, 1.3, -1.3, 1.3],
+                                   "samples": 64}})):
+        path = write_config(tmp_path, doc)
+        res = run_cli([command, "--config", path])
+        assert res.returncode == 3, command
+        assert "overflow" in res.stderr and "Traceback" not in res.stderr
+        assert "Warning" not in res.stderr and res.stdout == ""

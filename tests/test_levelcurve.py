@@ -150,6 +150,7 @@ def test_trace_collinear_recovers_scaled_line(rng):
             1.0, abs(lam) * a)
 
 
+@pytest.mark.filterwarnings("error")
 def test_trace_stable_instances(rng):
     for _ in range(100):
         g = sample_stable(rng)
@@ -181,3 +182,18 @@ def test_verify_rejects_perturbed_curve(rng):
     rep = verify_solution(noisy, g)
     assert not rep.passed
     assert not rep.residual_ok
+
+
+def test_verify_rejects_off_level_samples(rng):
+    # slopes recomputed at the noisy points keep the residual and the
+    # pointwise angle consistent, so only the level of (x, f) shows the noise
+    g = Geometry(2, 2.0, 2.0, 1.0)
+    curve = trace_solution(g)
+    ctx = level_context(g)
+    f = curve.f.copy()
+    f[1:-1] *= 1.0 + 0.05 * rng.standard_normal(len(f) - 2)
+    fp = np.array([-gx / gy for gx, gy in
+                   (phi_gradient(x, y, ctx) for x, y in zip(curve.x, f))])
+    rep = verify_solution(dataclasses.replace(curve, f=f, f_prime=fp), g)
+    assert not rep.passed
+    assert not rep.level_ok

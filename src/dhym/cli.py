@@ -8,19 +8,21 @@ arithmetic overflow), 64 usage and configuration errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 import numpy as np
 
-from .charges import (Geometry, InvalidGeometryError, SubvarietyKind,
-                      charge_report, degeneracy_check)
+from .charges import (DegenerateGeometryError, Geometry, InvalidGeometryError,
+                      SubvarietyKind, charge_report)
 from .config import ConfigError, RunConfig, load_config
 from .figure import FigureError, render_figure
-from .levelcurve import (TraceError, graphical_existence, same_component,
-                         trace_solution, verify_solution)
+from .levelcurve import (TraceError, graphical_existence, level_context,
+                         same_component, trace_solution, verify_solution)
 from .lifting import LiftedAngle, OriginHit, cxy_path_lift, sector_lift
-from .stability import Existence, existence_verdict, stability_verdict
+from .stability import (Existence, decide_existence, existence_verdict,
+                        stability_verdict)
 from .tolerances import Tolerances
 
 EXIT_EXISTS = 0
@@ -28,12 +30,12 @@ EXIT_NOT_EXISTS = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_ANOMALY = 3
 EXIT_USAGE = 64
+_EXIT_FOR = {Existence.EXISTS: EXIT_EXISTS, Existence.NOT_EXISTS: EXIT_NOT_EXISTS,
+             Existence.INCONCLUSIVE: EXIT_INCONCLUSIVE}
 
-_FLOAT_FMT = "{:.17g}"
-
-
-def _c2j(z: complex) -> list:
-    return [z.real, z.imag]
+# rows of the solve and sweep CSVs, every float at full precision
+_SOLVE_ROW = ",".join(["%.17g"] * 5) + "\n"
+_SWEEP_ROW = "%.17g,%.17g,%s,%s,%s,%s,%.17g,%.17g,%.17g"
 
 
 def _charge_key(v) -> str:
@@ -49,26 +51,28 @@ def analysis_report(g: Geometry, tol: Tolerances) -> dict:
     out: dict = {
         "geometry": {"n": g.n, "a": g.a, "p": g.p, "q": g.q},
         "charge": {
-            "zeta": _c2j(rep.zeta),
+            "zeta": [rep.zeta.real, rep.zeta.imag],
             "theta_hat": rep.theta_hat,
             "r_x": rep.r_x,
             "degenerate": rep.degenerate,
-            "charges": {_charge_key(v): _c2j(z)
-                        for v, z in sorted(rep.charges.items(),
-                                           key=lambda kv: _charge_key(kv[0]))},
+            "charges": {_charge_key(v): [z.real, z.imag]
+                        for v, z in rep.charges.items()},
         },
     }
-    verdict = existence_verdict(g, tol)
+    stab = lift = cxy = None
+    if not rep.degenerate:
+        stab, lift = stability_verdict(g, tol), sector_lift(g, tol)
+        cxy = cxy_path_lift(g, tol)
+    verdict = decide_existence(g, rep, stab, lift, cxy, tol)
     out["existence"] = {
         "value": verdict.value.value,
         "route": verdict.route.value,
         "notes": dict(sorted(verdict.notes.items())),
     }
     if rep.degenerate:
-        out["charge"]["degenerate_m"] = degeneracy_check(g, tol)
+        out["charge"]["degenerate_m"] = verdict.notes["degenerate_m"]
         return out
 
-    stab = stability_verdict(g, tol)
     out["stability"] = {
         "overall": stab.overall.value,
         "per_k": {str(k): {"sign_H": pk.sign_h.value.value,
@@ -78,7 +82,6 @@ def analysis_report(g: Geometry, tol: Tolerances) -> dict:
                            "verdict": pk.verdict.value}
                   for k, pk in sorted(stab.per_k.items())},
     }
-    lift = sector_lift(g, tol)
     if isinstance(lift, LiftedAngle):
         out["lift"] = {"defined": True, "method": lift.method,
                        "winding": lift.winding, "lifted": lift.lifted,
@@ -86,27 +89,19 @@ def analysis_report(g: Geometry, tol: Tolerances) -> dict:
     else:
         out["lift"] = {"defined": False, "reason": lift.reason,
                        "detail": lift.detail}
-    cxy = cxy_path_lift(g, tol)
     if isinstance(cxy, OriginHit):
         out["volume_path"] = {"defined": False, "origin_hit_t": cxy.t_star}
     else:
         out["volume_path"] = {"defined": True, "winding": cxy.winding,
                               "lifted": cxy.lifted}
-    sc = same_component(g, tol)
+    ctx = level_context(g, tol)
+    sc = same_component(g, tol, ctx)
     out["same_component"] = {"status": sc.status,
                              "rays_between": sc.rays_between,
                              "same_ray": sc.same_ray}
-    ge = graphical_existence(g, tol)
+    ge = graphical_existence(g, tol, ctx, sc)
     out["graphical_existence"] = {"yes": ge.yes, "reason": ge.reason}
     return out
-
-
-def _existence_exit(value: Existence) -> int:
-    if value is Existence.EXISTS:
-        return EXIT_EXISTS
-    if value is Existence.NOT_EXISTS:
-        return EXIT_NOT_EXISTS
-    return EXIT_INCONCLUSIVE
 
 
 def run_analyze(cfg: RunConfig, out_path: str | None, stdout) -> int:
@@ -116,18 +111,14 @@ def run_analyze(cfg: RunConfig, out_path: str | None, stdout) -> int:
         with open(out_path, "w") as fh:
             fh.write(text)
     stdout.write(text)
-    return _existence_exit(Existence(report["existence"]["value"]))
+    return _EXIT_FOR[Existence(report["existence"]["value"])]
 
 
-def _solve_rows(curve, g: Geometry, theta_hat: float) -> str:
-    zr = 1.0 + 1j * curve.f / curve.x
-    res = np.imag(np.exp(-1j * theta_hat) * zr ** (g.n - 1)
-                  * (1.0 + 1j * curve.f_prime))
-    lines = ["x,f,f_prime,residual,theta"]
-    for x, f, fp, r, th in zip(curve.x, curve.f, curve.f_prime, res,
-                               curve.theta_pointwise):
-        lines.append(",".join(_FLOAT_FMT.format(v) for v in (x, f, fp, r, th)))
-    return "\n".join(lines) + "\n"
+def _solve_rows(curve) -> str:
+    rows = np.column_stack((curve.x, curve.f, curve.f_prime, curve.residual,
+                            curve.theta_pointwise)).tolist()
+    return "x,f,f_prime,residual,theta\n" + "".join(
+        [_SOLVE_ROW % tuple(row) for row in rows])
 
 
 def run_solve(cfg: RunConfig, out_path: str | None, stdout, stderr) -> int:
@@ -136,14 +127,13 @@ def run_solve(cfg: RunConfig, out_path: str | None, stdout, stderr) -> int:
     if verdict.value is not Existence.EXISTS:
         stderr.write(f"no solve attempted: existence is "
                      f"{verdict.value.value} via {verdict.route.value}\n")
-        return _existence_exit(verdict.value)
+        return _EXIT_FOR[verdict.value]
     try:
         curve = trace_solution(g, tol)
     except TraceError as exc:
         stderr.write(f"anomaly: trace failed despite yes-verdict: {exc}\n")
         return EXIT_ANOMALY
-    rep = charge_report(g, tol)
-    csv_text = _solve_rows(curve, g, rep.theta_hat)
+    csv_text = _solve_rows(curve)
     target = out_path or "solution.csv"
     with open(target, "w") as fh:
         fh.write(csv_text)
@@ -178,8 +168,7 @@ def run_sweep(cfg: RunConfig, out_path: str | None, stdout) -> int:
     for p in ps:
         for q in qs:
             g = Geometry(n=g0.n, a=g0.a, p=float(p), q=float(q))
-            row = _sweep_row(g, tol)
-            lines.append(row)
+            lines.append(_sweep_row(g, tol))
     text = "\n".join(lines) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
@@ -192,24 +181,20 @@ def run_sweep(cfg: RunConfig, out_path: str | None, stdout) -> int:
 def _sweep_row(g: Geometry, tol: Tolerances) -> str:
     rep = charge_report(g, tol)
     if rep.degenerate:
-        return ",".join([_FLOAT_FMT.format(g.p), _FLOAT_FMT.format(g.q),
-                         "degenerate", "inconclusive", "degenerate",
-                         "false", "nan", "nan", "nan"])
+        return _SWEEP_ROW % (g.p, g.q, "degenerate", "inconclusive",
+                             "degenerate", "false", np.nan, np.nan, np.nan)
     stab = stability_verdict(g, tol)
     stab_margin = min(min(pk.sign_h.margin, pk.sign_e.margin)
                       for pk in stab.per_k.values())
     lift = sector_lift(g, tol)
     lift_defined = isinstance(lift, LiftedAngle)
     lift_margin = lift.margin if lift_defined else float("nan")
-    verdict = existence_verdict(g, tol)
+    cxy = None if lift_defined else cxy_path_lift(g, tol)
+    verdict = decide_existence(g, rep, stab, lift, cxy, tol)
     div_margin = verdict.notes.get("divisor_margin", float("nan"))
-    return ",".join([
-        _FLOAT_FMT.format(g.p), _FLOAT_FMT.format(g.q),
-        stab.overall.value, verdict.value.value, verdict.route.value,
-        "true" if lift_defined else "false",
-        _FLOAT_FMT.format(stab_margin), _FLOAT_FMT.format(lift_margin),
-        _FLOAT_FMT.format(div_margin),
-    ])
+    return _SWEEP_ROW % (g.p, g.q, stab.overall.value, verdict.value.value,
+                         verdict.route.value, "true" if lift_defined else "false",
+                         stab_margin, lift_margin, div_margin)
 
 
 def run_figure(cfg: RunConfig, out_path: str | None, stdout) -> int:
@@ -247,7 +232,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> _Parser:
+    """Built once per process: building costs far more than a parse."""
     parser = _Parser(
         prog="dhym",
         description="Existence tests and level-curve solver for the deformed "
@@ -261,15 +248,13 @@ def main(argv=None) -> int:
         sp.add_argument("--config", required=True,
                         help="path to JSON config, or - for stdin")
         sp.add_argument("--out", default=None, help="output file path")
-    args = parser.parse_args(argv)
+    return parser
 
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         cfg = _read_config(args.config)
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    try:
         if args.command == "analyze":
             return run_analyze(cfg, args.out, sys.stdout)
         if args.command == "solve":
@@ -277,12 +262,16 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return run_sweep(cfg, args.out, sys.stdout)
         return run_figure(cfg, args.out, sys.stdout)
-    except (ConfigError, FigureError, InvalidGeometryError) as exc:
+    # OSError: a config that cannot be read or an --out that cannot be written
+    except (ConfigError, OSError, FigureError, InvalidGeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OverflowError as exc:
         print(f"error: arithmetic overflow: {exc}", file=sys.stderr)
         return EXIT_ANOMALY
+    except DegenerateGeometryError as exc:
+        print(f"error: degenerate instance: {exc}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
 
 
 if __name__ == "__main__":

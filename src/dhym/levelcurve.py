@@ -63,6 +63,7 @@ class SolutionCurve:
     x: np.ndarray
     f: np.ndarray
     f_prime: np.ndarray
+    residual: np.ndarray  # of the ODE at each node, as in _ode_terms
     c: float
     residual_max: float
     residual_l2: float
@@ -244,7 +245,7 @@ def trace_solution(g: Geometry, tol: Tolerances = DEFAULT_TOL) -> SolutionCurve:
     fp = -gx / gy
     res, theta = _ode_terms(xs, y, fp, ctx)
     return SolutionCurve(
-        x=xs, f=y, f_prime=fp, c=ctx.c,
+        x=xs, f=y, f_prime=fp, residual=res, c=ctx.c,
         residual_max=float(np.max(np.abs(res))),
         residual_l2=float(np.sqrt(np.mean(res ** 2))),
         theta_pointwise=theta,

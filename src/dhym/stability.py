@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .charges import (DegenerateGeometryError, Geometry, charge_report,
+from .charges import (ChargeReport, Geometry, charge_report,
                       degeneracy_check, theta_hat)
 from .lifting import LiftedAngle, LiftUndefined, OriginHit, cxy_path_lift, sector_lift
 from .rays import SectorVerdict, Sign, sector_of
@@ -47,7 +47,6 @@ class PerK:
 class StabilityReport:
     per_k: dict[int, PerK]
     overall: Overall
-    supercritical: bool | None = None
 
 
 class Existence(Enum):
@@ -132,6 +131,17 @@ def divisor_angle_bounds(g: Geometry, lift: LiftedAngle,
 
 
 def existence_verdict(g: Geometry, tol: Tolerances = DEFAULT_TOL) -> ExistenceVerdict:
+    """The existence decision for (g, tol); see decide_existence."""
+    rep = charge_report(g, tol)
+    if rep.degenerate:
+        return decide_existence(g, rep, None, None, None, tol)
+    stab, lift = stability_verdict(g, tol), sector_lift(g, tol)
+    cxy = cxy_path_lift(g, tol) if isinstance(lift, LiftUndefined) else None
+    return decide_existence(g, rep, stab, lift, cxy, tol)
+
+
+def decide_existence(g: Geometry, rep: ChargeReport, stab, lift, cxy,
+                     tol: Tolerances = DEFAULT_TOL) -> ExistenceVerdict:
     """Combine the degenerate guard, the lift route, and the stability route.
 
     The lift route is authoritative: existence iff the sector lift is
@@ -139,22 +149,22 @@ def existence_verdict(g: Geometry, tol: Tolerances = DEFAULT_TOL) -> ExistenceVe
     report inconclusive rather than non-existence, since a different path
     could in principle still define a lift.  Stability is recorded and used
     as an independent certificate when the lift route is marginal.
+
+    ``rep``, ``stab``, ``lift`` and ``cxy`` are charge_report,
+    stability_verdict, sector_lift and cxy_path_lift of (g, tol).  Only
+    ``rep`` is read for a degenerate instance, and ``cxy`` only when
+    ``lift`` is undefined.
     """
-    rep = charge_report(g, tol)
     if rep.degenerate:
         return ExistenceVerdict(
             Existence.INCONCLUSIVE, Route.DEGENERATE,
             notes={"degenerate_m": degeneracy_check(g, tol), "r_x": rep.r_x})
 
-    stab = stability_verdict(g, tol)
     notes: dict = {"lemma_stability": stab.overall.value}
-
-    lift = sector_lift(g, tol)
     if isinstance(lift, LiftUndefined):
         notes["lift"] = "undefined"
         notes["lift_reason"] = lift.reason
         notes["lift_detail"] = lift.detail
-        cxy = cxy_path_lift(g, tol)
         if isinstance(cxy, OriginHit):
             notes["volume_path"] = f"origin hit at t = {cxy.t_star:.9f}"
         else:

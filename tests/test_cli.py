@@ -5,10 +5,12 @@ import math
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from dhym import cli
 from dhym.config import ConfigError, load_config
 
 from conftest import degenerate_example, scaled_example
@@ -235,6 +237,111 @@ def test_figure_bytes_pinned(doc, digest):
     res = run_cli(["figure", "--config", "-"], stdin_text=json.dumps(doc))
     assert res.returncode == 0, res.stderr
     assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
+
+
+# instances for the pinned analyze/solve/sweep outputs
+STABLE = {"n": 4, "a": 3.0, "p": 1.0, "q": 0.3}
+STEEP = {"n": 5, "a": 7.3278, "p": 42.4857, "q": 4.6127}
+LIFT_UNDEFINED = {"n": 4, "a": 2.5, "p": -1.0, "q": 3.0}
+ORIGIN_HIT = {"n": 3, "a": 1.2320508075688774, "p": -3.732050807568877,
+              "q": 4.0}  # scaled_example(), acceptance criterion 5
+DEGENERATE = {"n": 3, "a": 1.2320508075688774, "p": -1.8660254037844386,
+              "q": 2.0}
+EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+
+# sha256 of stdout followed by the solve CSV (if any), recorded before the
+# analysis and the CSV writer were rewritten; the bytes must not drift
+PINNED_OUTPUTS = [
+    ("analyze", STABLE, 0,
+     "9e28b5260bd9583754968dc964bcad1276ccd9b36019bc30e3518d253acfadad"),
+    ("analyze", LIFT_UNDEFINED, 2,
+     "d039fc054cc639aadff89ddc8fe4856516c50e5dc2d355f99934b380179a9770"),
+    ("analyze", ORIGIN_HIT, 2,
+     "9e337cb10d072d52ec655a2ec9fd254d515821d11000a53628e8a79a048dec8b"),
+    ("analyze", DEGENERATE, 2,
+     "fe49c28fb8f215fbf213461041e01d3d538fe8ca8970ddd7fa5501c555e5a6ea"),
+    ("solve", STABLE, 0,
+     "959647cebbf0cab4b89a6ff9c1e84c68793aab932e203795209d18cc00c70189"),
+    ("solve", STEEP, 0,
+     "2639b95da7c7aa8ba7f8cf891c672076aa3eac4f794a4baeb47edccc31d8f157"),
+    ("solve", LIFT_UNDEFINED, 2, EMPTY),
+    ("solve", ORIGIN_HIT, 2, EMPTY),
+    ("solve", DEGENERATE, 2, EMPTY),
+    # corners: the origin hit (first row) and the degenerate point (last)
+    ("sweep", {**ORIGIN_HIT, "sweep": {
+        "p_range": [ORIGIN_HIT["p"], DEGENERATE["p"]], "q_range": [4.0, 2.0],
+        "p_count": 3, "q_count": 3}}, 0,
+     "281d8c2f58a63c77b8a02676bf5a7f860cdf9f6857c6e94604c82c10adeb5bb9"),
+    # stable, unstable, not_exists and lift-undefined rows
+    ("sweep", {**STABLE, "sweep": {
+        "p_range": [-2.0, 2.0], "q_range": [-1.0, 3.0],
+        "p_count": 4, "q_count": 5}}, 0,
+     "231e3038a4513fba44a25355b61ab4f6c236c2a7e319aadd5afae82b0891aeb8"),
+]
+
+
+@pytest.mark.parametrize("command,doc,code,digest", PINNED_OUTPUTS)
+def test_outputs_pinned(command, doc, code, digest, tmp_path, monkeypatch,
+                        capsys):
+    monkeypatch.chdir(tmp_path)  # solve writes solution.csv here
+    assert cli.main([command, "--config", write_config(tmp_path, doc)]) == code
+    out = capsys.readouterr().out
+    csv_path = tmp_path / "solution.csv"
+    out += csv_path.read_text() if csv_path.exists() else ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_solve_csv_format():
+    # every double, -0, subnormals and non-finite values included, must
+    # print as "{:.17g}".format prints it
+    special = [0.0, -0.0, 5e-324, -5e-324, math.nan, math.inf, -math.inf,
+               1e22, 2.2250738585072014e-308, 0.1]
+    noise = np.frombuffer(np.random.default_rng(5).bytes(8 * 1000), np.float64)
+    cols = np.concatenate([special, noise]).reshape(5, -1)
+    curve = SimpleNamespace(x=cols[0], f=cols[1], f_prime=cols[2],
+                            residual=cols[3], theta_pointwise=cols[4])
+    lines = cli._solve_rows(curve).splitlines()
+    assert lines[0] == "x,f,f_prime,residual,theta"
+    assert lines[1:] == [",".join(map("{:.17g}".format, row))
+                         for row in cols.T.tolist()]
+
+
+def test_main_reuses_parser(tmp_path, capsys):
+    path = write_config(tmp_path, STABLE)
+    analyze = ["analyze", "--config", path]
+    solve = ["solve", "--config", path, "--out", str(tmp_path / "s.csv")]
+    outs = []
+    for args in (analyze, solve):
+        assert cli.main(args) == 0
+        outs.append(capsys.readouterr().out)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(analyze + ["--bogus"])
+    assert exc.value.code == 64
+    assert "usage:" in capsys.readouterr().err
+    assert cli.main(analyze) == 0
+    outs.append(capsys.readouterr().out)
+    assert cli._parser.cache_info().misses == 1  # one build per process
+    assert outs == [run_cli(args).stdout for args in (analyze, solve, analyze)]
+
+
+def test_figure_degenerate_exits_2(tmp_path):
+    # zeta ~ 0 leaves no level curve; analyze reports the same instance as
+    # degenerate with exit 2
+    path = write_config(tmp_path, {**DEGENERATE, "figure": {
+        "window": [-3, 3, -3, 3], "samples": 64}})
+    res = run_cli(["figure", "--config", path])
+    assert res.returncode == 2
+    assert "degenerate" in res.stderr and "Traceback" not in res.stderr
+    assert len(res.stderr.splitlines()) == 1 and res.stdout == ""
+
+
+def test_unwritable_out_exits_64(tmp_path):
+    path = write_config(tmp_path, STABLE)
+    for command in ("analyze", "solve"):
+        res = run_cli([command, "--config", path,
+                       "--out", str(tmp_path / "missing" / "out")])
+        assert res.returncode == 64, command
+        assert "missing" in res.stderr and "Traceback" not in res.stderr
 
 
 def test_figure_window_must_contain_endpoints(tmp_path):

@@ -12,7 +12,7 @@ from .levelcurve import (LevelSetContext, SolutionCurve, TraceError,
 from .lifting import (LiftedAngle, LiftUndefined, OriginHit, cxy_path_lift,
                       lift_exists, sector_lift)
 from .rays import (RaySet, SectorVerdict, Sign, check_alternation, ray_set,
-                   rays_strictly_between, sector_of)
+                   rays_between, sector_of)
 from .stability import (Existence, ExistenceVerdict, Overall, StabilityReport,
                         divisor_angle_bounds, existence_verdict,
                         stability_verdict, supercritical_check)

@@ -70,11 +70,6 @@ class Geometry:
     def z2(self) -> complex:
         return complex(self.a, self.p)
 
-    @property
-    def scale(self) -> float:
-        """Magnitude scale max(|z1|**n, |z2|**n) used for relative tolerances."""
-        return max(abs(self.z1) ** self.n, abs(self.z2) ** self.n)
-
 
 class SubvarietyKind(Enum):
     FULL_SPACE = "full_space"
@@ -96,23 +91,39 @@ class SubvarietyClass:
 
 @dataclass(frozen=True)
 class ChargeReport:
+    """The angle record of one instance, built once by charge_report; the
+    verdict, trace and figure layers read it and recompute nothing."""
+
+    g: Geometry
+    tol: Tolerances
     zeta: complex
-    theta_hat: float
-    r_x: float
-    charges: dict
+    theta_hat: float  # 0.0 when degenerate
+    r_x: float  # |zeta|
     degenerate: bool
+    psi1: float  # arg z1
+    psi2: float  # arg z2
+    scale: float  # max(|z1|**n, |z2|**n), for relative tolerances
+
+    @property
+    def charges(self) -> dict:
+        """Central charge of every cycle class, built on each access."""
+        return {v: central_charge(self, v)
+                for v in all_subvariety_classes(self.g.n)}
+
+    def angle(self) -> float:
+        """theta_hat; raises DegenerateGeometryError when zeta vanishes."""
+        if self.degenerate:
+            raise DegenerateGeometryError(
+                f"zeta ~ 0 for {self.g} (|zeta| = {self.r_x:.3e})")
+        return self.theta_hat
 
 
 def zeta(g: Geometry) -> complex:
     """The total volume charge (a+ip)^n - (1+iq)^n."""
     z = cpow(g.z2, g.n) - cpow(g.z1, g.n)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise InvalidGeometryError(f"zeta overflow for {g}")
+        raise OverflowError(f"zeta overflow for {g}")
     return z
-
-
-def is_degenerate(g: Geometry, tol: Tolerances = DEFAULT_TOL) -> bool:
-    return abs(zeta(g)) <= tol.eps_zero * g.scale
 
 
 def theta_hat(g: Geometry, tol: Tolerances = DEFAULT_TOL) -> tuple[float, float]:
@@ -120,35 +131,34 @@ def theta_hat(g: Geometry, tol: Tolerances = DEFAULT_TOL) -> tuple[float, float]
 
     Raises DegenerateGeometryError when zeta vanishes to tolerance.
     """
-    z = zeta(g)
-    r = abs(z)
-    if r <= tol.eps_zero * g.scale:
-        raise DegenerateGeometryError(f"zeta ~ 0 for {g} (|zeta| = {r:.3e})")
-    return principal_angle(cmath.phase(z)), r
+    rep = charge_report(g, tol)
+    return rep.angle(), rep.r_x
 
 
-def central_charge(g: Geometry, v: SubvarietyClass) -> complex:
+def central_charge(rep: ChargeReport, v: SubvarietyClass) -> complex:
     """Charge of a cycle class: -i^(-k) z2^k for H-powers, -i^(-k) z1^k for
     E-powers, and -i^(-n) zeta for the full space."""
+    g = rep.g
     if v.kind is SubvarietyKind.FULL_SPACE:
         if v.dim != g.n:
             raise ValueError(f"full space must have dim n = {g.n}, got {v.dim}")
-        return -_INV_I[g.n % 4] * zeta(g)
+        return -_INV_I[g.n % 4] * rep.zeta
     if not 1 <= v.dim <= g.n - 1:
         raise ValueError(f"cycle dimension must lie in 1..{g.n - 1}, got {v.dim}")
     base = g.z2 if v.kind is SubvarietyKind.HYPERPLANE_POWER else g.z1
     return -_INV_I[v.dim % 4] * cpow(base, v.dim)
 
 
-def degeneracy_check(g: Geometry, tol: Tolerances = DEFAULT_TOL) -> int | None:
+def degeneracy_check(rep: ChargeReport) -> int | None:
     """Return the witnessing integer m when z2^n = z1^n to tolerance, else None.
 
     Degeneracy means |z2| = |z1| together with an argument gap of 2*pi*m/n.
     """
+    g, tol = rep.g, rep.tol
     m1, m2 = abs(g.z1), abs(g.z2)
     if abs(m2 - m1) > tol.eps_zero * max(m1, m2):
         return None
-    dphi = abs(cmath.phase(g.z2) - cmath.phase(g.z1))
+    dphi = abs(rep.psi2 - rep.psi1)
     m = round(dphi * g.n / math.tau)
     if abs(dphi - math.tau * m / g.n) > tol.eps_angle:
         return None
@@ -166,8 +176,9 @@ def all_subvariety_classes(n: int) -> list[SubvarietyClass]:
 def charge_report(g: Geometry, tol: Tolerances = DEFAULT_TOL) -> ChargeReport:
     z = zeta(g)
     r = abs(z)
-    degenerate = r <= tol.eps_zero * g.scale
+    scale = max(abs(g.z1) ** g.n, abs(g.z2) ** g.n)
+    degenerate = r <= tol.eps_zero * scale
     th = principal_angle(cmath.phase(z)) if not degenerate else 0.0
-    charges = {v: central_charge(g, v) for v in all_subvariety_classes(g.n)}
-    return ChargeReport(zeta=z, theta_hat=th, r_x=r, charges=charges,
-                        degenerate=degenerate)
+    return ChargeReport(g=g, tol=tol, zeta=z, theta_hat=th, r_x=r,
+                        degenerate=degenerate, psi1=cmath.phase(g.z1),
+                        psi2=cmath.phase(g.z2), scale=scale)

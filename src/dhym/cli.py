@@ -61,9 +61,9 @@ def analysis_report(g: Geometry, tol: Tolerances) -> dict:
     }
     stab = lift = cxy = None
     if not rep.degenerate:
-        stab, lift = stability_verdict(g, tol), sector_lift(g, tol)
-        cxy = cxy_path_lift(g, tol)
-    verdict = decide_existence(g, rep, stab, lift, cxy, tol)
+        stab, lift = stability_verdict(rep), sector_lift(rep)
+        cxy = cxy_path_lift(rep)
+    verdict = decide_existence(rep, stab, lift, cxy)
     out["existence"] = {
         "value": verdict.value.value,
         "route": verdict.route.value,
@@ -94,12 +94,11 @@ def analysis_report(g: Geometry, tol: Tolerances) -> dict:
     else:
         out["volume_path"] = {"defined": True, "winding": cxy.winding,
                               "lifted": cxy.lifted}
-    ctx = level_context(g, tol)
-    sc = same_component(g, tol, ctx)
+    sc = same_component(rep, level_context(rep))
     out["same_component"] = {"status": sc.status,
                              "rays_between": sc.rays_between,
                              "same_ray": sc.same_ray}
-    ge = graphical_existence(g, tol, ctx, sc)
+    ge = graphical_existence(rep, sc)
     out["graphical_existence"] = {"yes": ge.yes, "reason": ge.reason}
     return out
 
@@ -122,14 +121,15 @@ def _solve_rows(curve) -> str:
 
 
 def run_solve(cfg: RunConfig, out_path: str | None, stdout, stderr) -> int:
-    g, tol = cfg.geometry, cfg.tolerances
-    verdict = existence_verdict(g, tol)
+    rep = charge_report(cfg.geometry, cfg.tolerances)
+    verdict = existence_verdict(rep)
     if verdict.value is not Existence.EXISTS:
         stderr.write(f"no solve attempted: existence is "
                      f"{verdict.value.value} via {verdict.route.value}\n")
         return _EXIT_FOR[verdict.value]
     try:
-        curve = trace_solution(g, tol)
+        ctx = level_context(rep)
+        curve = trace_solution(rep, ctx)
     except TraceError as exc:
         stderr.write(f"anomaly: trace failed despite yes-verdict: {exc}\n")
         return EXIT_ANOMALY
@@ -137,7 +137,7 @@ def run_solve(cfg: RunConfig, out_path: str | None, stdout, stderr) -> int:
     target = out_path or "solution.csv"
     with open(target, "w") as fh:
         fh.write(csv_text)
-    check = verify_solution(curve, g, tol)
+    check = verify_solution(curve, rep, ctx)
     summary = {
         "samples": len(curve.x),
         "csv": target,
@@ -183,14 +183,14 @@ def _sweep_row(g: Geometry, tol: Tolerances) -> str:
     if rep.degenerate:
         return _SWEEP_ROW % (g.p, g.q, "degenerate", "inconclusive",
                              "degenerate", "false", np.nan, np.nan, np.nan)
-    stab = stability_verdict(g, tol)
+    stab = stability_verdict(rep)
     stab_margin = min(min(pk.sign_h.margin, pk.sign_e.margin)
                       for pk in stab.per_k.values())
-    lift = sector_lift(g, tol)
+    lift = sector_lift(rep)
     lift_defined = isinstance(lift, LiftedAngle)
     lift_margin = lift.margin if lift_defined else float("nan")
-    cxy = None if lift_defined else cxy_path_lift(g, tol)
-    verdict = decide_existence(g, rep, stab, lift, cxy, tol)
+    cxy = None if lift_defined else cxy_path_lift(rep)
+    verdict = decide_existence(rep, stab, lift, cxy)
     div_margin = verdict.notes.get("divisor_margin", float("nan"))
     return _SWEEP_ROW % (g.p, g.q, stab.overall.value, verdict.value.value,
                          verdict.route.value, "true" if lift_defined else "false",
@@ -200,14 +200,15 @@ def _sweep_row(g: Geometry, tol: Tolerances) -> str:
 def run_figure(cfg: RunConfig, out_path: str | None, stdout) -> int:
     if cfg.figure is None:
         raise ConfigError("figure command requires a figure spec in the config")
-    g, tol = cfg.geometry, cfg.tolerances
+    rep = charge_report(cfg.geometry, cfg.tolerances)
+    ctx = level_context(rep)
     curve = None
     if "solution" in cfg.figure.overlays:
         try:  # GraphicalPreconditionError is a TraceError
-            curve = trace_solution(g, tol)
+            curve = trace_solution(rep, ctx)
         except TraceError:
             curve = None
-    svg = render_figure(g, cfg.figure, curve=curve, tol=tol)
+    svg = render_figure(rep, ctx, cfg.figure, curve=curve)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(svg)

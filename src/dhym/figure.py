@@ -10,12 +10,11 @@ import math
 
 import numpy as np
 
-from .charges import Geometry
+from .charges import ChargeReport
 from .config import FigureSpec
 from .contour import Window, extract_level_set
-from .levelcurve import SolutionCurve, level_context
+from .levelcurve import LevelSetContext, SolutionCurve
 from .rays import ray_set
-from .tolerances import DEFAULT_TOL, Tolerances
 
 _W = 640
 _H = 640
@@ -69,15 +68,13 @@ def _clip_ray(phi: float, window: Window):
     return ((t_lo * dx, t_lo * dy), (t_hi * dx, t_hi * dy))
 
 
-def render_figure(g: Geometry, spec: FigureSpec,
-                  curve: SolutionCurve | None = None,
-                  tol: Tolerances = DEFAULT_TOL) -> str:
+def render_figure(rep: ChargeReport, ctx: LevelSetContext, spec: FigureSpec,
+                  curve: SolutionCurve | None = None) -> str:
     """Level-set figure: contour polylines, ray overlays, endpoint markers."""
-    window = spec.window
+    g, window = rep.g, spec.window
     for name, (x, y) in (("(1,q)", (1.0, g.q)), (("(a,p)"), (g.a, g.p))):
         if not window.contains(x, y):
             raise FigureError(f"figure window must contain endpoint {name}")
-    ctx = level_context(g, tol)
     mapper = _Mapper(window)
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',

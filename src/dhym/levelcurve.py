@@ -6,7 +6,9 @@ solution is a graphical arc of the level curve over [1, a].  In polar form
 that arc is explicit, r(phi) = (c / sin(n phi - theta_hat))^(1/n) for phi
 between arg z1 and arg z2, so nothing is integrated: every node of the
 output grid is solved at once, seeded by bisecting for the angle with
-r(phi) cos(phi) = x and polished by Newton steps in y on Phi = c.
+r(phi) cos(phi) = x and polished by Newton steps in y on Phi = c.  The
+layers read the angle record (charges.charge_report) and the context that
+level_context builds from it once, and recompute neither.
 """
 
 from __future__ import annotations
@@ -17,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charges import Geometry, theta_hat
-from .rays import Sign, nearest_ray_index, ray_set, rays_strictly_between, sector_of
-from .tolerances import DEFAULT_TOL, Tolerances
+from .charges import ChargeReport
+from .rays import Sign, ray_index, rays_between, sector_of
 
 
 class TraceError(RuntimeError):
@@ -86,7 +87,6 @@ class VerificationReport:
     level_max: float
     level_bound: float
     level_ok: bool
-    lift_match: bool | None
     passed: bool
 
 
@@ -101,14 +101,14 @@ def phi_gradient(x: float, y: float, ctx: LevelSetContext) -> tuple[float, float
     return w.imag, w.real
 
 
-def level_context(g: Geometry, tol: Tolerances = DEFAULT_TOL) -> LevelSetContext:
+def level_context(rep: ChargeReport) -> LevelSetContext:
     """Level value shared by (1, q) and (a, p); verified from both ends.
 
     Each end's value carries a rounding error of order eps * |z|^n, while
     |c| <= min(|z1|, |z2|)^n, so c is taken from the end nearer the origin.
     """
-    th, _ = theta_hat(g, tol)
-    scale = max(1.0, g.scale)
+    g, th = rep.g, rep.angle()  # raises DegenerateGeometryError
+    scale = max(1.0, rep.scale)
     ctx = LevelSetContext(n=g.n, theta_hat=th, c=0.0, scale=scale)
     c1 = phi(1.0, g.q, ctx)
     c2 = phi(g.a, g.p, ctx)
@@ -118,44 +118,35 @@ def level_context(g: Geometry, tol: Tolerances = DEFAULT_TOL) -> LevelSetContext
     return LevelSetContext(n=g.n, theta_hat=th, c=c, scale=scale)
 
 
-def same_component(g: Geometry, tol: Tolerances = DEFAULT_TOL,
-                   ctx: LevelSetContext | None = None) -> SameComponentResult:
+def same_component(rep: ChargeReport, ctx: LevelSetContext) -> SameComponentResult:
     """Do the two endpoints sit on the same component of the level set?
 
     For c = 0 the level set is n rays; the endpoints match iff they sit on
     the same ray.  Otherwise components occupy alternating sectors, so the
     endpoints agree iff no top-level ray lies strictly between them.
-    ``ctx`` is ``level_context(g, tol)`` when the caller already has it.
     """
-    ctx = ctx or level_context(g, tol)
-    a1 = cmath.phase(g.z1)
-    a2 = cmath.phase(g.z2)
-    rs = ray_set(g.n, ctx.theta_hat, g.n)
+    g, n, th, tol = rep.g, rep.g.n, rep.theta_hat, rep.tol
     # |c| is bounded by min(|z1|, |z2|)**n, so the zero test must use that
     # scale; against the max it would misfire whenever |z2| >> |z1|
-    zero_scale = min(abs(g.z1), abs(g.z2)) ** g.n
+    zero_scale = min(abs(g.z1), abs(g.z2)) ** n
     if abs(ctx.c) <= tol.eps_zero * zero_scale:
-        v1 = sector_of(g.z1, g.n, ctx.theta_hat, g.n, tol)
-        v2 = sector_of(g.z2, g.n, ctx.theta_hat, g.n, tol)
+        v1 = sector_of(rep.psi1, n, th, n, tol)
+        v2 = sector_of(rep.psi2, n, th, n, tol)
         on_rays = v1.value is Sign.ON_RAY and v2.value is Sign.ON_RAY
-        same_ray = (on_rays and
-                    nearest_ray_index(a1, rs) == nearest_ray_index(a2, rs))
+        same_ray = (on_rays and ray_index(rep.psi1, n, th, n)
+                    == ray_index(rep.psi2, n, th, n))
         return SameComponentResult("on_zero_level", same_ray=same_ray)
-    nb = rays_strictly_between(a1, a2, rs, tol)
+    nb = rays_between(rep.psi1, rep.psi2, n, th, n, tol)
     if nb == 0:
         return SameComponentResult("same")
     return SameComponentResult("different", rays_between=nb)
 
 
-def graphical_existence(g: Geometry, tol: Tolerances = DEFAULT_TOL,
-                        ctx: LevelSetContext | None = None,
-                        sc: SameComponentResult | None = None) -> GraphicalResult:
+def graphical_existence(rep: ChargeReport,
+                        sc: SameComponentResult) -> GraphicalResult:
     """Can the endpoints be joined by a graphical arc (no vertical slope)?
 
-    ``ctx`` and ``sc`` are level_context and same_component of (g, tol),
-    when the caller already has them."""
-    ctx = ctx or level_context(g, tol)
-    sc = sc or same_component(g, tol, ctx)
+    ``sc`` is same_component of the record."""
     if sc.status == "different":
         return GraphicalResult(False, f"endpoints on different components "
                                       f"({sc.rays_between} rays between)")
@@ -164,13 +155,11 @@ def graphical_existence(g: Geometry, tol: Tolerances = DEFAULT_TOL,
     if sc.status == "on_zero_level":
         # linear solution along a common ray; a ray never has vertical slope
         return GraphicalResult(True)
-    a1 = cmath.phase(g.z1)
-    a2 = cmath.phase(g.z2)
-    rs_v = ray_set(g.n - 1, ctx.theta_hat, g.n)
-    if rays_strictly_between(a1, a2, rs_v, tol) > 0:
+    n, th, tol = rep.g.n, rep.theta_hat, rep.tol
+    if rays_between(rep.psi1, rep.psi2, n - 1, th, n, tol) > 0:
         return GraphicalResult(False, "vertical-tangent ray between endpoints")
-    for name, z in (("(1,q)", g.z1), ("(a,p)", g.z2)):
-        if sector_of(z, g.n - 1, ctx.theta_hat, g.n, tol).value is Sign.ON_RAY:
+    for name, psi in (("(1,q)", rep.psi1), ("(a,p)", rep.psi2)):
+        if sector_of(psi, n - 1, th, n, tol).value is Sign.ON_RAY:
             return GraphicalResult(False, f"endpoint {name} on a "
                                           f"vertical-tangent ray (inconclusive)")
     return GraphicalResult(True)
@@ -183,7 +172,8 @@ def _level_terms(x: np.ndarray, y: np.ndarray, ctx: LevelSetContext):
     return np.imag(u * z) - ctx.c, ctx.n * u.imag, ctx.n * u.real
 
 
-def _arc_angles(g: Geometry, ctx: LevelSetContext, xs: np.ndarray) -> np.ndarray:
+def _arc_angles(rep: ChargeReport, ctx: LevelSetContext,
+                xs: np.ndarray) -> np.ndarray:
     """Angle phi of the arc point above each x, by bisection on
     r(phi) cos(phi) = x: a graphical arc has no vertical tangent, so that
     abscissa runs monotonically from 1 at arg z1 to a at arg z2."""
@@ -193,8 +183,8 @@ def _arc_angles(g: Geometry, ctx: LevelSetContext, xs: np.ndarray) -> np.ndarray
     sign = math.copysign(1.0, ctx.c)
     floor = np.finfo(float).tiny
     root_c = abs(ctx.c) ** (1.0 / n)
-    lo = np.full(xs.shape, cmath.phase(g.z1))
-    hi = np.full(xs.shape, cmath.phase(g.z2))
+    lo = np.full(xs.shape, rep.psi1)
+    hi = np.full(xs.shape, rep.psi2)
     for _ in range(_BISECTIONS):
         mid = 0.5 * (lo + hi)
         s = np.maximum(sign * np.sin(n * mid - ctx.theta_hat), floor)
@@ -212,24 +202,25 @@ def _ode_terms(x, f, fp, ctx: LevelSetContext):
     return res, (ctx.n - 1) * np.arctan2(f, x) + np.arctan(fp)
 
 
-def trace_solution(g: Geometry, tol: Tolerances = DEFAULT_TOL) -> SolutionCurve:
+def trace_solution(rep: ChargeReport, ctx: LevelSetContext) -> SolutionCurve:
     """Solve the level curve Phi = c on x = linspace(1, a, curve_samples).
 
     All nodes at once: each is seeded from the polar form of the arc, or
     from the common ray on the zero level, and polished by Newton steps in
     y until |Phi - c| <= tol_level * scale.  The reported slope is the
-    exact level-set slope -Phi_x / Phi_y there.
+    exact level-set slope -Phi_x / Phi_y there.  ``ctx`` is level_context
+    of the record.
     """
-    ctx = level_context(g, tol)
-    sc = same_component(g, tol, ctx)
-    ge = graphical_existence(g, tol, ctx, sc)
+    g, tol = rep.g, rep.tol
+    sc = same_component(rep, ctx)
+    ge = graphical_existence(rep, sc)
     if not ge.yes:
         raise GraphicalPreconditionError(ge.reason)
     xs = np.linspace(1.0, g.a, tol.curve_samples)
     if sc.status == "on_zero_level":
         y = g.q * xs  # the common ray; exact when c is exactly zero
     else:
-        y = xs * np.tan(_arc_angles(g, ctx, xs))
+        y = xs * np.tan(_arc_angles(rep, ctx, xs))
     target = tol.tol_level * ctx.scale
     for _ in range(_NEWTON_STEPS):
         r, gx, gy = _level_terms(xs, y, ctx)
@@ -253,16 +244,17 @@ def trace_solution(g: Geometry, tol: Tolerances = DEFAULT_TOL) -> SolutionCurve:
     )
 
 
-def verify_solution(curve: SolutionCurve, g: Geometry,
-                    tol: Tolerances = DEFAULT_TOL,
-                    lift: float | None = None) -> VerificationReport:
+def verify_solution(curve: SolutionCurve, rep: ChargeReport,
+                    ctx: LevelSetContext) -> VerificationReport:
     """Independent check of a traced curve against the original equation.
 
-    The level check reads only the samples (x, f): every node must satisfy
-    |Phi(x, f) - c| <= tol_level * scale, the target the trace polishes to.
-    The residual and the pointwise angle read the curve's own f_prime.
+    ``ctx`` is level_context of the record, so c comes from the input, never
+    from the curve.  The level check reads only the samples (x, f): every
+    node must satisfy |Phi(x, f) - c| <= tol_level * scale, the target the
+    trace polishes to.  The residual and the pointwise angle read the
+    curve's own f_prime.
     """
-    ctx = level_context(g, tol)
+    g, tol = rep.g, rep.tol
     level_max = float(np.max(np.abs(_level_terms(curve.x, curve.f, ctx)[0])))
     level_bound = tol.tol_level * ctx.scale
     res, theta = _ode_terms(curve.x, curve.f, curve.f_prime, ctx)
@@ -275,12 +267,9 @@ def verify_solution(curve: SolutionCurve, g: Geometry,
     in_range = -ctx.n * math.pi / 2 < mean < ctx.n * math.pi / 2
     endpoint_error = float(abs(curve.f[-1] - g.p))
     endpoint_ok = endpoint_error <= tol.tol_endpoint * max(1.0, abs(g.p))
-    lift_match = None
-    if lift is not None:
-        lift_match = abs(mean - lift) <= tol.tol_angle
     passed = (residual_max <= residual_bound and osc <= tol.tol_angle
               and matches and in_range and endpoint_ok
-              and level_max <= level_bound and lift_match is not False)
+              and level_max <= level_bound)
     return VerificationReport(
         residual_max=residual_max, residual_bound=residual_bound,
         residual_ok=residual_max <= residual_bound,
@@ -289,6 +278,5 @@ def verify_solution(curve: SolutionCurve, g: Geometry,
         theta_in_range=in_range,
         endpoint_error=endpoint_error, endpoint_ok=endpoint_ok,
         level_max=level_max, level_bound=level_bound,
-        level_ok=level_max <= level_bound,
-        lift_match=lift_match, passed=passed,
+        level_ok=level_max <= level_bound, passed=passed,
     )

@@ -10,14 +10,12 @@ simultaneously (real parts fixed), which works whenever
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .charges import Geometry, cpow, theta_hat
-from .tolerances import DEFAULT_TOL, Tolerances
+from .charges import ChargeReport, cpow
 
 
 @dataclass(frozen=True)
@@ -41,9 +39,9 @@ class LiftUndefined:
     detail: str = ""
 
 
-def _finish_lift(g: Geometry, total: float, margin: float, method: str,
-                 tol: Tolerances) -> LiftedAngle:
-    th, _ = theta_hat(g, tol)
+def _finish_lift(rep: ChargeReport, total: float, margin: float,
+                 method: str) -> LiftedAngle:
+    th = rep.angle()
     # paths start on the positive real axis (argument 0)
     winding = round((total - th) / math.tau)
     lifted = th + math.tau * winding
@@ -51,8 +49,7 @@ def _finish_lift(g: Geometry, total: float, margin: float, method: str,
                        method=method, margin=margin)
 
 
-def cxy_path_lift(g: Geometry,
-                  tol: Tolerances = DEFAULT_TOL) -> LiftedAngle | OriginHit:
+def cxy_path_lift(rep: ChargeReport) -> LiftedAngle | OriginHit:
     """Lift via the straight volume path (a+itp)^n - (1+itq)^n, t in [0,1].
 
     With w_j = exp(2 pi i j / n) the path factors as
@@ -66,23 +63,23 @@ def cxy_path_lift(g: Geometry,
     eps_angle; t_star is then the point of that segment nearest the origin.
     The margin of a lift is the smallest slack.
     """
+    g = rep.g
     w = np.exp(2j * np.pi * np.arange(g.n) / g.n)
     alpha = g.a - w
     subtended = np.angle((g.z2 - w * g.z1) / alpha)
     slack = math.pi - np.abs(subtended)
     j = int(np.argmin(slack))
-    if slack[j] <= tol.eps_angle:
+    if slack[j] <= rep.tol.eps_angle:
         beta = 1j * (g.p - w[j] * g.q)
         t_star = float(-(alpha[j] * beta.conjugate()).real / abs(beta) ** 2)
         gamma = (cpow(complex(g.a, t_star * g.p), g.n)
                  - cpow(complex(1.0, t_star * g.q), g.n))
         return OriginHit(t_star=t_star, min_modulus=abs(gamma))
-    return _finish_lift(g, float(subtended.sum()), float(slack[j]),
-                        "volume_path", tol)
+    return _finish_lift(rep, float(subtended.sum()), float(slack[j]),
+                        "volume_path")
 
 
-def sector_lift(g: Geometry,
-                tol: Tolerances = DEFAULT_TOL) -> LiftedAngle | LiftUndefined:
+def sector_lift(rep: ChargeReport) -> LiftedAngle | LiftUndefined:
     """Lift via simultaneous argument shrinking of z1 and z2.
 
     Defined when |arg z2 - arg z1| < pi/n (minus the angular deadband); the
@@ -93,11 +90,9 @@ def sector_lift(g: Geometry,
     sign because |t d| < pi, so its argument stays on the principal branch
     and the lift is n arg z2 + atan2(-rho sin d, 1 - rho cos d).
     """
-    n = g.n
-    psi1 = cmath.phase(g.z1)
-    psi2 = cmath.phase(g.z2)
+    g, n, psi1, psi2 = rep.g, rep.g.n, rep.psi1, rep.psi2
     gap = abs(psi2 - psi1)
-    if gap >= math.pi / n - tol.eps_angle:
+    if gap >= math.pi / n - rep.tol.eps_angle:
         return LiftUndefined(
             reason="sector condition fails",
             detail=f"|arg z2 - arg z1| = {gap:.6f} >= pi/{n} = {math.pi / n:.6f}")
@@ -105,7 +100,7 @@ def sector_lift(g: Geometry,
     d = n * (psi1 - psi2)
     rho = (abs(g.z1) / abs(g.z2)) ** n
     total = n * psi2 + math.atan2(-rho * math.sin(d), 1.0 - rho * math.cos(d))
-    lift = _finish_lift(g, total, math.pi / n - gap, "sector_path", tol)
+    lift = _finish_lift(rep, total, math.pi / n - gap, "sector_path")
     if not -n * math.pi / 2 < lift.lifted < n * math.pi / 2:
         return LiftUndefined(
             reason="lift out of range",
@@ -113,13 +108,13 @@ def sector_lift(g: Geometry,
     return lift
 
 
-def lift_exists(g: Geometry, tol: Tolerances = DEFAULT_TOL) -> bool:
+def lift_exists(rep: ChargeReport) -> bool:
     """True when some path defines a lift.
 
     The sector deformation is tried first; outside its angular range the
     volume path still lifts whenever it misses the origin (always the case
     in dimension 2, where the two power terms can never be antipodal).
     """
-    if isinstance(sector_lift(g, tol), LiftedAngle):
+    if isinstance(sector_lift(rep), LiftedAngle):
         return True
-    return isinstance(cxy_path_lift(g, tol), LiftedAngle)
+    return isinstance(cxy_path_lift(rep), LiftedAngle)

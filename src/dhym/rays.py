@@ -4,16 +4,16 @@ For a level k the ray set collects the angles phi in [-pi/2, pi/2) with
 sin((n-k)*pi/2 - theta_hat + k*phi) = 0; these are the directions where
 Im(i^(n-k) e^(-i theta_hat) z^k) changes sign.  Adjacent rays bound
 alternating positive/negative sectors, and consecutive levels interleave.
+The verdicts read signs, ray counts and ray labels off that fan angle in
+closed form; only the figure and check_alternation list the rays.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .charges import cpow
 from .tolerances import DEFAULT_TOL, Tolerances
 
 _HALF_PI = math.pi / 2.0
@@ -61,22 +61,42 @@ def ray_set(k: int, theta_hat: float, n: int) -> RaySet:
     return RaySet(k=k, n=n, theta_hat=theta_hat, angles=tuple(angles))
 
 
-def _ray_margin(arg_z: float, k: int, theta_hat: float, n: int) -> float:
-    """Angular distance from arg(z) to the nearest ray of the level."""
-    psi = (n - k) * _HALF_PI - theta_hat + k * arg_z
-    return abs(math.remainder(psi, math.pi)) / k
+def _fan_angle(arg_z: float, k: int, theta_hat: float, n: int) -> float:
+    """(n-k) pi/2 - theta_hat + k arg(z): a multiple of pi exactly on a ray
+    of the level, increasing with arg(z)."""
+    return (n - k) * _HALF_PI - theta_hat + k * arg_z
 
 
-def sector_of(z: complex, k: int, theta_hat: float, n: int,
+def sector_of(arg_z: float, k: int, theta_hat: float, n: int,
               tol: Tolerances = DEFAULT_TOL) -> SectorVerdict:
-    """Sign of Im(i^(n-k) e^(-i theta_hat) z^k), with an on-ray deadband."""
-    if z == 0:
-        raise ValueError("sector_of is undefined at z = 0")
-    margin = _ray_margin(cmath.phase(z), k, theta_hat, n)
+    """Sign of Im(i^(n-k) e^(-i theta_hat) z^k) for z with argument arg_z,
+    which is the sign of sin of the fan angle, with an on-ray deadband."""
+    psi = _fan_angle(arg_z, k, theta_hat, n)
+    # angular distance from arg(z) to the nearest ray of the level
+    margin = abs(math.remainder(psi, math.pi)) / k
     if margin <= tol.eps_angle:
         return SectorVerdict(Sign.ON_RAY, margin)
-    s = ((1j) ** ((n - k) % 4) * cmath.exp(-1j * theta_hat) * cpow(z, k)).imag
-    return SectorVerdict(Sign.POSITIVE if s > 0 else Sign.NEGATIVE, margin)
+    return SectorVerdict(Sign.POSITIVE if math.sin(psi) > 0 else Sign.NEGATIVE,
+                         margin)
+
+
+def rays_between(arg1: float, arg2: float, k: int, theta_hat: float, n: int,
+                 tol: Tolerances = DEFAULT_TOL) -> int:
+    """Number of rays of the level strictly between two arguments, each
+    moved eps_angle inward: the integers strictly between the fan angles
+    over pi at the two moved ends."""
+    lo = min(arg1, arg2) + tol.eps_angle
+    hi = max(arg1, arg2) - tol.eps_angle
+    if lo >= hi:
+        return 0
+    return (math.ceil(_fan_angle(hi, k, theta_hat, n) / math.pi)
+            - math.floor(_fan_angle(lo, k, theta_hat, n) / math.pi) - 1)
+
+
+def ray_index(arg_z: float, k: int, theta_hat: float, n: int) -> int:
+    """Label of the ray of the level nearest arg(z): the nearest integer
+    to the fan angle over pi."""
+    return round(_fan_angle(arg_z, k, theta_hat, n) / math.pi)
 
 
 @dataclass(frozen=True)
@@ -114,17 +134,3 @@ def check_alternation(k: int, theta_hat: float, n: int,
             False, tuple(merged),
             f"order violated at position {i}: {hi!r} !> {lo!r}")
     return AlternationResult(True, tuple(merged))
-
-
-def rays_strictly_between(arg1: float, arg2: float, rs: RaySet,
-                          tol: Tolerances = DEFAULT_TOL) -> int:
-    """Count ray angles strictly inside (min, max), with an eps_angle band
-    excluding near-endpoint rays."""
-    lo, hi = min(arg1, arg2), max(arg1, arg2)
-    return sum(1 for phi in rs.angles
-               if lo + tol.eps_angle < phi < hi - tol.eps_angle)
-
-
-def nearest_ray_index(arg_z: float, rs: RaySet) -> int:
-    """Index into rs.angles of the ray closest to the given argument."""
-    return min(range(len(rs.angles)), key=lambda i: abs(rs.angles[i] - arg_z))

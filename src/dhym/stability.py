@@ -5,21 +5,19 @@ one sign over both generators z1 = 1+iq, z2 = a+ip; one-signedness for
 every k in 1..n-1 suffices for a solution (the sign may differ across k).
 The necessary-and-sufficient route instead checks that the average angle
 lifts and that both divisor angles (n-1)*arg(z) fall within pi/2 of the
-lifted angle.
+lifted angle.  Every function here reads the instance's angle record
+(charges.charge_report) and recomputes none of it.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .charges import (ChargeReport, Geometry, charge_report,
-                      degeneracy_check, theta_hat)
+from .charges import ChargeReport, degeneracy_check
 from .lifting import LiftedAngle, LiftUndefined, OriginHit, cxy_path_lift, sector_lift
 from .rays import SectorVerdict, Sign, sector_of
-from .tolerances import DEFAULT_TOL, Tolerances
 
 
 class KVerdict(Enum):
@@ -90,13 +88,14 @@ def _combine(sh: SectorVerdict, se: SectorVerdict) -> KVerdict:
     return KVerdict.UNSTABLE
 
 
-def stability_verdict(g: Geometry, tol: Tolerances = DEFAULT_TOL) -> StabilityReport:
+def stability_verdict(rep: ChargeReport) -> StabilityReport:
     """Per-dimension one-signedness of both generators, combined overall."""
-    th, _ = theta_hat(g, tol)  # raises DegenerateGeometryError
+    th = rep.angle()  # raises DegenerateGeometryError
+    n, tol = rep.g.n, rep.tol
     per_k = {}
-    for k in range(1, g.n):
-        sh = sector_of(g.z2, k, th, g.n, tol)
-        se = sector_of(g.z1, k, th, g.n, tol)
+    for k in range(1, n):
+        sh = sector_of(rep.psi2, k, th, n, tol)
+        se = sector_of(rep.psi1, k, th, n, tol)
         per_k[k] = PerK(k=k, sign_h=sh, sign_e=se, verdict=_combine(sh, se))
     verdicts = {p.verdict for p in per_k.values()}
     if verdicts <= {KVerdict.POSITIVE_STABLE, KVerdict.NEGATIVE_STABLE}:
@@ -113,13 +112,13 @@ def supercritical_check(lift: LiftedAngle, n: int) -> bool:
     return (n - 2) * math.pi / 2 < lift.lifted < n * math.pi / 2
 
 
-def divisor_angle_bounds(g: Geometry, lift: LiftedAngle,
-                         tol: Tolerances = DEFAULT_TOL) -> BoundsCheck:
+def divisor_angle_bounds(rep: ChargeReport, lift: LiftedAngle) -> BoundsCheck:
     """Check |((n-1) arg z) - lifted| < pi/2 for both divisors H and E."""
+    tol = rep.tol
     margin = math.inf
     which = None
-    for name, z in (("H", g.z2), ("E", g.z1)):
-        ang = (g.n - 1) * cmath.phase(z)
+    for name, psi in (("H", rep.psi2), ("E", rep.psi1)):
+        ang = (rep.g.n - 1) * psi
         m = math.pi / 2 - abs(ang - lift.lifted)
         if m < margin:
             margin, which = m, name
@@ -130,18 +129,16 @@ def divisor_angle_bounds(g: Geometry, lift: LiftedAngle,
     return BoundsCheck(BoundsStatus.MARGINAL, which, margin)
 
 
-def existence_verdict(g: Geometry, tol: Tolerances = DEFAULT_TOL) -> ExistenceVerdict:
-    """The existence decision for (g, tol); see decide_existence."""
-    rep = charge_report(g, tol)
+def existence_verdict(rep: ChargeReport) -> ExistenceVerdict:
+    """The existence decision for the record; see decide_existence."""
     if rep.degenerate:
-        return decide_existence(g, rep, None, None, None, tol)
-    stab, lift = stability_verdict(g, tol), sector_lift(g, tol)
-    cxy = cxy_path_lift(g, tol) if isinstance(lift, LiftUndefined) else None
-    return decide_existence(g, rep, stab, lift, cxy, tol)
+        return decide_existence(rep, None, None, None)
+    stab, lift = stability_verdict(rep), sector_lift(rep)
+    cxy = cxy_path_lift(rep) if isinstance(lift, LiftUndefined) else None
+    return decide_existence(rep, stab, lift, cxy)
 
 
-def decide_existence(g: Geometry, rep: ChargeReport, stab, lift, cxy,
-                     tol: Tolerances = DEFAULT_TOL) -> ExistenceVerdict:
+def decide_existence(rep: ChargeReport, stab, lift, cxy) -> ExistenceVerdict:
     """Combine the degenerate guard, the lift route, and the stability route.
 
     The lift route is authoritative: existence iff the sector lift is
@@ -150,15 +147,14 @@ def decide_existence(g: Geometry, rep: ChargeReport, stab, lift, cxy,
     could in principle still define a lift.  Stability is recorded and used
     as an independent certificate when the lift route is marginal.
 
-    ``rep``, ``stab``, ``lift`` and ``cxy`` are charge_report,
-    stability_verdict, sector_lift and cxy_path_lift of (g, tol).  Only
-    ``rep`` is read for a degenerate instance, and ``cxy`` only when
-    ``lift`` is undefined.
+    ``stab``, ``lift`` and ``cxy`` are stability_verdict, sector_lift and
+    cxy_path_lift of the record ``rep``.  Only ``rep`` is read for a
+    degenerate instance, and ``cxy`` only when ``lift`` is undefined.
     """
     if rep.degenerate:
         return ExistenceVerdict(
             Existence.INCONCLUSIVE, Route.DEGENERATE,
-            notes={"degenerate_m": degeneracy_check(g, tol), "r_x": rep.r_x})
+            notes={"degenerate_m": degeneracy_check(rep), "r_x": rep.r_x})
 
     notes: dict = {"lemma_stability": stab.overall.value}
     if isinstance(lift, LiftUndefined):
@@ -178,8 +174,8 @@ def decide_existence(g: Geometry, rep: ChargeReport, stab, lift, cxy,
 
     notes["lift"] = lift.lifted
     notes["winding"] = lift.winding
-    notes["supercritical"] = supercritical_check(lift, g.n)
-    bounds = divisor_angle_bounds(g, lift, tol)
+    notes["supercritical"] = supercritical_check(lift, rep.g.n)
+    bounds = divisor_angle_bounds(rep, lift)
     notes["divisor_margin"] = bounds.margin
     if bounds.status is BoundsStatus.OK:
         route = (Route.THEOREM_SUFFICIENT if stab.overall is Overall.STABLE

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dhym.charges import Geometry, is_degenerate
+from dhym.charges import Geometry, charge_report
 from dhym.stability import Overall, stability_verdict
 
 
@@ -19,7 +19,7 @@ def random_geometry(rng, n_lo=2, n_hi=12, a_hi=10.0, pq=10.0):
         p = float(rng.uniform(-pq, pq))
         q = float(rng.uniform(-pq, pq))
         g = Geometry(n, a, p, q)
-        if not is_degenerate(g):
+        if not charge_report(g).degenerate:
             return g
 
 
@@ -38,9 +38,10 @@ def sample_stable(rng, n_lo=2, n_hi=12, a_hi=10.0):
         ph1 = min(max(base + float(rng.uniform(-half, half)), -1.4), 1.4)
         ph2 = min(max(base + float(rng.uniform(-half, half)), -1.4), 1.4)
         g = Geometry(n, a, a * math.tan(ph2), math.tan(ph1))
-        if is_degenerate(g):
+        rep = charge_report(g)
+        if rep.degenerate:
             continue
-        if stability_verdict(g).overall is Overall.STABLE:
+        if stability_verdict(rep).overall is Overall.STABLE:
             return g
 
 

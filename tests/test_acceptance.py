@@ -11,7 +11,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from dhym.charges import Geometry
+from dhym.charges import Geometry, charge_report
 from dhym.contour import Window, extract_level_set
 from dhym.figure import render_figure
 from dhym.config import FigureSpec
@@ -58,7 +58,7 @@ def test_criterion_1_shared_level_value(rng):
     worst = 0.0
     for _ in range(10_000):
         g = random_geometry(rng)
-        ctx = level_context(g)
+        ctx = level_context(charge_report(g))
         diff = abs(phi(1.0, g.q, ctx) - phi(g.a, g.p, ctx))
         scale = max(abs(g.z1), abs(g.z2)) ** g.n
         worst = max(worst, diff / scale)
@@ -96,11 +96,13 @@ def test_criterion_3_stability_sufficiency(rng):
     worst_endpoint = worst_residual = 0.0
     for _ in range(1000):
         g = sample_stable(rng)
-        if not graphical_existence(g).yes:
+        rec = charge_report(g)
+        ctx = level_context(rec)
+        if not graphical_existence(rec, same_component(rec, ctx)).yes:
             failures += 1
             continue
         try:
-            curve = trace_solution(g)
+            curve = trace_solution(rec, ctx)
         except TraceError:
             failures += 1
             continue
@@ -124,19 +126,22 @@ def test_criterion_4_biconditional(rng):
     knife_edge_only = True
     for _ in range(1000):
         g = random_geometry(rng)
-        lift = sector_lift(g)
+        rec = charge_report(g)
+        lift = sector_lift(rec)
         defined = isinstance(lift, LiftedAngle)
         margins = [abs(math.pi / g.n
                        - abs(math.atan2(g.p, g.a) - math.atan2(g.q, 1.0)))]
         predicted = False
         if defined:
-            bounds = divisor_angle_bounds(g, lift)
+            bounds = divisor_angle_bounds(rec, lift)
             margins.append(abs(bounds.margin))
             predicted = bounds.status is BoundsStatus.OK
         actual = False
-        if graphical_existence(g).yes:
+        ctx = level_context(rec)
+        if graphical_existence(rec, same_component(rec, ctx)).yes:
             try:
-                actual = verify_solution(trace_solution(g), g).endpoint_ok
+                actual = verify_solution(trace_solution(rec, ctx), rec,
+                                         ctx).endpoint_ok
             except TraceError:
                 actual = False
         if predicted != actual:
@@ -155,9 +160,9 @@ def test_criterion_5_degenerate_example():
     g = degenerate_example()
     cancel = abs((g.a + 1j * g.p) ** 3 - (1 + 2j) ** 3)
     gs = scaled_example()
-    hit = cxy_path_lift(gs)
+    hit = cxy_path_lift(charge_report(gs))
     origin_ok = isinstance(hit, OriginHit) and abs(hit.t_star - 0.5) <= 1e-6
-    sector_undef = isinstance(sector_lift(gs), LiftUndefined)
+    sector_undef = isinstance(sector_lift(charge_report(gs)), LiftUndefined)
     ok = cancel <= 1e-9 and origin_ok and sector_undef
     t_star = hit.t_star if isinstance(hit, OriginHit) else float("nan")
     report("5 degenerate example", ok,
@@ -168,7 +173,7 @@ def test_criterion_5_degenerate_example():
 def test_criterion_6_n2_lift_universality(rng):
     t0 = time.perf_counter()
     all_defined = all(
-        lift_exists(random_geometry(rng, n_lo=2, n_hi=2))
+        lift_exists(charge_report(random_geometry(rng, n_lo=2, n_hi=2)))
         for _ in range(1000))
     dt = time.perf_counter() - t0
     report("6 n=2 lift universality", all_defined,
@@ -182,7 +187,8 @@ def test_criterion_7_exact_solution_recovery(rng):
         a = float(rng.uniform(1.1, 8.0))
         lam = float(rng.uniform(-2.0, 2.0))
         g = collinear_geometry(n, a, lam)
-        curve = trace_solution(g)
+        rec = charge_report(g)
+        curve = trace_solution(rec, level_context(rec))
         dev = float(np.max(np.abs(curve.f - lam * curve.x)))
         worst_f = max(worst_f, dev / max(1.0, abs(lam) * a))
         target = n * math.atan(lam)
@@ -202,10 +208,11 @@ def test_criterion_8_oracle_equivalence(rng):
     knife_edge_only = True
     for _ in range(500):
         g = random_geometry(rng)
-        res = same_component(g)
+        rec = charge_report(g)
+        ctx = level_context(rec)
+        res = same_component(rec, ctx)
         analytic = res.status == "same" or (
             res.status == "on_zero_level" and bool(res.same_ray))
-        ctx = level_context(g)
         m = 1.3 * max(g.a, abs(g.p), abs(g.q), 1.0)
         cs = extract_level_set(ctx, Window(-m, m, -m, m), 128, 128)
         oracle = cs.same_component((1.0, g.q), (g.a, g.p))
@@ -237,10 +244,11 @@ def test_criterion_9_figure_reproduction():
     # n = 11 portrait
     g = Geometry(11, 2.0, 1.1, 0.4)
     window = Window(-3.0, 3.0, -3.0, 3.0)
-    ctx = level_context(g)
+    rec = charge_report(g)
+    ctx = level_context(rec)
     cs = extract_level_set(ctx, window, 256, 256)
     oracle_count = len(cs.polylines)
-    svg = render_figure(g, FigureSpec(window=window, samples=256))
+    svg = render_figure(rec, ctx, FigureSpec(window=window, samples=256))
     root = ET.fromstring(svg)
     svg_count = sum(1 for el in root.iter()
                     if el.tag.endswith("polyline")

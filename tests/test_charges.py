@@ -15,7 +15,6 @@ from dhym.charges import (
     charge_report,
     cpow,
     degeneracy_check,
-    is_degenerate,
     principal_angle,
     theta_hat,
     zeta,
@@ -104,21 +103,22 @@ def test_theta_hat_reconstructs_zeta(rng):
 
 def test_central_charge_examples():
     g = Geometry(2, 2.0, 2.0, 1.0)
+    rep = charge_report(g)
     h1 = SubvarietyClass(SubvarietyKind.HYPERPLANE_POWER, 1)
     e1 = SubvarietyClass(SubvarietyKind.EXCEPTIONAL_POWER, 1)
-    assert central_charge(g, h1) == pytest.approx(-2 + 2j, abs=1e-12)
-    assert central_charge(g, e1) == pytest.approx(-1 + 1j, abs=1e-12)
+    assert central_charge(rep, h1) == pytest.approx(-2 + 2j, abs=1e-12)
+    assert central_charge(rep, e1) == pytest.approx(-1 + 1j, abs=1e-12)
     full = SubvarietyClass(SubvarietyKind.FULL_SPACE, 2)
     inv_i_n = (-1j) ** g.n
-    assert central_charge(g, full) == pytest.approx(-inv_i_n * zeta(g), rel=1e-12)
+    assert central_charge(rep, full) == pytest.approx(-inv_i_n * zeta(g), rel=1e-12)
 
 
 def test_central_charge_dimension_range():
-    g = Geometry(3, 2.0, 1.0, 0.5)
+    rep = charge_report(Geometry(3, 2.0, 1.0, 0.5))
     with pytest.raises(ValueError):
-        central_charge(g, SubvarietyClass(SubvarietyKind.HYPERPLANE_POWER, 3))
+        central_charge(rep, SubvarietyClass(SubvarietyKind.HYPERPLANE_POWER, 3))
     with pytest.raises(ValueError):
-        central_charge(g, SubvarietyClass(SubvarietyKind.EXCEPTIONAL_POWER, 0))
+        central_charge(rep, SubvarietyClass(SubvarietyKind.EXCEPTIONAL_POWER, 0))
 
 
 def test_central_charge_sign_consistency(rng):
@@ -126,12 +126,13 @@ def test_central_charge_sign_consistency(rng):
     # the raw charge form Im(-i^n e^{-i theta} Z(V)) must agree in sign
     for _ in range(300):
         g = random_geometry(rng)
+        rep = charge_report(g)
         th, _ = theta_hat(g)
         w = cmath.exp(-1j * th)
         for k in range(1, g.n):
             for kind, zl in ((SubvarietyKind.HYPERPLANE_POWER, g.z2),
                              (SubvarietyKind.EXCEPTIONAL_POWER, g.z1)):
-                zv = central_charge(g, SubvarietyClass(kind, k))
+                zv = central_charge(rep, SubvarietyClass(kind, k))
                 raw = (-(1j ** g.n) * w * zv).imag
                 red = ((1j ** (g.n - k)) * w * cpow(zl, k)).imag
                 if abs(red) > 1e-9 * max(1.0, abs(zl) ** k):
@@ -139,10 +140,10 @@ def test_central_charge_sign_consistency(rng):
 
 
 def test_degeneracy_check():
-    assert degeneracy_check(degenerate_example()) == 1
-    assert degeneracy_check(Geometry(2, 2.0, 2.0, 1.0)) is None
-    assert degeneracy_check(Geometry(3, 2.0, 0.0, 0.0)) is None
-    assert is_degenerate(degenerate_example())
+    assert degeneracy_check(charge_report(degenerate_example())) == 1
+    assert degeneracy_check(charge_report(Geometry(2, 2.0, 2.0, 1.0))) is None
+    assert degeneracy_check(charge_report(Geometry(3, 2.0, 0.0, 0.0))) is None
+    assert charge_report(degenerate_example()).degenerate
 
 
 def test_all_subvariety_classes():

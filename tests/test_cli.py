@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from dhym import cli
+from dhym import charges, cli
 from dhym.config import ConfigError, load_config
 
 from conftest import degenerate_example, scaled_example
@@ -324,6 +324,27 @@ def test_main_reuses_parser(tmp_path, capsys):
     assert outs == [run_cli(args).stdout for args in (analyze, solve, analyze)]
 
 
+def test_angle_record_computed_once(tmp_path, capsys, monkeypatch):
+    # one in-process command evaluates zeta at most once, wherever it is bound
+    calls = []
+    original = charges.zeta
+
+    def counting(g):
+        calls.append(g)
+        return original(g)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "dhym" and getattr(mod, "zeta", None) is original:
+            monkeypatch.setattr(mod, "zeta", counting)
+    path = write_config(tmp_path, STABLE)
+    for command in ("analyze", "solve"):
+        calls.clear()
+        assert cli.main([command, "--config", path,
+                         "--out", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        assert len(calls) <= 1, (command, len(calls))
+
+
 def test_figure_degenerate_exits_2(tmp_path):
     # zeta ~ 0 leaves no level curve; analyze reports the same instance as
     # degenerate with exit 2
@@ -428,6 +449,8 @@ def test_tolerances_validated(tmp_path):
 def test_overflow_exits_3(tmp_path):
     for command, doc in (
             ("analyze", {"n": 400, "a": 10.0, "p": 1.0, "q": 1.0}),
+            # each power is finite, but zeta = z2^n - z1^n is not
+            ("analyze", {"n": 2, "a": 1.2e154, "p": 0, "q": 1.2e154}),
             # the charges are finite, but z^n overflows on the figure grid
             ("figure", {"n": 1200, "a": 1.01, "p": 0, "q": 0,
                         "figure": {"window": [-1.3, 1.3, -1.3, 1.3],

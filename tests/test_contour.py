@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dhym.charges import Geometry
+from dhym.charges import Geometry, charge_report
 from dhym.contour import Window, extract_level_set, marching_squares
 from dhym.levelcurve import level_context
 from dhym.rays import ray_set
@@ -73,14 +73,14 @@ def test_saddle_cells_do_not_connect_across_center():
 
 def test_extract_level_set_min_grid():
     g = Geometry(3, 2.0, 1.0, 0.2)
-    ctx = level_context(g)
+    ctx = level_context(charge_report(g))
     with pytest.raises(ValueError):
         extract_level_set(ctx, Window(-2, 2, -2, 2), 32, 32)
 
 
 def test_component_membership_queries():
     g = Geometry(2, 2.0, 2.0, 1.0)
-    ctx = level_context(g)
+    ctx = level_context(charge_report(g))
     cs = extract_level_set(ctx, Window(-3, 3, -3, 3), 128, 128)
     assert cs.same_component((1.0, g.q), (g.a, g.p)) is True
     assert cs.component_near((100.0, 100.0)) is None
@@ -88,7 +88,7 @@ def test_component_membership_queries():
 
 def test_zero_level_contours_are_straight_rays():
     g = Geometry(2, 2.0, 2.0, 1.0)  # c = 0 for this instance
-    ctx = level_context(g)
+    ctx = level_context(charge_report(g))
     assert abs(ctx.c) <= 1e-9 * ctx.scale
     cs = extract_level_set(ctx, Window(-3, 3, -3, 3), 128, 128)
     lines = ray_set(g.n, ctx.theta_hat, g.n).angles
@@ -108,7 +108,7 @@ def test_zero_level_contours_are_straight_rays():
 
 def test_full_window_component_count_matches_sector_count():
     g = Geometry(11, 2.0, 1.1, 0.4)
-    ctx = level_context(g)
+    ctx = level_context(charge_report(g))
     w = Window(-3.0, 3.0, -3.0, 3.0)
     cs = extract_level_set(ctx, w, 256, 256)
     assert len(cs.polylines) == polar_component_count(ctx, w) == 11
@@ -116,7 +116,7 @@ def test_full_window_component_count_matches_sector_count():
 
 def test_half_window_component_count_matches_sector_count():
     g = Geometry(11, 2.0, 1.1, 0.4)
-    ctx = level_context(g)
+    ctx = level_context(charge_report(g))
     w = Window(0.1, 3.0, -3.0, 3.0)
     cs = extract_level_set(ctx, w, 128, 256)
     assert len(cs.polylines) == polar_component_count(ctx, w)
@@ -129,7 +129,7 @@ def test_window_counts_random_instances(rng):
         p = float(rng.uniform(-2, 2))
         q = float(rng.uniform(-2, 2))
         g = Geometry(n, a, p, q)
-        ctx = level_context(g)
+        ctx = level_context(charge_report(g))
         if abs(ctx.c) <= 1e-6 * ctx.scale:
             continue
         m = 1.5 * max(a, abs(p), abs(q))

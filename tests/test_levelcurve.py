@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from dhym.charges import Geometry, theta_hat
+from dhym.charges import Geometry, charge_report, theta_hat
 from dhym.levelcurve import (
     GraphicalPreconditionError,
     LevelSetContext,
@@ -23,6 +23,17 @@ from conftest import (
     random_geometry,
     sample_stable,
 )
+
+
+def _record(g):
+    """The angle record of g and its level-set context."""
+    rep = charge_report(g)
+    return rep, level_context(rep)
+
+
+def _graphical(g):
+    rep, ctx = _record(g)
+    return graphical_existence(rep, same_component(rep, ctx))
 
 
 def test_phi_examples():
@@ -66,7 +77,7 @@ def test_vertical_tangent_locus_is_next_ray_set(rng):
 def test_level_context_endpoint_agreement(rng):
     for _ in range(200):
         g = random_geometry(rng)
-        ctx = level_context(g)
+        ctx = level_context(charge_report(g))
         c1 = phi(1.0, g.q, ctx)
         c2 = phi(g.a, g.p, ctx)
         assert abs(c1 - c2) <= 1e-9 * ctx.scale
@@ -74,7 +85,7 @@ def test_level_context_endpoint_agreement(rng):
 
 
 def test_same_component_zero_level_example():
-    res = same_component(Geometry(2, 2.0, 2.0, 1.0))
+    res = same_component(*_record(Geometry(2, 2.0, 2.0, 1.0)))
     assert res.status == "on_zero_level"
     assert res.same_ray is True
 
@@ -82,7 +93,7 @@ def test_same_component_zero_level_example():
 def test_same_component_stable_instances(rng):
     for _ in range(100):
         g = sample_stable(rng)
-        res = same_component(g)
+        res = same_component(*_record(g))
         assert res.status in ("same", "on_zero_level")
         if res.status == "on_zero_level":
             assert res.same_ray
@@ -91,7 +102,7 @@ def test_same_component_stable_instances(rng):
 def test_same_component_separated_sectors():
     # wide argument spread across many sectors of a fine ray fan
     g = Geometry(12, 2.0, 2 * math.tan(1.0), math.tan(-1.0))
-    res = same_component(g)
+    res = same_component(*_record(g))
     assert res.status == "different"
     assert res.rays_between >= 2
 
@@ -99,16 +110,16 @@ def test_same_component_separated_sectors():
 def test_graphical_existence_stable(rng):
     for _ in range(100):
         g = sample_stable(rng)
-        assert graphical_existence(g).yes
+        assert _graphical(g).yes
 
 
 def test_graphical_existence_zero_level_linear():
-    assert graphical_existence(Geometry(2, 2.0, 2.0, 1.0)).yes
+    assert _graphical(Geometry(2, 2.0, 2.0, 1.0)).yes
 
 
 def test_graphical_existence_blocked_by_vertical_tangent():
     g = Geometry(12, 2.0, 2 * math.tan(1.0), math.tan(-1.0))
-    res = graphical_existence(g)
+    res = _graphical(g)
     assert not res.yes
     assert res.reason
 
@@ -116,25 +127,27 @@ def test_graphical_existence_blocked_by_vertical_tangent():
 def test_trace_requires_graphical_yes():
     g = Geometry(12, 2.0, 2 * math.tan(1.0), math.tan(-1.0))
     with pytest.raises(GraphicalPreconditionError):
-        trace_solution(g)
+        trace_solution(*_record(g))
 
 
 def test_trace_linear_solution():
     g = Geometry(2, 2.0, 2.0, 1.0)
-    curve = trace_solution(g)
+    rep, ctx = _record(g)
+    curve = trace_solution(rep, ctx)
     assert np.max(np.abs(curve.f - curve.x)) <= 1e-8
     assert curve.x[0] == 1.0 and curve.x[-1] == 2.0
     assert curve.f[0] == g.q
-    rep = verify_solution(curve, g)
+    rep = verify_solution(curve, rep, ctx)
     assert rep.passed
     assert rep.theta_mean == pytest.approx(math.pi / 2, abs=1e-9)
 
 
 def test_trace_zero_solution():
     g = Geometry(3, 2.0, 0.0, 0.0)
-    curve = trace_solution(g)
+    rep, ctx = _record(g)
+    curve = trace_solution(rep, ctx)
     assert np.max(np.abs(curve.f)) == 0.0
-    rep = verify_solution(curve, g)
+    rep = verify_solution(curve, rep, ctx)
     assert rep.passed
     assert rep.theta_mean == pytest.approx(0.0, abs=1e-12)
 
@@ -145,7 +158,7 @@ def test_trace_collinear_recovers_scaled_line(rng):
         a = float(rng.uniform(1.1, 8.0))
         lam = float(rng.uniform(-2.0, 2.0))
         g = collinear_geometry(n, a, lam)
-        curve = trace_solution(g)
+        curve = trace_solution(*_record(g))
         assert np.max(np.abs(curve.f - lam * curve.x)) <= 1e-8 * max(
             1.0, abs(lam) * a)
 
@@ -154,13 +167,14 @@ def test_trace_collinear_recovers_scaled_line(rng):
 def test_trace_stable_instances(rng):
     for _ in range(100):
         g = sample_stable(rng)
-        curve = trace_solution(g)
+        rep, ctx = _record(g)
+        curve = trace_solution(rep, ctx)
         assert curve.x.shape == (257,)
         assert np.all(np.diff(curve.x) > 0)
         assert curve.endpoint_error <= 1e-6 * max(1.0, abs(g.p))
         zmax = max(abs(g.z1), abs(g.z2))
         assert curve.residual_max <= 1e-6 * (1.0 + zmax ** (g.n - 1))
-        rep = verify_solution(curve, g)
+        rep = verify_solution(curve, rep, ctx)
         assert rep.passed, (g, rep)
         assert rep.theta_oscillation <= 1e-6
 
@@ -168,7 +182,7 @@ def test_trace_stable_instances(rng):
 def test_pointwise_angle_matches_average_angle(rng):
     for _ in range(50):
         g = sample_stable(rng)
-        curve = trace_solution(g)
+        curve = trace_solution(*_record(g))
         th, _ = theta_hat(g)
         off = math.remainder(float(curve.theta_pointwise[0]) - th, math.tau)
         assert abs(off) <= 1e-6
@@ -176,10 +190,11 @@ def test_pointwise_angle_matches_average_angle(rng):
 
 def test_verify_rejects_perturbed_curve(rng):
     g = Geometry(2, 2.0, 2.0, 1.0)
-    curve = trace_solution(g)
+    rep, ctx = _record(g)
+    curve = trace_solution(rep, ctx)
     noisy = dataclasses.replace(
         curve, f=curve.f + 1e-2 * rng.standard_normal(curve.f.shape))
-    rep = verify_solution(noisy, g)
+    rep = verify_solution(noisy, rep, ctx)
     assert not rep.passed
     assert not rep.residual_ok
 
@@ -188,12 +203,12 @@ def test_verify_rejects_off_level_samples(rng):
     # slopes recomputed at the noisy points keep the residual and the
     # pointwise angle consistent, so only the level of (x, f) shows the noise
     g = Geometry(2, 2.0, 2.0, 1.0)
-    curve = trace_solution(g)
-    ctx = level_context(g)
+    rep, ctx = _record(g)
+    curve = trace_solution(rep, ctx)
     f = curve.f.copy()
     f[1:-1] *= 1.0 + 0.05 * rng.standard_normal(len(f) - 2)
     fp = np.array([-gx / gy for gx, gy in
                    (phi_gradient(x, y, ctx) for x, y in zip(curve.x, f))])
-    rep = verify_solution(dataclasses.replace(curve, f=f, f_prime=fp), g)
+    rep = verify_solution(dataclasses.replace(curve, f=f, f_prime=fp), rep, ctx)
     assert not rep.passed
     assert not rep.level_ok

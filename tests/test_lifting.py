@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dhym.charges import Geometry, theta_hat
+from dhym.charges import Geometry, charge_report, theta_hat
 from dhym.lifting import (
     LiftUndefined,
     LiftedAngle,
@@ -32,7 +32,7 @@ def test_volume_path_matches_unwrap_oracle(rng):
     for n in range(2, 65):
         for _ in range(3):
             g = random_geometry(rng, n_lo=n, n_hi=n)
-            lift = cxy_path_lift(g)
+            lift = cxy_path_lift(charge_report(g))
             # fixed sampling cannot unwrap a path that skims the origin
             if not isinstance(lift, LiftedAngle) or lift.margin < 1e-2:
                 continue
@@ -44,7 +44,7 @@ def test_volume_path_matches_unwrap_oracle(rng):
 def test_sector_path_matches_unwrap_oracle(rng):
     for n in range(2, 65):
         g = sample_stable(rng, n_lo=n, n_hi=n)
-        lift = sector_lift(g)
+        lift = sector_lift(charge_report(g))
         assert isinstance(lift, LiftedAngle)
         psi1, psi2 = math.atan(g.q), math.atan2(g.p, g.a)
         final = _unwrapped_final((g.a + 1j * g.a * np.tan(_T * psi2)) ** n
@@ -53,30 +53,30 @@ def test_sector_path_matches_unwrap_oracle(rng):
 
 
 def test_cxy_lift_examples():
-    lift = cxy_path_lift(Geometry(2, 2.0, 2.0, 1.0))
+    lift = cxy_path_lift(charge_report(Geometry(2, 2.0, 2.0, 1.0)))
     assert isinstance(lift, LiftedAngle)
     assert lift.winding == 0
     assert lift.lifted == pytest.approx(math.pi / 2, abs=1e-12)
 
-    lift = cxy_path_lift(Geometry(5, 3.0, 0.0, 0.0))
+    lift = cxy_path_lift(charge_report(Geometry(5, 3.0, 0.0, 0.0)))
     assert isinstance(lift, LiftedAngle)
     assert lift.lifted == 0.0
     assert lift.winding == 0
 
 
 def test_cxy_lift_origin_hit():
-    hit = cxy_path_lift(scaled_example())
+    hit = cxy_path_lift(charge_report(scaled_example()))
     assert isinstance(hit, OriginHit)
     assert hit.t_star == pytest.approx(0.5, abs=1e-6)
 
 
 def test_sector_lift_examples():
-    lift = sector_lift(Geometry(2, 2.0, 2.0, 1.0))
+    lift = sector_lift(charge_report(Geometry(2, 2.0, 2.0, 1.0)))
     assert isinstance(lift, LiftedAngle)
     assert lift.winding == 0
     assert lift.lifted == pytest.approx(math.pi / 2, abs=1e-12)
 
-    lift = sector_lift(Geometry(5, 3.0, 0.0, 0.0))
+    lift = sector_lift(charge_report(Geometry(5, 3.0, 0.0, 0.0)))
     assert isinstance(lift, LiftedAngle)
     assert lift.lifted == 0.0
 
@@ -86,19 +86,19 @@ def test_sector_lift_undefined_when_gap_too_wide():
     gap = abs(math.atan2(g.p, g.a) - math.atan2(g.q, 1.0))
     assert gap == pytest.approx(2.58, abs=0.01)
     assert gap > math.pi / g.n
-    res = sector_lift(g)
+    res = sector_lift(charge_report(g))
     assert isinstance(res, LiftUndefined)
-    assert not lift_exists(g)
+    assert not lift_exists(charge_report(g))
 
 
 def test_lifts_agree_when_both_defined(rng):
     checked = 0
     while checked < 200:
         g = random_geometry(rng)
-        s = sector_lift(g)
+        s = sector_lift(charge_report(g))
         if not isinstance(s, LiftedAngle):
             continue
-        c = cxy_path_lift(g)
+        c = cxy_path_lift(charge_report(g))
         if not isinstance(c, LiftedAngle):
             continue
         checked += 1
@@ -110,7 +110,7 @@ def test_lifts_agree_when_both_defined(rng):
 def test_lift_matches_principal_angle(rng):
     for _ in range(100):
         g = random_geometry(rng)
-        s = sector_lift(g)
+        s = sector_lift(charge_report(g))
         if not isinstance(s, LiftedAngle):
             continue
         th, _ = theta_hat(g)
@@ -121,10 +121,10 @@ def test_lift_matches_principal_angle(rng):
 def test_stable_instances_always_lift(rng):
     for _ in range(100):
         g = sample_stable(rng)
-        assert lift_exists(g)
+        assert lift_exists(charge_report(g))
 
 
 def test_n2_always_lifts(rng):
     for _ in range(200):
         g = random_geometry(rng, n_lo=2, n_hi=2)
-        assert lift_exists(g)
+        assert lift_exists(charge_report(g))

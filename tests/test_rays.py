@@ -6,11 +6,12 @@ import pytest
 from dhym.rays import (
     Sign,
     check_alternation,
-    nearest_ray_index,
+    ray_index,
     ray_set,
-    rays_strictly_between,
+    rays_between,
     sector_of,
 )
+from dhym.tolerances import DEFAULT_TOL
 
 
 def test_ray_set_examples():
@@ -36,14 +37,14 @@ def test_ray_set_structure(rng):
 
 
 def test_sector_of_examples():
-    v = sector_of(1 + 1j, 1, math.pi / 2, 2)
+    v = sector_of(cmath.phase(1 + 1j), 1, math.pi / 2, 2)
     assert v.value is Sign.POSITIVE
-    v = sector_of(1 + 0j, 1, 0.0, 3)
+    v = sector_of(cmath.phase(1 + 0j), 1, 0.0, 3)
     assert v.value is Sign.ON_RAY
     # every ray angle classifies as on-ray
     rs = ray_set(3, 0.7, 5)
     for phi in rs.angles:
-        v = sector_of(cmath.exp(1j * phi), 3, 0.7, 5)
+        v = sector_of(phi, 3, 0.7, 5)
         assert v.value is Sign.ON_RAY
         assert v.margin <= 1e-8
 
@@ -61,7 +62,7 @@ def test_sector_alternates_between_rays(rng):
             if hi - lo < 1e-6:
                 continue
             mid = 0.5 * (hi + lo)
-            v = sector_of(cmath.exp(1j * mid), k, th, n)
+            v = sector_of(mid, k, th, n)
             assert v.value is not Sign.ON_RAY
             signs.append(1 if v.value is Sign.POSITIVE else -1)
         for s0, s1 in zip(signs, signs[1:]):
@@ -95,17 +96,81 @@ def test_check_alternation_sweep(rng):
                 assert res.ok, (k, th, n, res.detail)
 
 
-def test_rays_strictly_between():
-    rs2 = ray_set(2, math.pi / 2, 2)
-    assert rays_strictly_between(math.pi / 4, math.pi / 4, rs2) == 0
-    assert rays_strictly_between(math.pi / 3, -math.pi / 3, rs2) == 2
-    rs1 = ray_set(1, math.pi / 2, 2)
-    assert rays_strictly_between(0.3, 0.1, rs1) == 0
+def test_sector_sign_matches_direct_evaluation(rng):
+    # the sign of sin(fan angle) against Im(i^(n-k) e^(-i theta) z^k) on
+    # the unit circle, wherever the margin clears the deadband
+    checked = 0
+    for _ in range(2000):
+        n = int(rng.integers(2, 65))
+        k = int(rng.integers(1, n + 1))
+        th = float(rng.uniform(-math.pi, math.pi))
+        arg = float(rng.uniform(-math.pi / 2, math.pi / 2))
+        v = sector_of(arg, k, th, n)
+        if v.margin <= DEFAULT_TOL.eps_angle:
+            continue
+        checked += 1
+        s = (1j ** ((n - k) % 4) * cmath.exp(-1j * th)
+             * cmath.exp(1j * arg) ** k).imag
+        assert v.value is (Sign.POSITIVE if s > 0 else Sign.NEGATIVE), (
+            n, k, th, arg)
+    assert checked > 1900
+
+
+def test_rays_between():
+    assert rays_between(math.pi / 4, math.pi / 4, 2, math.pi / 2, 2) == 0
+    assert rays_between(math.pi / 3, -math.pi / 3, 2, math.pi / 2, 2) == 2
+    assert rays_between(0.3, 0.1, 1, math.pi / 2, 2) == 0
     # endpoint within eps_angle of a ray is not counted
-    assert rays_strictly_between(math.pi / 4 + 1e-10, 0.0, rs2) == 0
+    assert rays_between(math.pi / 4 + 1e-10, 0.0, 2, math.pi / 2, 2) == 0
 
 
-def test_nearest_ray_index():
-    rs = ray_set(2, math.pi / 2, 2)
-    assert nearest_ray_index(math.pi / 4 + 0.01, rs) == 0
-    assert nearest_ray_index(-math.pi / 4 + 0.01, rs) == 1
+def _ulps(x: float, steps: int) -> float:
+    toward = math.inf if steps > 0 else -math.inf
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, toward)
+    return x
+
+
+def test_rays_between_matches_ray_set(rng):
+    # reference: the listed rays strictly inside the interval shrunk by
+    # eps_angle at both ends; endpoints sit on rays, a few ulp off them,
+    # or anywhere in the right half plane
+    eps = DEFAULT_TOL.eps_angle
+    for _ in range(1500):
+        n = int(rng.integers(2, 65))
+        th = float(rng.uniform(-math.pi, math.pi))
+        for k in (n, n - 1, int(rng.integers(1, n + 1))):
+            angles = ray_set(k, th, n).angles
+            ends = []
+            for _ in range(2):
+                if rng.uniform() < 0.7:
+                    phi = angles[int(rng.integers(0, k))]
+                    ends.append(_ulps(phi, int(rng.integers(-4, 5))))
+                else:
+                    ends.append(float(rng.uniform(-math.pi / 2, math.pi / 2)))
+            if not all(-math.pi / 2 < e < math.pi / 2 for e in ends):
+                continue
+            lo, hi = min(ends), max(ends)
+            ref = sum(1 for phi in angles if lo + eps < phi < hi - eps)
+            assert rays_between(*ends, k, th, n) == ref, (ends, k, th, n)
+
+
+def test_ray_index(rng):
+    # the two rays of ray_set(2, pi/2, 2) at pi/4 and -pi/4
+    assert ray_index(math.pi / 4 + 0.01, 2, math.pi / 2, 2) == ray_index(
+        math.pi / 4 - 0.01, 2, math.pi / 2, 2)
+    assert ray_index(math.pi / 4 + 0.01, 2, math.pi / 2, 2) != ray_index(
+        -math.pi / 4 + 0.01, 2, math.pi / 2, 2)
+    # every ray of a fan gets its own label, shared by arguments near it
+    for _ in range(200):
+        n = int(rng.integers(2, 65))
+        k = int(rng.integers(1, n + 1))
+        th = float(rng.uniform(-math.pi, math.pi))
+        angles = ray_set(k, th, n).angles
+        labels = [ray_index(phi, k, th, n) for phi in angles]
+        assert len(set(labels)) == k
+        half = math.pi / (4 * k)
+        for phi, label in zip(angles, labels):
+            for off in (-half, half):
+                if -math.pi / 2 < phi + off < math.pi / 2:
+                    assert ray_index(phi + off, k, th, n) == label

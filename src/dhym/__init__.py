@@ -7,10 +7,9 @@ from .charges import (ChargeReport, DegenerateGeometryError, Geometry,
 from .contour import ContourSet, Window, extract_level_set
 from .levelcurve import (LevelSetContext, SolutionCurve, TraceError,
                          graphical_existence, level_context, phi,
-                         phi_gradient, same_component, trace_solution,
-                         verify_solution)
+                         same_component, trace_solution, verify_solution)
 from .lifting import (LiftedAngle, LiftUndefined, OriginHit, cxy_path_lift,
-                      lift_exists, sector_lift)
+                      sector_lift)
 from .rays import (RaySet, SectorVerdict, Sign, check_alternation, ray_set,
                    rays_between, sector_of)
 from .stability import (Existence, ExistenceVerdict, Overall, StabilityReport,

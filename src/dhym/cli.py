@@ -12,8 +12,6 @@ import functools
 import json
 import sys
 
-import numpy as np
-
 from .charges import (DegenerateGeometryError, Geometry, InvalidGeometryError,
                       SubvarietyKind, charge_report)
 from .config import ConfigError, RunConfig, load_config
@@ -114,6 +112,7 @@ def run_analyze(cfg: RunConfig, out_path: str | None, stdout) -> int:
 
 
 def _solve_rows(curve) -> str:
+    import numpy as np
     rows = np.column_stack((curve.x, curve.f, curve.f_prime, curve.residual,
                             curve.theta_pointwise)).tolist()
     return "x,f,f_prime,residual,theta\n" + "".join(
@@ -161,13 +160,13 @@ def run_sweep(cfg: RunConfig, out_path: str | None, stdout) -> int:
         raise ConfigError("sweep command requires a sweep spec in the config")
     sw = cfg.sweep
     g0, tol = cfg.geometry, cfg.tolerances
-    ps = np.linspace(sw.p_range[0], sw.p_range[1], sw.p_count)
-    qs = np.linspace(sw.q_range[0], sw.q_range[1], sw.q_count)
+    ps = _linspace(*sw.p_range, sw.p_count)
+    qs = _linspace(*sw.q_range, sw.q_count)
     lines = ["p,q,stability,existence,route,lift_defined,"
              "stability_margin,lift_margin,divisor_margin"]
     for p in ps:
         for q in qs:
-            g = Geometry(n=g0.n, a=g0.a, p=float(p), q=float(q))
+            g = Geometry(n=g0.n, a=g0.a, p=p, q=q)
             lines.append(_sweep_row(g, tol))
     text = "\n".join(lines) + "\n"
     if out_path:
@@ -178,20 +177,31 @@ def run_sweep(cfg: RunConfig, out_path: str | None, stdout) -> int:
     return 0
 
 
+def _linspace(start: float, stop: float, num: int) -> list:
+    """np.linspace(start, stop, num) as Python floats, bit for bit."""
+    div, delta = num - 1, stop - start
+    if div == 0:
+        return [0.0 * delta + start]
+    step = delta / div
+    if step == 0:  # delta / div underflowed
+        return [i / div * delta + start for i in range(div)] + [stop]
+    return [i * step + start for i in range(div)] + [stop]
+
+
 def _sweep_row(g: Geometry, tol: Tolerances) -> str:
+    nan = float("nan")
     rep = charge_report(g, tol)
     if rep.degenerate:
         return _SWEEP_ROW % (g.p, g.q, "degenerate", "inconclusive",
-                             "degenerate", "false", np.nan, np.nan, np.nan)
+                             "degenerate", "false", nan, nan, nan)
     stab = stability_verdict(rep)
     stab_margin = min(min(pk.sign_h.margin, pk.sign_e.margin)
                       for pk in stab.per_k.values())
     lift = sector_lift(rep)
     lift_defined = isinstance(lift, LiftedAngle)
-    lift_margin = lift.margin if lift_defined else float("nan")
-    cxy = None if lift_defined else cxy_path_lift(rep)
-    verdict = decide_existence(rep, stab, lift, cxy)
-    div_margin = verdict.notes.get("divisor_margin", float("nan"))
+    lift_margin = lift.margin if lift_defined else nan
+    verdict = decide_existence(rep, stab, lift, None)  # no volume-path note
+    div_margin = verdict.notes.get("divisor_margin", nan)
     return _SWEEP_ROW % (g.p, g.q, stab.overall.value, verdict.value.value,
                          verdict.route.value, "true" if lift_defined else "false",
                          stab_margin, lift_margin, div_margin)

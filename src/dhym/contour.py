@@ -6,14 +6,14 @@ the cells and interpolates the crossed edges; Python only walks the
 segments of crossed cells, which are keyed by the grid edge they cross,
 so chains stitch together exactly and each connected component of the
 level set inside the window becomes one polyline (open chain or loop).
+numpy is imported where it is used, so importing dhym.cli does not load it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .levelcurve import LevelSetContext
 
@@ -38,18 +38,17 @@ def _cell_segments(signs, center_positive: bool):
     return tuple(_CORNER_EDGES[c] for c in minority)
 
 
+@functools.cache
 def _segment_table() -> np.ndarray:
     """Local edge pairs per cell, indexed by 2 * case + (center > 0); a
     cell has at most two segments and unused slots hold -1."""
+    import numpy as np
     table = np.full((32, 2, 2), -1)
     for key in range(32):
         signs = [bool(key >> (k + 1) & 1) for k in range(4)]
         for s, pair in enumerate(_cell_segments(signs, bool(key & 1))):
             table[key, s] = pair
     return table
-
-
-_SEGMENTS = _segment_table()
 
 
 @dataclass(frozen=True)
@@ -70,6 +69,7 @@ class ContourSet:
 
     def component_near(self, point, radius: float | None = None) -> int | None:
         """Index of the polyline within radius (default 2 cell diagonals)."""
+        import numpy as np
         if radius is None:
             radius = 2.0 * self.cell_diag
         p = np.asarray(point, dtype=float)
@@ -90,6 +90,7 @@ class ContourSet:
 
 
 def _point_polyline_distance(p: np.ndarray, poly: np.ndarray) -> float:
+    import numpy as np
     a = poly[:-1]
     b = poly[1:]
     if len(poly) == 1:
@@ -110,6 +111,7 @@ def marching_squares(values: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> list
     values[i, j] corresponds to (xs[i], ys[j]).  Returns a list of (m, 2)
     arrays; loops repeat their first vertex at the end.
     """
+    import numpy as np
     nx, ny = values.shape
     pos = values > 0
     # case bit k is the sign of local corner k
@@ -118,7 +120,7 @@ def marching_squares(values: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> list
     ci, cj = np.nonzero((case != 0) & (case != 15))  # row-major cell order
     center = (values[ci, cj] + values[ci + 1, cj]
               + values[ci + 1, cj + 1] + values[ci, cj + 1])
-    segs = _SEGMENTS[2 * case[ci, cj] + (center > 0)]
+    segs = _segment_table()[2 * case[ci, cj] + (center > 0)]
     # grid edges are numbered x-edges ((i,j),(i+1,j)) first, then
     # y-edges ((i,j),(i,j+1)); columns are the cell's local edges 0..3
     n_xedges = (nx - 1) * ny
@@ -173,6 +175,7 @@ def extract_level_set(ctx: LevelSetContext, window: Window,
 
     Raises OverflowError when Phi is not finite somewhere on the grid.
     """
+    import numpy as np
     if nx < 64 or ny < 64:
         raise ValueError("oracle grid must be at least 64x64 cells")
     xs = np.linspace(window.xmin, window.xmax, nx + 1)

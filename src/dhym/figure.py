@@ -1,14 +1,13 @@
 """Deterministic SVG rendering of level sets, rays, and traced solutions.
 
 Output is plain SVG 1.1 text with coordinates rounded to 1e-3 pixels, so
-identical inputs produce byte-identical documents.
+identical inputs produce byte-identical documents.  numpy is imported
+where it is used, so importing dhym.cli does not load it.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from .charges import ChargeReport
 from .config import FigureSpec
@@ -42,6 +41,7 @@ class _Mapper:
 
 
 def _polyline(points, cls: str, style: str, mapper: _Mapper) -> str:
+    import numpy as np
     px, py = mapper(*np.asarray(points, dtype=float).T)
     # with three decimals per number, a match is always a whole coordinate
     coords = " ".join(map("{:.3f},{:.3f}".format, px.tolist(), py.tolist())
@@ -71,6 +71,7 @@ def _clip_ray(phi: float, window: Window):
 def render_figure(rep: ChargeReport, ctx: LevelSetContext, spec: FigureSpec,
                   curve: SolutionCurve | None = None) -> str:
     """Level-set figure: contour polylines, ray overlays, endpoint markers."""
+    import numpy as np
     g, window = rep.g, spec.window
     for name, (x, y) in (("(1,q)", (1.0, g.q)), (("(a,p)"), (g.a, g.p))):
         if not window.contains(x, y):

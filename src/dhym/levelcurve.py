@@ -8,7 +8,8 @@ between arg z1 and arg z2, so nothing is integrated: every node of the
 output grid is solved at once, seeded by bisecting for the angle with
 r(phi) cos(phi) = x and polished by Newton steps in y on Phi = c.  The
 layers read the angle record (charges.charge_report) and the context that
-level_context builds from it once, and recompute neither.
+level_context builds from it once, and recompute neither.  Only the
+array functions import numpy, so the verdicts run without loading it.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .charges import ChargeReport
 from .rays import Sign, ray_index, rays_between, sector_of
@@ -95,12 +94,6 @@ def phi(x: float, y: float, ctx: LevelSetContext) -> float:
     return (cmath.exp(-1j * ctx.theta_hat) * complex(x, y) ** ctx.n).imag
 
 
-def phi_gradient(x: float, y: float, ctx: LevelSetContext) -> tuple[float, float]:
-    """(Phi_x, Phi_y) = n (Im, Re) of e^(-i theta_hat) (x+iy)^(n-1)."""
-    w = ctx.n * cmath.exp(-1j * ctx.theta_hat) * complex(x, y) ** (ctx.n - 1)
-    return w.imag, w.real
-
-
 def level_context(rep: ChargeReport) -> LevelSetContext:
     """Level value shared by (1, q) and (a, p); verified from both ends.
 
@@ -167,6 +160,7 @@ def graphical_existence(rep: ChargeReport,
 
 def _level_terms(x: np.ndarray, y: np.ndarray, ctx: LevelSetContext):
     """Phi - c and the gradient (Phi_x, Phi_y) at arrays of points."""
+    import numpy as np
     z = x + 1j * y
     u = np.exp(-1j * ctx.theta_hat) * z ** (ctx.n - 1)
     return np.imag(u * z) - ctx.c, ctx.n * u.imag, ctx.n * u.real
@@ -177,6 +171,7 @@ def _arc_angles(rep: ChargeReport, ctx: LevelSetContext,
     """Angle phi of the arc point above each x, by bisection on
     r(phi) cos(phi) = x: a graphical arc has no vertical tangent, so that
     abscissa runs monotonically from 1 at arg z1 to a at arg z2."""
+    import numpy as np
     n = ctx.n
     # sin(n phi - theta_hat) has the sign of c between the endpoint
     # arguments; the floor keeps a rounding slip at either end finite
@@ -197,6 +192,7 @@ def _arc_angles(rep: ChargeReport, ctx: LevelSetContext,
 def _ode_terms(x, f, fp, ctx: LevelSetContext):
     """Residual Im(e^(-i theta_hat) (1 + i f/x)^(n-1) (1 + i f')) of the ODE
     and the pointwise angle (n-1) arctan(f/x) + arctan(f')."""
+    import numpy as np
     zr = 1.0 + 1j * f / x
     res = np.imag(np.exp(-1j * ctx.theta_hat) * zr ** (ctx.n - 1) * (1.0 + 1j * fp))
     return res, (ctx.n - 1) * np.arctan2(f, x) + np.arctan(fp)
@@ -211,6 +207,7 @@ def trace_solution(rep: ChargeReport, ctx: LevelSetContext) -> SolutionCurve:
     exact level-set slope -Phi_x / Phi_y there.  ``ctx`` is level_context
     of the record.
     """
+    import numpy as np
     g, tol = rep.g, rep.tol
     sc = same_component(rep, ctx)
     ge = graphical_existence(rep, sc)
@@ -254,6 +251,7 @@ def verify_solution(curve: SolutionCurve, rep: ChargeReport,
     trace polishes to.  The residual and the pointwise angle read the
     curve's own f_prime.
     """
+    import numpy as np
     g, tol = rep.g, rep.tol
     level_max = float(np.max(np.abs(_level_terms(curve.x, curve.f, ctx)[0])))
     level_bound = tol.tol_level * ctx.scale

@@ -10,10 +10,9 @@ simultaneously (real parts fixed), which works whenever
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .charges import ChargeReport, cpow
 
@@ -64,19 +63,19 @@ def cxy_path_lift(rep: ChargeReport) -> LiftedAngle | OriginHit:
     The margin of a lift is the smallest slack.
     """
     g = rep.g
-    w = np.exp(2j * np.pi * np.arange(g.n) / g.n)
-    alpha = g.a - w
-    subtended = np.angle((g.z2 - w * g.z1) / alpha)
-    slack = math.pi - np.abs(subtended)
-    j = int(np.argmin(slack))
+    # tau j (1/n) rounds as the roots of the pinned outputs did
+    inv_n = 1.0 / g.n
+    w = [cmath.exp(complex(0.0, math.tau * j * inv_n)) for j in range(g.n)]
+    subtended = [cmath.phase((g.z2 - wj * g.z1) / (g.a - wj)) for wj in w]
+    slack = [math.pi - abs(s) for s in subtended]
+    j = min(range(g.n), key=slack.__getitem__)  # the first smallest slack
     if slack[j] <= rep.tol.eps_angle:
         beta = 1j * (g.p - w[j] * g.q)
-        t_star = float(-(alpha[j] * beta.conjugate()).real / abs(beta) ** 2)
+        t_star = -((g.a - w[j]) * beta.conjugate()).real / abs(beta) ** 2
         gamma = (cpow(complex(g.a, t_star * g.p), g.n)
                  - cpow(complex(1.0, t_star * g.q), g.n))
         return OriginHit(t_star=t_star, min_modulus=abs(gamma))
-    return _finish_lift(rep, float(subtended.sum()), float(slack[j]),
-                        "volume_path")
+    return _finish_lift(rep, math.fsum(subtended), slack[j], "volume_path")
 
 
 def sector_lift(rep: ChargeReport) -> LiftedAngle | LiftUndefined:
@@ -106,15 +105,3 @@ def sector_lift(rep: ChargeReport) -> LiftedAngle | LiftUndefined:
             reason="lift out of range",
             detail=f"lifted angle {lift.lifted:.6f} outside (-n pi/2, n pi/2)")
     return lift
-
-
-def lift_exists(rep: ChargeReport) -> bool:
-    """True when some path defines a lift.
-
-    The sector deformation is tried first; outside its angular range the
-    volume path still lifts whenever it misses the origin (always the case
-    in dimension 2, where the two power terms can never be antipodal).
-    """
-    if isinstance(sector_lift(rep), LiftedAngle):
-        return True
-    return isinstance(cxy_path_lift(rep), LiftedAngle)

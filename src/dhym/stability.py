@@ -149,7 +149,8 @@ def decide_existence(rep: ChargeReport, stab, lift, cxy) -> ExistenceVerdict:
 
     ``stab``, ``lift`` and ``cxy`` are stability_verdict, sector_lift and
     cxy_path_lift of the record ``rep``.  Only ``rep`` is read for a
-    degenerate instance, and ``cxy`` only when ``lift`` is undefined.
+    degenerate instance, and ``cxy`` only when ``lift`` is undefined; with
+    ``cxy`` None the notes leave out the volume path.
     """
     if rep.degenerate:
         return ExistenceVerdict(
@@ -163,7 +164,7 @@ def decide_existence(rep: ChargeReport, stab, lift, cxy) -> ExistenceVerdict:
         notes["lift_detail"] = lift.detail
         if isinstance(cxy, OriginHit):
             notes["volume_path"] = f"origin hit at t = {cxy.t_star:.9f}"
-        else:
+        elif cxy is not None:
             notes["volume_path"] = f"lift {cxy.lifted:.9f} (corroborating only)"
         if stab.overall is Overall.STABLE:
             # stability guarantees the sector condition; reaching this branch

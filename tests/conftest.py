@@ -1,11 +1,14 @@
 """Shared samplers and reference instances for the test suite."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
 
-from dhym.charges import Geometry, charge_report
+from dhym.charges import ChargeReport, Geometry, charge_report
+from dhym.levelcurve import LevelSetContext
+from dhym.lifting import LiftedAngle, cxy_path_lift, sector_lift
 from dhym.stability import Overall, stability_verdict
 
 
@@ -61,6 +64,24 @@ def scaled_example() -> Geometry:
     """The degenerate instance with both classes doubled."""
     g = degenerate_example()
     return Geometry(3, g.a, 2.0 * g.p, 2.0 * g.q)
+
+
+def lift_exists(rep: ChargeReport) -> bool:
+    """True when some path defines a lift.
+
+    The sector deformation is tried first; outside its angular range the
+    volume path still lifts whenever it misses the origin (always the case
+    in dimension 2, where the two power terms can never be antipodal).
+    """
+    if isinstance(sector_lift(rep), LiftedAngle):
+        return True
+    return isinstance(cxy_path_lift(rep), LiftedAngle)
+
+
+def phi_gradient(x: float, y: float, ctx: LevelSetContext) -> tuple[float, float]:
+    """(Phi_x, Phi_y) = n (Im, Re) of e^(-i theta_hat) (x+iy)^(n-1)."""
+    w = ctx.n * cmath.exp(-1j * ctx.theta_hat) * complex(x, y) ** (ctx.n - 1)
+    return w.imag, w.real
 
 
 @pytest.fixture

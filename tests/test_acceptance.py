@@ -29,7 +29,6 @@ from dhym.lifting import (
     LiftUndefined,
     OriginHit,
     cxy_path_lift,
-    lift_exists,
     sector_lift,
 )
 from dhym.rays import check_alternation, ray_set
@@ -39,6 +38,7 @@ from dhym.tolerances import DEFAULT_TOL
 from conftest import (
     collinear_geometry,
     degenerate_example,
+    lift_exists,
     random_geometry,
     sample_stable,
     scaled_example,

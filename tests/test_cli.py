@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import math
+import struct
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -10,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from dhym import charges, cli
+from dhym import charges, cli, lifting
 from dhym.config import ConfigError, load_config
 
 from conftest import degenerate_example, scaled_example
@@ -343,6 +344,74 @@ def test_angle_record_computed_once(tmp_path, capsys, monkeypatch):
                          "--out", str(tmp_path / "out")]) == 0
         capsys.readouterr()
         assert len(calls) <= 1, (command, len(calls))
+
+
+def test_sweep_skips_volume_path(tmp_path, capsys, monkeypatch):
+    # a sweep row prints no volume-path note, so no row lifts the volume path
+    calls = []
+    original = lifting.cxy_path_lift
+
+    def counting(rep):
+        calls.append(rep)
+        return original(rep)
+
+    for name, mod in list(sys.modules.items()):
+        if (name.split(".")[0] == "dhym"
+                and getattr(mod, "cxy_path_lift", None) is original):
+            monkeypatch.setattr(mod, "cxy_path_lift", counting)
+    path = write_config(tmp_path, {**STABLE, "sweep": {
+        "p_range": [-2.0, 2.0], "q_range": [-1.0, 3.0],
+        "p_count": 4, "q_count": 5}})
+    assert cli.main(["sweep", "--config", path]) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert sum(r["lift_defined"] == "false" and r["route"] != "degenerate"
+               for r in rows) > 0
+    assert calls == []
+
+
+# imports dhym, then runs each command of argv[2:] in-process on the
+# config argv[1]; prints, per step, the exit code and whether numpy is loaded
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+import dhym, dhym.cli
+steps = [["import", None, "numpy" in sys.modules]]
+for command in sys.argv[2:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = dhym.cli.main([command, "--config", sys.argv[1],
+                              "--out", sys.argv[1] + "." + command])
+    steps.append([command, code, "numpy" in sys.modules])
+print(json.dumps(steps))
+"""
+
+
+def test_verdicts_never_import_numpy(tmp_path):
+    path = write_config(tmp_path, {**STABLE, "sweep": {
+        "p_range": [-2.0, 2.0], "q_range": [-1.0, 3.0],
+        "p_count": 3, "q_count": 3},
+        "figure": {"window": [-4, 4, -4, 4], "samples": 64}})
+    res = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, path,
+         "analyze", "sweep", "solve", "figure"],
+        capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == [
+        ["import", None, False], ["analyze", 0, False], ["sweep", 0, False],
+        ["solve", 0, True], ["figure", 0, True]]
+
+
+def test_linspace_matches_numpy():
+    rng = np.random.default_rng(11)
+    ranges = [(0.0, 1.0), (3.0, -1.5), (2.5, 2.5), (-0.0, 0.0), (0.0, -0.0),
+              (-0.0, 5.0), (-0.0, -0.0), (0.0, 5e-324), (1e-300, 2e-300)]
+    ranges += [tuple(rng.uniform(-10.0, 10.0, 2)) for _ in range(200)]
+    ranges += [tuple(rng.uniform(-1.0, 1.0, 2) * 10.0 ** rng.integers(-150, 150, 2))
+               for _ in range(200)]
+    for start, stop in ranges:
+        for num in (1, 2, 3, 40):
+            got = cli._linspace(float(start), float(stop), num)
+            want = np.linspace(start, stop, num).tolist()
+            assert ([struct.pack("<d", v) for v in got]
+                    == [struct.pack("<d", v) for v in want]), (start, stop, num)
 
 
 def test_figure_degenerate_exits_2(tmp_path):

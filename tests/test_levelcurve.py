@@ -11,7 +11,6 @@ from dhym.levelcurve import (
     graphical_existence,
     level_context,
     phi,
-    phi_gradient,
     same_component,
     trace_solution,
     verify_solution,
@@ -20,6 +19,7 @@ from dhym.rays import ray_set
 
 from conftest import (
     collinear_geometry,
+    phi_gradient,
     random_geometry,
     sample_stable,
 )

@@ -9,11 +9,10 @@ from dhym.lifting import (
     LiftedAngle,
     OriginHit,
     cxy_path_lift,
-    lift_exists,
     sector_lift,
 )
 
-from conftest import random_geometry, sample_stable, scaled_example
+from conftest import lift_exists, random_geometry, sample_stable, scaled_example
 
 
 def _unwrapped_final(path):
@@ -128,3 +127,39 @@ def test_n2_always_lifts(rng):
     for _ in range(200):
         g = random_geometry(rng, n_lo=2, n_hi=2)
         assert lift_exists(charge_report(g))
+
+
+def _numpy_volume_lift(rep):
+    """Reference volume-path lift with the per-root angles as numpy arrays:
+    (OriginHit, t_star) or (LiftedAngle, winding, lifted, margin)."""
+    g = rep.g
+    w = np.exp(2j * np.pi * np.arange(g.n) / g.n)
+    alpha = g.a - w
+    subtended = np.angle((g.z2 - w * g.z1) / alpha)
+    slack = math.pi - np.abs(subtended)
+    j = int(np.argmin(slack))
+    if slack[j] <= rep.tol.eps_angle:
+        beta = 1j * (g.p - w[j] * g.q)
+        return OriginHit, float(-(alpha[j] * beta.conjugate()).real / abs(beta) ** 2)
+    th = rep.angle()
+    winding = round((float(subtended.sum()) - th) / math.tau)
+    return LiftedAngle, winding, th + math.tau * winding, float(slack[j])
+
+
+def test_volume_path_matches_numpy_reference(rng):
+    g0 = scaled_example()
+    pool = [random_geometry(rng, n_hi=64) for _ in range(400)]
+    pool += [Geometry(g0.n, g0.a, g0.p + d, g0.q) for d in (0.0, 1e-10, -1e-9)]
+    hits = 0
+    for g in pool:
+        rep = charge_report(g)
+        kind, *want = _numpy_volume_lift(rep)
+        got = cxy_path_lift(rep)
+        assert type(got) is kind, g
+        if kind is OriginHit:
+            hits += 1
+            assert got.t_star == want[0], g
+        else:
+            assert (got.winding, got.lifted) == tuple(want[:2]), g
+            assert got.margin == pytest.approx(want[2], abs=1e-12), g
+    assert hits == 3

@@ -19,8 +19,7 @@ from .figure import FigureError, render_figure
 from .levelcurve import (TraceError, graphical_existence, level_context,
                          same_component, trace_solution, verify_solution)
 from .lifting import LiftedAngle, OriginHit, cxy_path_lift, sector_lift
-from .stability import (Existence, decide_existence, existence_verdict,
-                        stability_verdict)
+from .stability import Existence, decide_existence, stability_verdict
 from .tolerances import Tolerances
 
 EXIT_EXISTS = 0
@@ -121,7 +120,10 @@ def _solve_rows(curve) -> str:
 
 def run_solve(cfg: RunConfig, out_path: str | None, stdout, stderr) -> int:
     rep = charge_report(cfg.geometry, cfg.tolerances)
-    verdict = existence_verdict(rep)
+    stab = lift = None
+    if not rep.degenerate:
+        stab, lift = stability_verdict(rep), sector_lift(rep)
+    verdict = decide_existence(rep, stab, lift, None)  # no volume-path note
     if verdict.value is not Existence.EXISTS:
         stderr.write(f"no solve attempted: existence is "
                      f"{verdict.value.value} via {verdict.route.value}\n")

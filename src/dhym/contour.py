@@ -2,10 +2,10 @@
 
 This is the brute-force oracle for component questions: it never looks at
 ray combinatorics, only at signs of Phi - c on a grid.  Numpy classifies
-the cells and interpolates the crossed edges; Python only walks the
-segments of crossed cells, which are keyed by the grid edge they cross,
-so chains stitch together exactly and each connected component of the
-level set inside the window becomes one polyline (open chain or loop).
+the cells, interpolates the crossed grid edges and joins each crossed edge
+to its (at most two) neighbours in index arrays; Python only walks those
+arrays, so chains stitch together exactly and each connected component of
+the level set inside the window becomes one polyline (open chain or loop).
 numpy is imported where it is used, so importing dhym.cli does not load it.
 """
 
@@ -82,19 +82,13 @@ class ContourSet:
 
     def same_component(self, p1, p2, radius: float | None = None) -> bool | None:
         """True/False when both points locate on a polyline, else None."""
-        c1 = self.component_near(p1, radius)
-        c2 = self.component_near(p2, radius)
-        if c1 is None or c2 is None:
-            return None
-        return c1 == c2
+        c1, c2 = (self.component_near(p, radius) for p in (p1, p2))
+        return None if c1 is None or c2 is None else c1 == c2
 
 
 def _point_polyline_distance(p: np.ndarray, poly: np.ndarray) -> float:
     import numpy as np
-    a = poly[:-1]
-    b = poly[1:]
-    if len(poly) == 1:
-        return float(np.hypot(*(poly[0] - p)))
+    a, b = poly[:-1], poly[1:]  # a polyline has at least two vertices
     ab = b - a
     ap = p[None, :] - a
     denom = np.einsum("ij,ij->i", ab, ab)
@@ -113,10 +107,9 @@ def marching_squares(values: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> list
     """
     import numpy as np
     nx, ny = values.shape
-    pos = values > 0
+    pos = (values > 0).view(np.uint8)
     # case bit k is the sign of local corner k
-    case = (pos[:-1, :-1] + 2 * pos[1:, :-1] + 4 * pos[1:, 1:]
-            + 8 * pos[:-1, 1:])
+    case = pos[:-1, :-1] | pos[1:, :-1] << 1 | pos[1:, 1:] << 2 | pos[:-1, 1:] << 3
     ci, cj = np.nonzero((case != 0) & (case != 15))  # row-major cell order
     center = (values[ci, cj] + values[ci + 1, cj]
               + values[ci + 1, cj + 1] + values[ci, cj + 1])
@@ -129,12 +122,15 @@ def marching_squares(values: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> list
     # (segment, end) grid edge ids, in cell order then table order
     ends = edges[np.arange(len(ci))[:, None, None], segs][segs[:, :, 0] >= 0]
 
-    adj: dict = {}  # node -> neighbours, both in first-seen order
-    for a, b in ends.tolist():
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
+    # nodes are the crossed grid edges renumbered 0..m-1; end slot s holds
+    # node inv[s] and slot s ^ 1 its neighbour, in segment order per node
+    nodes, first, inv = np.unique(ends, return_index=True, return_inverse=True)
+    inv = inv.ravel()
+    deg = np.bincount(inv)
+    head = np.cumsum(deg) - deg
+    nbr = np.append(inv[np.argsort(inv, kind="stable") ^ 1], -1)
+    nb0, nb1 = nbr[head], np.where(deg == 2, nbr[head + 1], -1)
 
-    nodes = np.unique(ends)
     is_x = nodes < n_xedges
     i0 = np.where(is_x, nodes // ny, (nodes - n_xedges) // (ny - 1))
     j0 = np.where(is_x, nodes % ny, (nodes - n_xedges) % (ny - 1))
@@ -143,27 +139,27 @@ def marching_squares(values: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> list
     t = np.clip(v0 / (v0 - v1), 0.0, 1.0)
     points = np.column_stack([xs[i0] + t * (xs[i1] - xs[i0]),
                               ys[j0] + t * (ys[j1] - ys[j0])])
-    return [points[np.searchsorted(nodes, chain)] for chain in _stitch(adj)]
+    order = np.argsort(first).tolist()  # first-seen order
+    return [points[chain] for chain in _stitch(nb0.tolist(), nb1.tolist(), order)]
 
 
-def _stitch(adj: dict) -> list:
-    """Node chains of a graph whose nodes have degree 1 or 2.
-
-    Open chains come first, each walked from its first-seen end; then
-    loops, each walked from its first-seen node towards that node's first
-    neighbour and closed by repeating the start.
+def _stitch(nb0: list, nb1: list, order: list) -> list:
+    """Node chains of a graph whose node v has neighbours nb0[v], nb1[v]
+    (-1 at an open end).  Open chains come first, each walked from its
+    first-seen end; then loops, each walked from its first-seen node towards
+    nb0 and closed by repeating the start.  ``order`` is the first-seen order.
     """
-    seen = set()
+    seen = bytearray(len(nb0))
     chains = []
-    for start in [node for node, nbrs in adj.items() if len(nbrs) == 1] + list(adj):
-        if start in seen:
+    for start in [v for v in order if nb1[v] < 0] + order:
+        if seen[start]:
             continue
-        chain, cur = [], start
-        while cur is not None:
+        chain, prev, cur = [], -1, start
+        while cur >= 0 and not seen[cur]:
             chain.append(cur)
-            seen.add(cur)
-            cur = next((nb for nb in adj[cur] if nb not in seen), None)
-        if len(adj[start]) == 2:
+            seen[cur] = 1
+            prev, cur = cur, nb1[cur] if nb0[cur] == prev else nb0[cur]
+        if cur == start:
             chain.append(start)
         chains.append(chain)
     return chains

@@ -43,9 +43,9 @@ class _Mapper:
 def _polyline(points, cls: str, style: str, mapper: _Mapper) -> str:
     import numpy as np
     px, py = mapper(*np.asarray(points, dtype=float).T)
+    flat = np.column_stack([px, py]).ravel().tolist()
     # with three decimals per number, a match is always a whole coordinate
-    coords = " ".join(map("{:.3f},{:.3f}".format, px.tolist(), py.tolist())
-                      ).replace("-0.000", "0.000")
+    coords = ("%.3f,%.3f " * len(px) % tuple(flat))[:-1].replace("-0.000", "0.000")
     return f'<polyline class="{cls}" points="{coords}" style="{style}" fill="none"/>'
 
 
@@ -84,22 +84,17 @@ def render_figure(rep: ChargeReport, ctx: LevelSetContext, spec: FigureSpec,
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
     ]
 
-    if "rays_top" in spec.overlays:
-        # zero level of Phi: dotted rays of the top level set
-        for phi_ang in ray_set(g.n, ctx.theta_hat, g.n).angles:
+    # dotted rays of the top fan (the zero level of Phi), then dashed rays
+    # of the next fan down (the vertical-tangent locus)
+    for name, k, color, dash in (("top", g.n, "#888888", "2,4"),
+                                 ("vertical", g.n - 1, "#bb4444", "8,4")):
+        if f"rays_{name}" not in spec.overlays:
+            continue
+        style = f"stroke:{color};stroke-width:1;stroke-dasharray:{dash}"
+        for phi_ang in ray_set(k, ctx.theta_hat, g.n).angles:
             seg = _clip_ray(phi_ang, window)
             if seg:
-                parts.append(_polyline(
-                    seg, "ray-top",
-                    "stroke:#888888;stroke-width:1;stroke-dasharray:2,4", mapper))
-    if "rays_vertical" in spec.overlays:
-        # vertical-tangent locus: dashed rays of the next level down
-        for phi_ang in ray_set(g.n - 1, ctx.theta_hat, g.n).angles:
-            seg = _clip_ray(phi_ang, window)
-            if seg:
-                parts.append(_polyline(
-                    seg, "ray-vertical",
-                    "stroke:#bb4444;stroke-width:1;stroke-dasharray:8,4", mapper))
+                parts.append(_polyline(seg, f"ray-{name}", style, mapper))
 
     if "level_set" in spec.overlays:
         contours = extract_level_set(ctx, window, spec.samples, spec.samples)

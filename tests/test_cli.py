@@ -230,6 +230,10 @@ PINNED_FIGURES = [
     ({"n": 11, "a": 2.0, "p": 1.1, "q": 0.4,
       "figure": {"window": [0.1, 3.0, -3.0, 3.0], "samples": 64}},
      "635e348d53192f64f0060fc7a722ae2de17dffcc48eb80876c96f655797cbdd4"),
+    # n = 12 on a fine grid, level set leaving the window on all four sides
+    ({"n": 12, "a": 2.0, "p": 1.1, "q": 0.4,
+      "figure": {"window": [-2.5, 2.5, -2.0, 3.0], "samples": 1024}},
+     "0cd3abe775c73a4d32ceddddcf117914b95d1e81f418c15a5a01694dd254098f"),
 ]
 
 
@@ -346,8 +350,8 @@ def test_angle_record_computed_once(tmp_path, capsys, monkeypatch):
         assert len(calls) <= 1, (command, len(calls))
 
 
-def test_sweep_skips_volume_path(tmp_path, capsys, monkeypatch):
-    # a sweep row prints no volume-path note, so no row lifts the volume path
+def _count_volume_path_lifts(monkeypatch) -> list:
+    """Record every cxy_path_lift call, wherever dhym binds the function."""
     calls = []
     original = lifting.cxy_path_lift
 
@@ -359,6 +363,12 @@ def test_sweep_skips_volume_path(tmp_path, capsys, monkeypatch):
         if (name.split(".")[0] == "dhym"
                 and getattr(mod, "cxy_path_lift", None) is original):
             monkeypatch.setattr(mod, "cxy_path_lift", counting)
+    return calls
+
+
+def test_sweep_skips_volume_path(tmp_path, capsys, monkeypatch):
+    # a sweep row prints no volume-path note, so no row lifts the volume path
+    calls = _count_volume_path_lifts(monkeypatch)
     path = write_config(tmp_path, {**STABLE, "sweep": {
         "p_range": [-2.0, 2.0], "q_range": [-1.0, 3.0],
         "p_count": 4, "q_count": 5}})
@@ -366,6 +376,17 @@ def test_sweep_skips_volume_path(tmp_path, capsys, monkeypatch):
     rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
     assert sum(r["lift_defined"] == "false" and r["route"] != "degenerate"
                for r in rows) > 0
+    assert calls == []
+
+
+def test_solve_skips_volume_path(tmp_path, capsys, monkeypatch):
+    # solve prints only the verdict and its route, so it never lifts the
+    # volume path, not even where the sector lift is undefined
+    calls = _count_volume_path_lifts(monkeypatch)
+    path = write_config(tmp_path, LIFT_UNDEFINED)
+    assert cli.main(["solve", "--config", path,
+                     "--out", str(tmp_path / "no.csv")]) == 2
+    assert "via lift_and_divisor_bounds" in capsys.readouterr().err
     assert calls == []
 
 
@@ -513,6 +534,23 @@ def test_tolerances_validated(tmp_path):
                        "--out", str(tmp_path / "no.csv")])
         assert res.returncode == 64
         assert "unknown key" in res.stderr and key in res.stderr
+
+
+def test_non_finite_ranges_exit_64(tmp_path):
+    # an infinite sweep range or figure window is a config error naming the
+    # key, not a failure at a computed grid point or a numpy warning
+    inf = math.inf
+    for command, key, doc in (
+            ("sweep", "sweep.p_range", {"sweep": {
+                "p_range": [0, inf], "q_range": [0, 1],
+                "p_count": 3, "q_count": 2}}),
+            ("figure", "figure.window", {"figure": {
+                "window": [-inf, 3, -3, 3], "samples": 64}})):
+        path = write_config(tmp_path, {"n": 3, "a": 2, "p": 1, "q": 1, **doc})
+        res = run_cli([command, "--config", path])
+        assert res.returncode == 64, command
+        assert key in res.stderr and "Warning" not in res.stderr
+        assert "Traceback" not in res.stderr and res.stdout == ""
 
 
 def test_overflow_exits_3(tmp_path):

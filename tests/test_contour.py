@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from dhym import contour
 from dhym.charges import Geometry, charge_report
 from dhym.contour import Window, extract_level_set, marching_squares
 from dhym.levelcurve import level_context
 from dhym.rays import ray_set
+
+from conftest import random_geometry
 
 
 def grid_field(fn, lo, hi, m=101):
@@ -192,3 +195,108 @@ def test_stitch_random_sign_patterns(seed):
         seen.extend(edges)
     assert len(seen) == len(set(seen))
     assert set(seen) == crossed
+
+
+def _reference_marching_squares(values, xs, ys):
+    """marching_squares with its former int64 case sums and dict-of-lists
+    graph walk, kept as the reference for the index-array stitcher."""
+    nx, ny = values.shape
+    pos = values > 0
+    case = (pos[:-1, :-1] + 2 * pos[1:, :-1] + 4 * pos[1:, 1:]
+            + 8 * pos[:-1, 1:])
+    ci, cj = np.nonzero((case != 0) & (case != 15))
+    center = (values[ci, cj] + values[ci + 1, cj]
+              + values[ci + 1, cj + 1] + values[ci, cj + 1])
+    segs = contour._segment_table()[2 * case[ci, cj] + (center > 0)]
+    n_xedges = (nx - 1) * ny
+    edges = np.column_stack([ci * ny + cj, n_xedges + (ci + 1) * (ny - 1) + cj,
+                             ci * ny + cj + 1, n_xedges + ci * (ny - 1) + cj])
+    ends = edges[np.arange(len(ci))[:, None, None], segs][segs[:, :, 0] >= 0]
+
+    adj: dict = {}
+    for a, b in ends.tolist():
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+
+    nodes = np.unique(ends)
+    is_x = nodes < n_xedges
+    i0 = np.where(is_x, nodes // ny, (nodes - n_xedges) // (ny - 1))
+    j0 = np.where(is_x, nodes % ny, (nodes - n_xedges) % (ny - 1))
+    i1, j1 = i0 + is_x, j0 + ~is_x
+    v0, v1 = values[i0, j0], values[i1, j1]
+    t = np.clip(v0 / (v0 - v1), 0.0, 1.0)
+    points = np.column_stack([xs[i0] + t * (xs[i1] - xs[i0]),
+                              ys[j0] + t * (ys[j1] - ys[j0])])
+
+    seen, chains = set(), []
+    for start in [v for v, nbrs in adj.items() if len(nbrs) == 1] + list(adj):
+        if start in seen:
+            continue
+        chain, cur = [], start
+        while cur is not None:
+            chain.append(cur)
+            seen.add(cur)
+            cur = next((nb for nb in adj[cur] if nb not in seen), None)
+        if len(adj[start]) == 2:
+            chain.append(start)
+        chains.append(chain)
+    return [points[np.searchsorted(nodes, chain)] for chain in chains]
+
+
+def _assert_same_polylines(values, xs, ys):
+    got = marching_squares(values, xs, ys)
+    want = _reference_marching_squares(values, xs, ys)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    return got
+
+
+def test_stitcher_matches_reference_on_noise(rng):
+    for _ in range(300):
+        nx, ny = (int(k) for k in rng.integers(2, 41, 2))
+        xs, ys = np.sort(rng.uniform(-5, 5, nx)), np.sort(rng.uniform(-5, 5, ny))
+        kind = rng.integers(4)
+        if kind == 0:  # smooth-ish field: long chains and loops
+            vals = (np.sin(xs[:, None] * rng.uniform(0.5, 3))
+                    * np.cos(ys[None, :] * rng.uniform(0.5, 3))
+                    + rng.uniform(-0.5, 0.5))
+        elif kind == 1:  # white noise
+            vals = rng.standard_normal((nx, ny))
+        elif kind == 2:  # checkerboard: every cell is a saddle
+            i, j = np.indices((nx, ny))
+            vals = (-1.0) ** (i + j) * rng.uniform(0.1, 1.0, (nx, ny))
+        else:  # tiny positive values: subnormal centers and crossings
+            vals = np.where(rng.random((nx, ny)) < 0.5,
+                            rng.choice([5e-324, 1e-310, 1e-300], (nx, ny)),
+                            -rng.uniform(1e-300, 1.0, (nx, ny)))
+        _assert_same_polylines(vals, xs, ys)
+
+
+def test_stitcher_matches_reference_on_level_sets(rng, monkeypatch):
+    grids = []
+
+    def recording(values, xs, ys):
+        grids.append((values, xs, ys))
+        return original(values, xs, ys)
+
+    original = contour.marching_squares
+    monkeypatch.setattr(contour, "marching_squares", recording)
+    while len(grids) < 50:
+        g = random_geometry(rng)
+        ctx = level_context(charge_report(g))
+        w = 1.3 * max(g.a, abs(g.p), abs(g.q), 1.0)
+        extract_level_set(ctx, Window(-w, w, -w, w), 128, 128)
+    for values, xs, ys in grids:
+        _assert_same_polylines(values, xs, ys)
+
+
+def test_stitcher_empty_and_single_saddle():
+    xs, ys = np.arange(5.0), np.arange(4.0)
+    assert marching_squares(np.ones((5, 4)), xs, ys) == []
+    assert marching_squares(-np.ones((5, 4)), xs, ys) == []
+    xs = ys = np.arange(2.0)
+    for corner in (2.0, 0.5):  # center positive, then negative
+        vals = np.array([[1.0, -1.0], [-1.0, corner]])
+        polys = _assert_same_polylines(vals, xs, ys)
+        assert [len(p) for p in polys] == [2, 2]

@@ -120,10 +120,13 @@ class ChargeReport:
 
 def zeta(g: Geometry) -> complex:
     """The total volume charge (a+ip)^n - (1+iq)^n."""
-    z = cpow(g.z2, g.n) - cpow(g.z1, g.n)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise OverflowError(f"zeta overflow for {g}")
-    return z
+    try:  # cpow raises OverflowError when |z|^n leaves the float range
+        z = cpow(g.z2, g.n) - cpow(g.z1, g.n)
+        if math.isfinite(z.real) and math.isfinite(z.imag):
+            return z
+    except OverflowError:
+        pass
+    raise OverflowError(f"zeta overflow for {g}")
 
 
 def theta_hat(g: Geometry, tol: Tolerances = DEFAULT_TOL) -> tuple[float, float]:

@@ -18,8 +18,8 @@ from .config import ConfigError, RunConfig, load_config
 from .figure import FigureError, render_figure
 from .levelcurve import (TraceError, graphical_existence, level_context,
                          same_component, trace_solution, verify_solution)
-from .lifting import LiftedAngle, OriginHit, cxy_path_lift, sector_lift
-from .stability import Existence, decide_existence, stability_verdict
+from .lifting import LiftedAngle, OriginHit, cxy_path_lift
+from .stability import Existence, existence_verdict
 from .tolerances import Tolerances
 
 EXIT_EXISTS = 0
@@ -56,20 +56,15 @@ def analysis_report(g: Geometry, tol: Tolerances) -> dict:
                         for v, z in rep.charges.items()},
         },
     }
-    stab = lift = cxy = None
-    if not rep.degenerate:
-        stab, lift = stability_verdict(rep), sector_lift(rep)
-        cxy = cxy_path_lift(rep)
-    verdict = decide_existence(rep, stab, lift, cxy)
-    out["existence"] = {
-        "value": verdict.value.value,
-        "route": verdict.route.value,
-        "notes": dict(sorted(verdict.notes.items())),
-    }
+    verdict = existence_verdict(rep)
+    notes = dict(verdict.notes)
+    out["existence"] = {"value": verdict.value.value,
+                        "route": verdict.route.value, "notes": notes}
     if rep.degenerate:
-        out["charge"]["degenerate_m"] = verdict.notes["degenerate_m"]
+        out["charge"]["degenerate_m"] = notes["degenerate_m"]
         return out
 
+    stab, lift = verdict.stability, verdict.lift
     out["stability"] = {
         "overall": stab.overall.value,
         "per_k": {str(k): {"sign_H": pk.sign_h.value.value,
@@ -79,6 +74,14 @@ def analysis_report(g: Geometry, tol: Tolerances) -> dict:
                            "verdict": pk.verdict.value}
                   for k, pk in sorted(stab.per_k.items())},
     }
+    cxy = cxy_path_lift(rep)
+    if isinstance(cxy, OriginHit):
+        out["volume_path"] = {"defined": False, "origin_hit_t": cxy.t_star}
+        note = f"origin hit at t = {cxy.t_star:.9f}"
+    else:
+        out["volume_path"] = {"defined": True, "winding": cxy.winding,
+                              "lifted": cxy.lifted}
+        note = f"lift {cxy.lifted:.9f} (corroborating only)"
     if isinstance(lift, LiftedAngle):
         out["lift"] = {"defined": True, "method": lift.method,
                        "winding": lift.winding, "lifted": lift.lifted,
@@ -86,11 +89,7 @@ def analysis_report(g: Geometry, tol: Tolerances) -> dict:
     else:
         out["lift"] = {"defined": False, "reason": lift.reason,
                        "detail": lift.detail}
-    if isinstance(cxy, OriginHit):
-        out["volume_path"] = {"defined": False, "origin_hit_t": cxy.t_star}
-    else:
-        out["volume_path"] = {"defined": True, "winding": cxy.winding,
-                              "lifted": cxy.lifted}
+        notes["volume_path"] = note
     sc = same_component(rep, level_context(rep))
     out["same_component"] = {"status": sc.status,
                              "rays_between": sc.rays_between,
@@ -120,10 +119,7 @@ def _solve_rows(curve) -> str:
 
 def run_solve(cfg: RunConfig, out_path: str | None, stdout, stderr) -> int:
     rep = charge_report(cfg.geometry, cfg.tolerances)
-    stab = lift = None
-    if not rep.degenerate:
-        stab, lift = stability_verdict(rep), sector_lift(rep)
-    verdict = decide_existence(rep, stab, lift, None)  # no volume-path note
+    verdict = existence_verdict(rep)
     if verdict.value is not Existence.EXISTS:
         stderr.write(f"no solve attempted: existence is "
                      f"{verdict.value.value} via {verdict.route.value}\n")
@@ -192,17 +188,15 @@ def _linspace(start: float, stop: float, num: int) -> list:
 
 def _sweep_row(g: Geometry, tol: Tolerances) -> str:
     nan = float("nan")
-    rep = charge_report(g, tol)
-    if rep.degenerate:
-        return _SWEEP_ROW % (g.p, g.q, "degenerate", "inconclusive",
-                             "degenerate", "false", nan, nan, nan)
-    stab = stability_verdict(rep)
+    verdict = existence_verdict(charge_report(g, tol))
+    stab, lift = verdict.stability, verdict.lift
+    if stab is None:  # degenerate
+        return _SWEEP_ROW % (g.p, g.q, "degenerate", verdict.value.value,
+                             verdict.route.value, "false", nan, nan, nan)
     stab_margin = min(min(pk.sign_h.margin, pk.sign_e.margin)
                       for pk in stab.per_k.values())
-    lift = sector_lift(rep)
     lift_defined = isinstance(lift, LiftedAngle)
     lift_margin = lift.margin if lift_defined else nan
-    verdict = decide_existence(rep, stab, lift, None)  # no volume-path note
     div_margin = verdict.notes.get("divisor_margin", nan)
     return _SWEEP_ROW % (g.p, g.q, stab.overall.value, verdict.value.value,
                          verdict.route.value, "true" if lift_defined else "false",

@@ -111,8 +111,10 @@ def parse_config(doc) -> RunConfig:
         if sweep.p_count < 1 or sweep.q_count < 1:
             raise ConfigError("sweep grid counts must be >= 1")
         for key in ("p_range", "q_range"):
-            if not all(map(math.isfinite, getattr(sweep, key))):
-                raise ConfigError(f"sweep.{key} must be finite, got {sdoc[key]!r}")
+            lo, hi = getattr(sweep, key)
+            if not math.isfinite(hi - lo):  # also catches a non-finite end
+                raise ConfigError(f"sweep.{key} must be finite with a finite "
+                                  f"width, got {sdoc[key]!r}")
 
     figure = None
     if "figure" in doc:
@@ -125,8 +127,11 @@ def parse_config(doc) -> RunConfig:
             window = Window(float(w[0]), float(w[1]), float(w[2]), float(w[3]))
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed figure window: {exc}") from exc
-        if not all(map(math.isfinite, dataclasses.astuple(window))):
-            raise ConfigError(f"figure.window must be finite, got {w!r}")
+        # a finite width also rules out a non-finite end
+        if not (math.isfinite(window.xmax - window.xmin)
+                and math.isfinite(window.ymax - window.ymin)):
+            raise ConfigError(f"figure.window must be finite with a finite "
+                              f"width, got {w!r}")
         if not (window.xmin < window.xmax and window.ymin < window.ymax):
             raise ConfigError("figure window must be non-empty")
         samples = fdoc.get("samples", 256)

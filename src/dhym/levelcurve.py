@@ -219,23 +219,33 @@ def trace_solution(rep: ChargeReport, ctx: LevelSetContext) -> SolutionCurve:
     else:
         y = xs * np.tan(_arc_angles(rep, ctx, xs))
     target = tol.tol_level * ctx.scale
-    for _ in range(_NEWTON_STEPS):
-        r, gx, gy = _level_terms(xs, y, ctx)
-        vertical = np.abs(gy) <= 1e-12 * np.hypot(gx, gy)
-        if np.any(vertical):
-            raise TraceError(f"vertical tangent at x={xs[np.argmax(vertical)]!r}")
-        off = np.abs(r) > target
-        if not np.any(off):
-            break
-        y = np.where(off, y - r / gy, y)
-    else:
-        raise TraceError(f"level polish did not converge at x={xs[np.argmax(off)]!r}")
+    # a node whose terms overflow comes out NaN or inf and counts as off
+    # the level, so the polish reports it instead of numpy warning about it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            r, gx, gy = _level_terms(xs, y, ctx)
+            vertical = np.abs(gy) <= 1e-12 * np.hypot(gx, gy)
+            if np.any(vertical):
+                raise TraceError(f"vertical tangent at "
+                                 f"x={float(xs[np.argmax(vertical)])!r}")
+            off = ~(np.abs(r) <= target)
+            if not np.any(off):
+                break
+            y = np.where(off, y - r / gy, y)
+        else:
+            raise TraceError(f"level polish did not converge at "
+                             f"x={float(xs[np.argmax(off)])!r}")
     fp = -gx / gy
     res, theta = _ode_terms(xs, y, fp, ctx)
+    res_max = float(np.max(np.abs(res)))
+    with np.errstate(over="ignore"):
+        res_l2 = float(np.sqrt(np.mean(res ** 2)))
+    if not math.isfinite(res_l2) and math.isfinite(res_max):
+        # the squares overflowed; rescaling by the max keeps them in range
+        res_l2 = res_max * float(np.sqrt(np.mean((res / res_max) ** 2)))
     return SolutionCurve(
         x=xs, f=y, f_prime=fp, residual=res, c=ctx.c,
-        residual_max=float(np.max(np.abs(res))),
-        residual_l2=float(np.sqrt(np.mean(res ** 2))),
+        residual_max=res_max, residual_l2=res_l2,
         theta_pointwise=theta,
         endpoint_error=float(abs(y[-1] - g.p)),
     )

@@ -5,8 +5,10 @@ one sign over both generators z1 = 1+iq, z2 = a+ip; one-signedness for
 every k in 1..n-1 suffices for a solution (the sign may differ across k).
 The necessary-and-sufficient route instead checks that the average angle
 lifts and that both divisor angles (n-1)*arg(z) fall within pi/2 of the
-lifted angle.  Every function here reads the instance's angle record
-(charges.charge_report) and recomputes none of it.
+lifted angle.  existence_verdict is the one existence decision: it runs
+both routes once and returns them with the verdict.  The volume-path lift
+decides nothing and is not read here.  Every function here reads the
+instance's angle record (charges.charge_report) and recomputes none of it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .charges import ChargeReport, degeneracy_check
-from .lifting import LiftedAngle, LiftUndefined, OriginHit, cxy_path_lift, sector_lift
+from .lifting import LiftedAngle, LiftUndefined, sector_lift
 from .rays import SectorVerdict, Sign, sector_of
 
 
@@ -64,6 +66,9 @@ class ExistenceVerdict:
     value: Existence
     route: Route
     notes: dict = field(default_factory=dict)
+    # what the verdict was decided from; None for a degenerate record
+    stability: StabilityReport | None = None
+    lift: LiftedAngle | LiftUndefined | None = None
 
 
 class BoundsStatus(Enum):
@@ -130,16 +135,7 @@ def divisor_angle_bounds(rep: ChargeReport, lift: LiftedAngle) -> BoundsCheck:
 
 
 def existence_verdict(rep: ChargeReport) -> ExistenceVerdict:
-    """The existence decision for the record; see decide_existence."""
-    if rep.degenerate:
-        return decide_existence(rep, None, None, None)
-    stab, lift = stability_verdict(rep), sector_lift(rep)
-    cxy = cxy_path_lift(rep) if isinstance(lift, LiftUndefined) else None
-    return decide_existence(rep, stab, lift, cxy)
-
-
-def decide_existence(rep: ChargeReport, stab, lift, cxy) -> ExistenceVerdict:
-    """Combine the degenerate guard, the lift route, and the stability route.
+    """The existence decision for the record.
 
     The lift route is authoritative: existence iff the sector lift is
     defined and both divisor bounds hold.  When the lift is undefined we
@@ -147,31 +143,29 @@ def decide_existence(rep: ChargeReport, stab, lift, cxy) -> ExistenceVerdict:
     could in principle still define a lift.  Stability is recorded and used
     as an independent certificate when the lift route is marginal.
 
-    ``stab``, ``lift`` and ``cxy`` are stability_verdict, sector_lift and
-    cxy_path_lift of the record ``rep``.  Only ``rep`` is read for a
-    degenerate instance, and ``cxy`` only when ``lift`` is undefined; with
-    ``cxy`` None the notes leave out the volume path.
+    The verdict carries the stability report and the sector lift it was
+    decided from; a degenerate record gets neither, and only ``rep`` is read.
     """
     if rep.degenerate:
         return ExistenceVerdict(
             Existence.INCONCLUSIVE, Route.DEGENERATE,
             notes={"degenerate_m": degeneracy_check(rep), "r_x": rep.r_x})
-
+    stab, lift = stability_verdict(rep), sector_lift(rep)
+    stable = stab.overall is Overall.STABLE
     notes: dict = {"lemma_stability": stab.overall.value}
+
+    def verdict(value: Existence, route=Route.THEOREM_BICONDITIONAL):
+        return ExistenceVerdict(value, route, notes, stab, lift)
+
     if isinstance(lift, LiftUndefined):
         notes["lift"] = "undefined"
         notes["lift_reason"] = lift.reason
         notes["lift_detail"] = lift.detail
-        if isinstance(cxy, OriginHit):
-            notes["volume_path"] = f"origin hit at t = {cxy.t_star:.9f}"
-        elif cxy is not None:
-            notes["volume_path"] = f"lift {cxy.lifted:.9f} (corroborating only)"
-        if stab.overall is Overall.STABLE:
+        if stable:
             # stability guarantees the sector condition; reaching this branch
             # means the gap sits inside the angular deadband
             notes["anomaly"] = "stable but sector lift undefined (knife edge)"
-        return ExistenceVerdict(Existence.INCONCLUSIVE,
-                                Route.THEOREM_BICONDITIONAL, notes)
+        return verdict(Existence.INCONCLUSIVE)
 
     notes["lift"] = lift.lifted
     notes["winding"] = lift.winding
@@ -179,24 +173,19 @@ def decide_existence(rep: ChargeReport, stab, lift, cxy) -> ExistenceVerdict:
     bounds = divisor_angle_bounds(rep, lift)
     notes["divisor_margin"] = bounds.margin
     if bounds.status is BoundsStatus.OK:
-        route = (Route.THEOREM_SUFFICIENT if stab.overall is Overall.STABLE
+        route = (Route.THEOREM_SUFFICIENT if stable
                  else Route.THEOREM_BICONDITIONAL)
-        return ExistenceVerdict(Existence.EXISTS, Route.THEOREM_BICONDITIONAL,
-                                notes | {"also_certified_by_stability":
-                                         stab.overall is Overall.STABLE,
-                                         "sufficient_route": route.value})
+        notes["also_certified_by_stability"] = stable
+        notes["sufficient_route"] = route.value
+        return verdict(Existence.EXISTS)
     if bounds.status is BoundsStatus.FAIL:
-        if stab.overall is Overall.STABLE:
+        if stable:
             notes["anomaly"] = "stable yet divisor bound fails"
-            return ExistenceVerdict(Existence.INCONCLUSIVE,
-                                    Route.THEOREM_BICONDITIONAL, notes)
+            return verdict(Existence.INCONCLUSIVE)
         notes["failed_divisor"] = bounds.which
-        return ExistenceVerdict(Existence.NOT_EXISTS,
-                                Route.THEOREM_BICONDITIONAL, notes)
+        return verdict(Existence.NOT_EXISTS)
     # marginal divisor bound
-    if stab.overall is Overall.STABLE:
-        return ExistenceVerdict(Existence.EXISTS, Route.THEOREM_SUFFICIENT,
-                                notes | {"divisor_bound": "marginal"})
-    return ExistenceVerdict(Existence.INCONCLUSIVE,
-                            Route.THEOREM_BICONDITIONAL,
-                            notes | {"divisor_bound": "marginal"})
+    notes["divisor_bound"] = "marginal"
+    if stable:
+        return verdict(Existence.EXISTS, Route.THEOREM_SUFFICIENT)
+    return verdict(Existence.INCONCLUSIVE)

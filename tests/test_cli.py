@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from dhym import charges, cli, lifting
+from dhym import charges, cli, lifting, stability
 from dhym.config import ConfigError, load_config
 
 from conftest import degenerate_example, scaled_example
@@ -329,46 +329,55 @@ def test_main_reuses_parser(tmp_path, capsys):
     assert outs == [run_cli(args).stdout for args in (analyze, solve, analyze)]
 
 
-def test_angle_record_computed_once(tmp_path, capsys, monkeypatch):
-    # one in-process command evaluates zeta at most once, wherever it is bound
+def _count_calls(monkeypatch, module, name) -> list:
+    """Record every call of module.name, wherever dhym binds the function."""
     calls = []
-    original = charges.zeta
+    original = getattr(module, name)
 
-    def counting(g):
-        calls.append(g)
-        return original(g)
+    def counting(arg):
+        calls.append(arg)
+        return original(arg)
 
-    for name, mod in list(sys.modules.items()):
-        if name.split(".")[0] == "dhym" and getattr(mod, "zeta", None) is original:
-            monkeypatch.setattr(mod, "zeta", counting)
+    for mod_name, mod in list(sys.modules.items()):
+        if (mod_name.split(".")[0] == "dhym"
+                and getattr(mod, name, None) is original):
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+def test_angle_record_computed_once(tmp_path, capsys, monkeypatch):
+    # one in-process command evaluates zeta at most once and decides
+    # existence exactly once, wherever either function is bound
+    zetas = _count_calls(monkeypatch, charges, "zeta")
+    verdicts = _count_calls(monkeypatch, stability, "existence_verdict")
     path = write_config(tmp_path, STABLE)
     for command in ("analyze", "solve"):
-        calls.clear()
+        zetas.clear()
+        verdicts.clear()
         assert cli.main([command, "--config", path,
                          "--out", str(tmp_path / "out")]) == 0
         capsys.readouterr()
-        assert len(calls) <= 1, (command, len(calls))
+        assert len(zetas) <= 1, (command, len(zetas))
+        assert len(verdicts) == 1, (command, len(verdicts))
 
 
-def _count_volume_path_lifts(monkeypatch) -> list:
-    """Record every cxy_path_lift call, wherever dhym binds the function."""
-    calls = []
-    original = lifting.cxy_path_lift
-
-    def counting(rep):
-        calls.append(rep)
-        return original(rep)
-
-    for name, mod in list(sys.modules.items()):
-        if (name.split(".")[0] == "dhym"
-                and getattr(mod, "cxy_path_lift", None) is original):
-            monkeypatch.setattr(mod, "cxy_path_lift", counting)
-    return calls
+def test_volume_path_lifted_by_analyze_only(tmp_path, capsys, monkeypatch):
+    # the existence decision never lifts the volume path, not even where the
+    # sector lift is undefined; analyze lifts it once for its own report
+    calls = _count_calls(monkeypatch, lifting, "cxy_path_lift")
+    verdict = stability.existence_verdict(charges.charge_report(scaled_example()))
+    assert verdict.value is stability.Existence.INCONCLUSIVE
+    assert "volume_path" not in verdict.notes and calls == []
+    assert cli.main(["analyze", "--config",
+                     write_config(tmp_path, ORIGIN_HIT)]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert len(calls) == 1
+    assert report["existence"]["notes"]["volume_path"].startswith("origin hit")
 
 
 def test_sweep_skips_volume_path(tmp_path, capsys, monkeypatch):
     # a sweep row prints no volume-path note, so no row lifts the volume path
-    calls = _count_volume_path_lifts(monkeypatch)
+    calls = _count_calls(monkeypatch, lifting, "cxy_path_lift")
     path = write_config(tmp_path, {**STABLE, "sweep": {
         "p_range": [-2.0, 2.0], "q_range": [-1.0, 3.0],
         "p_count": 4, "q_count": 5}})
@@ -382,7 +391,7 @@ def test_sweep_skips_volume_path(tmp_path, capsys, monkeypatch):
 def test_solve_skips_volume_path(tmp_path, capsys, monkeypatch):
     # solve prints only the verdict and its route, so it never lifts the
     # volume path, not even where the sector lift is undefined
-    calls = _count_volume_path_lifts(monkeypatch)
+    calls = _count_calls(monkeypatch, lifting, "cxy_path_lift")
     path = write_config(tmp_path, LIFT_UNDEFINED)
     assert cli.main(["solve", "--config", path,
                      "--out", str(tmp_path / "no.csv")]) == 2
@@ -545,7 +554,13 @@ def test_non_finite_ranges_exit_64(tmp_path):
                 "p_range": [0, inf], "q_range": [0, 1],
                 "p_count": 3, "q_count": 2}}),
             ("figure", "figure.window", {"figure": {
-                "window": [-inf, 3, -3, 3], "samples": 64}})):
+                "window": [-inf, 3, -3, 3], "samples": 64}}),
+            # finite ends whose width overflows
+            ("sweep", "sweep.p_range", {"sweep": {
+                "p_range": [-1e308, 1e308], "q_range": [0, 1],
+                "p_count": 3, "q_count": 2}}),
+            ("figure", "figure.window", {"figure": {
+                "window": [-1e308, 1e308, -3, 3], "samples": 64}})):
         path = write_config(tmp_path, {"n": 3, "a": 2, "p": 1, "q": 1, **doc})
         res = run_cli([command, "--config", path])
         assert res.returncode == 64, command
@@ -561,9 +576,51 @@ def test_overflow_exits_3(tmp_path):
             # the charges are finite, but z^n overflows on the figure grid
             ("figure", {"n": 1200, "a": 1.01, "p": 0, "q": 0,
                         "figure": {"window": [-1.3, 1.3, -1.3, 1.3],
-                                   "samples": 64}})):
+                                   "samples": 64}}),
+            # z2^n leaves the float range at one grid point, which the
+            # message names
+            ("sweep", {"n": 3, "a": 2, "p": 0, "q": 0, "sweep": {
+                "p_range": [0, 1e200], "q_range": [0, 0],
+                "p_count": 2, "q_count": 1}})):
         path = write_config(tmp_path, doc)
         res = run_cli([command, "--config", path])
         assert res.returncode == 3, command
         assert "overflow" in res.stderr and "Traceback" not in res.stderr
         assert "Warning" not in res.stderr and res.stdout == ""
+        if command == "sweep":
+            assert "p=1e+200" in res.stderr
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+@pytest.mark.parametrize("command,doc,code", [
+    # the residual's squares overflow, though every residual is finite
+    ("solve", {"n": 16, "a": 2042771443713.4456, "p": 222241502356885.84,
+               "q": 6031517675622.951}, 0),
+    # the polish overflows to NaN nodes: an anomaly, not a NaN summary
+    ("solve", {"n": 2, "a": 1.3686385038302029e+94,
+               "p": -1.5927239311624523e+89, "q": -6.46789271801482e+95}, 3),
+    # the figure's trace overflows the same way and must fail without a warning
+    ("figure", {"n": 2, "a": 3.233796133252511e+100, "p": -1e+150,
+                "q": -8.984439347343544e+134,
+                "figure": {"window": [-2e150, 2e150, -2e150, 2e150],
+                           "samples": 64}}, 0),
+])
+def test_large_magnitudes_give_strict_output(command, doc, code, tmp_path):
+    path = write_config(tmp_path, doc)
+    args = [command, "--config", path]
+    if command == "solve":
+        args += ["--out", str(tmp_path / "solution.csv")]
+    res = run_cli(args)
+    assert res.returncode == code, res.stderr
+    assert "Warning" not in res.stderr and "Traceback" not in res.stderr
+    if command == "figure":
+        ET.fromstring(res.stdout)
+    elif code == 0:
+        summary = json.loads(res.stdout, parse_constant=_reject_constant)
+        assert summary["verified"] is True
+    else:
+        assert res.stdout == "" and res.stderr.startswith("anomaly: ")
+        assert "np.float64" not in res.stderr

@@ -10,8 +10,7 @@ from .levelcurve import (LevelSetContext, SolutionCurve, TraceError,
                          same_component, trace_solution, verify_solution)
 from .lifting import (LiftedAngle, LiftUndefined, OriginHit, cxy_path_lift,
                       sector_lift)
-from .rays import (RaySet, SectorVerdict, Sign, check_alternation, ray_set,
-                   rays_between, sector_of)
+from .rays import SectorVerdict, Sign, ray_set, rays_between, sector_of
 from .stability import (Existence, ExistenceVerdict, Overall, StabilityReport,
                         divisor_angle_bounds, existence_verdict,
                         stability_verdict, supercritical_check)

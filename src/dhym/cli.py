@@ -109,10 +109,10 @@ def run_analyze(cfg: RunConfig, out_path: str | None, stdout) -> int:
     return _EXIT_FOR[Existence(report["existence"]["value"])]
 
 
-def _solve_rows(curve) -> str:
+def _solve_rows(curve, check) -> str:
     import numpy as np
-    rows = np.column_stack((curve.x, curve.f, curve.f_prime, curve.residual,
-                            curve.theta_pointwise)).tolist()
+    rows = np.column_stack((curve.x, curve.f, curve.f_prime, check.residual,
+                            check.theta_pointwise)).tolist()
     return "x,f,f_prime,residual,theta\n" + "".join(
         [_SOLVE_ROW % tuple(row) for row in rows])
 
@@ -130,18 +130,18 @@ def run_solve(cfg: RunConfig, out_path: str | None, stdout, stderr) -> int:
     except TraceError as exc:
         stderr.write(f"anomaly: trace failed despite yes-verdict: {exc}\n")
         return EXIT_ANOMALY
-    csv_text = _solve_rows(curve)
+    check = verify_solution(curve, rep, ctx)
+    # the CSV is written whether or not the curve verifies
     target = out_path or "solution.csv"
     with open(target, "w") as fh:
-        fh.write(csv_text)
-    check = verify_solution(curve, rep, ctx)
+        fh.write(_solve_rows(curve, check))
     summary = {
         "samples": len(curve.x),
         "csv": target,
-        "c": curve.c,
-        "endpoint_error": curve.endpoint_error,
-        "residual_max": curve.residual_max,
-        "residual_l2": curve.residual_l2,
+        "c": ctx.c,
+        "endpoint_error": check.endpoint_error,
+        "residual_max": check.residual_max,
+        "residual_l2": check.residual_l2,
         "theta_mean": check.theta_mean,
         "theta_oscillation": check.theta_oscillation,
         "verified": check.passed,

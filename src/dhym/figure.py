@@ -91,7 +91,7 @@ def render_figure(rep: ChargeReport, ctx: LevelSetContext, spec: FigureSpec,
         if f"rays_{name}" not in spec.overlays:
             continue
         style = f"stroke:{color};stroke-width:1;stroke-dasharray:{dash}"
-        for phi_ang in ray_set(k, ctx.theta_hat, g.n).angles:
+        for phi_ang in ray_set(k, ctx.theta_hat, g.n):
             seg = _clip_ray(phi_ang, window)
             if seg:
                 parts.append(_polyline(seg, f"ray-{name}", style, mapper))

@@ -7,8 +7,10 @@ that arc is explicit, r(phi) = (c / sin(n phi - theta_hat))^(1/n) for phi
 between arg z1 and arg z2, so nothing is integrated: every node of the
 output grid is solved at once, seeded by bisecting for the angle with
 r(phi) cos(phi) = x and polished by Newton steps in y on Phi = c.  The
-layers read the angle record (charges.charge_report) and the context that
-level_context builds from it once, and recompute neither.  Only the
+trace only solves; verify_solution is the one place that measures a curve
+(its level, the ODE residual, the pointwise angle and the endpoint error).
+The layers read the angle record (charges.charge_report) and the context
+that level_context builds from it once, and recompute neither.  Only the
 array functions import numpy, so the verdicts run without loading it.
 """
 
@@ -33,7 +35,7 @@ class GraphicalPreconditionError(TraceError):
 # halvings that shrink the angle bracket, no wider than pi/n <= pi/2, below
 # the spacing of doubles near 1
 _BISECTIONS = 53
-# Newton steps in y allowed to reach |Phi - c| <= tol_level * scale
+# Newton steps in y allowed to bring every node onto its level target
 _NEWTON_STEPS = 16
 
 
@@ -63,29 +65,20 @@ class SolutionCurve:
     x: np.ndarray
     f: np.ndarray
     f_prime: np.ndarray
-    residual: np.ndarray  # of the ODE at each node, as in _ode_terms
-    c: float
-    residual_max: float
-    residual_l2: float
-    theta_pointwise: np.ndarray
-    endpoint_error: float
 
 
 @dataclass(frozen=True)
 class VerificationReport:
+    residual: np.ndarray  # of the ODE at each node, as in _ode_terms
+    theta_pointwise: np.ndarray
     residual_max: float
+    residual_l2: float
     residual_bound: float
-    residual_ok: bool
     theta_oscillation: float
-    oscillation_ok: bool
     theta_mean: float
-    theta_matches_average_angle: bool
-    theta_in_range: bool
     endpoint_error: float
-    endpoint_ok: bool
-    level_max: float
-    level_bound: float
-    level_ok: bool
+    level_max: float  # worst |Phi - c| over the node's own scale
+    level_bound: float  # tol_level
     passed: bool
 
 
@@ -166,6 +159,15 @@ def _level_terms(x: np.ndarray, y: np.ndarray, ctx: LevelSetContext):
     return np.imag(u * z) - ctx.c, ctx.n * u.imag, ctx.n * u.real
 
 
+def _node_scale(x: np.ndarray, y: np.ndarray,
+                ctx: LevelSetContext) -> np.ndarray:
+    """min(scale, max(1, |z|)^n) at each node: the size of Phi's rounding
+    error there.  The cap keeps a node that runs off from loosening its own
+    bound; on the exact arc |z| peaks at an endpoint, so it never binds."""
+    import numpy as np
+    return np.minimum(ctx.scale, np.maximum(1.0, np.hypot(x, y)) ** ctx.n)
+
+
 def _arc_angles(rep: ChargeReport, ctx: LevelSetContext,
                 xs: np.ndarray) -> np.ndarray:
     """Angle phi of the arc point above each x, by bisection on
@@ -203,9 +205,11 @@ def trace_solution(rep: ChargeReport, ctx: LevelSetContext) -> SolutionCurve:
 
     All nodes at once: each is seeded from the polar form of the arc, or
     from the common ray on the zero level, and polished by Newton steps in
-    y until |Phi - c| <= tol_level * scale.  The reported slope is the
-    exact level-set slope -Phi_x / Phi_y there.  ``ctx`` is level_context
-    of the record.
+    y until |Phi - c| <= tol_level * min(scale, max(1, |z_j|)^n) at every
+    node z_j, the bound verify_solution checks.  The reported slope is the
+    exact level-set slope -Phi_x / Phi_y there.  The curve carries only its
+    samples; verify_solution measures it.  ``ctx`` is level_context of the
+    record.
     """
     import numpy as np
     g, tol = rep.g, rep.tol
@@ -218,7 +222,6 @@ def trace_solution(rep: ChargeReport, ctx: LevelSetContext) -> SolutionCurve:
         y = g.q * xs  # the common ray; exact when c is exactly zero
     else:
         y = xs * np.tan(_arc_angles(rep, ctx, xs))
-    target = tol.tol_level * ctx.scale
     # a node whose terms overflow comes out NaN or inf and counts as off
     # the level, so the polish reports it instead of numpy warning about it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -228,63 +231,58 @@ def trace_solution(rep: ChargeReport, ctx: LevelSetContext) -> SolutionCurve:
             if np.any(vertical):
                 raise TraceError(f"vertical tangent at "
                                  f"x={float(xs[np.argmax(vertical)])!r}")
-            off = ~(np.abs(r) <= target)
+            off = ~(np.abs(r) <= tol.tol_level * _node_scale(xs, y, ctx))
             if not np.any(off):
                 break
             y = np.where(off, y - r / gy, y)
         else:
             raise TraceError(f"level polish did not converge at "
                              f"x={float(xs[np.argmax(off)])!r}")
-    fp = -gx / gy
-    res, theta = _ode_terms(xs, y, fp, ctx)
-    res_max = float(np.max(np.abs(res)))
-    with np.errstate(over="ignore"):
-        res_l2 = float(np.sqrt(np.mean(res ** 2)))
-    if not math.isfinite(res_l2) and math.isfinite(res_max):
-        # the squares overflowed; rescaling by the max keeps them in range
-        res_l2 = res_max * float(np.sqrt(np.mean((res / res_max) ** 2)))
-    return SolutionCurve(
-        x=xs, f=y, f_prime=fp, residual=res, c=ctx.c,
-        residual_max=res_max, residual_l2=res_l2,
-        theta_pointwise=theta,
-        endpoint_error=float(abs(y[-1] - g.p)),
-    )
+    return SolutionCurve(x=xs, f=y, f_prime=-gx / gy)
 
 
 def verify_solution(curve: SolutionCurve, rep: ChargeReport,
                     ctx: LevelSetContext) -> VerificationReport:
-    """Independent check of a traced curve against the original equation.
+    """Independent check of a traced curve against the original equation,
+    and the one place its figures are computed.
 
     ``ctx`` is level_context of the record, so c comes from the input, never
     from the curve.  The level check reads only the samples (x, f): every
-    node must satisfy |Phi(x, f) - c| <= tol_level * scale, the target the
-    trace polishes to.  The residual and the pointwise angle read the
-    curve's own f_prime.
+    node z_j must satisfy |Phi(x_j, f_j) - c| <= tol_level * min(scale,
+    max(1, |z_j|)^n), the bound of Phi's rounding error at that node, capped
+    at the instance scale; a non-finite node fails it.  The residual of the
+    ODE and the pointwise angle read the curve's own f_prime.
     """
     import numpy as np
     g, tol = rep.g, rep.tol
-    level_max = float(np.max(np.abs(_level_terms(curve.x, curve.f, ctx)[0])))
-    level_bound = tol.tol_level * ctx.scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        level = (np.abs(_level_terms(curve.x, curve.f, ctx)[0])
+                 / _node_scale(curve.x, curve.f, ctx))
+    # a NaN ratio propagates through the max and fails the bound below
+    level_max = float(np.max(level))
     res, theta = _ode_terms(curve.x, curve.f, curve.f_prime, ctx)
     residual_max = float(np.max(np.abs(res)))
+    with np.errstate(over="ignore"):
+        residual_l2 = float(np.sqrt(np.mean(res ** 2)))
+    if not math.isfinite(residual_l2) and math.isfinite(residual_max):
+        # the squares overflowed; rescaling by the max keeps them in range
+        residual_l2 = residual_max * float(
+            np.sqrt(np.mean((res / residual_max) ** 2)))
     zmax = float(np.max(np.hypot(curve.x, curve.f)))
     residual_bound = tol.tol_endpoint * (1.0 + zmax ** (ctx.n - 1))
     osc = float(np.max(theta) - np.min(theta))
     mean = float(np.mean(theta))
-    matches = abs(math.remainder(mean - ctx.theta_hat, math.tau)) <= tol.tol_angle
-    in_range = -ctx.n * math.pi / 2 < mean < ctx.n * math.pi / 2
     endpoint_error = float(abs(curve.f[-1] - g.p))
-    endpoint_ok = endpoint_error <= tol.tol_endpoint * max(1.0, abs(g.p))
     passed = (residual_max <= residual_bound and osc <= tol.tol_angle
-              and matches and in_range and endpoint_ok
-              and level_max <= level_bound)
+              and abs(math.remainder(mean - ctx.theta_hat, math.tau))
+              <= tol.tol_angle
+              and -ctx.n * math.pi / 2 < mean < ctx.n * math.pi / 2
+              and endpoint_error <= tol.tol_endpoint * max(1.0, abs(g.p))
+              and level_max <= tol.tol_level)
     return VerificationReport(
-        residual_max=residual_max, residual_bound=residual_bound,
-        residual_ok=residual_max <= residual_bound,
-        theta_oscillation=osc, oscillation_ok=osc <= tol.tol_angle,
-        theta_mean=mean, theta_matches_average_angle=matches,
-        theta_in_range=in_range,
-        endpoint_error=endpoint_error, endpoint_ok=endpoint_ok,
-        level_max=level_max, level_bound=level_bound,
-        level_ok=level_max <= level_bound, passed=passed,
+        residual=res, theta_pointwise=theta, residual_max=residual_max,
+        residual_l2=residual_l2, residual_bound=residual_bound,
+        theta_oscillation=osc, theta_mean=mean,
+        endpoint_error=endpoint_error, level_max=level_max,
+        level_bound=tol.tol_level, passed=passed,
     )

@@ -14,7 +14,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .charges import ChargeReport, cpow
+from .charges import ChargeReport
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,6 @@ class LiftedAngle:
 @dataclass(frozen=True)
 class OriginHit:
     t_star: float
-    min_modulus: float
 
 
 @dataclass(frozen=True)
@@ -71,10 +70,8 @@ def cxy_path_lift(rep: ChargeReport) -> LiftedAngle | OriginHit:
     j = min(range(g.n), key=slack.__getitem__)  # the first smallest slack
     if slack[j] <= rep.tol.eps_angle:
         beta = 1j * (g.p - w[j] * g.q)
-        t_star = -((g.a - w[j]) * beta.conjugate()).real / abs(beta) ** 2
-        gamma = (cpow(complex(g.a, t_star * g.p), g.n)
-                 - cpow(complex(1.0, t_star * g.q), g.n))
-        return OriginHit(t_star=t_star, min_modulus=abs(gamma))
+        return OriginHit(
+            t_star=-((g.a - w[j]) * beta.conjugate()).real / abs(beta) ** 2)
     return _finish_lift(rep, math.fsum(subtended), slack[j], "volume_path")
 
 

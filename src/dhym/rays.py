@@ -5,7 +5,7 @@ sin((n-k)*pi/2 - theta_hat + k*phi) = 0; these are the directions where
 Im(i^(n-k) e^(-i theta_hat) z^k) changes sign.  Adjacent rays bound
 alternating positive/negative sectors, and consecutive levels interleave.
 The verdicts read signs, ray counts and ray labels off that fan angle in
-closed form; only the figure and check_alternation list the rays.
+closed form; only the figure lists the rays.
 """
 
 from __future__ import annotations
@@ -31,16 +31,9 @@ class SectorVerdict:
     margin: float  # angular distance to the nearest ray of the level
 
 
-@dataclass(frozen=True)
-class RaySet:
-    k: int
-    n: int
-    theta_hat: float
-    angles: tuple[float, ...]  # strictly descending, each in [-pi/2, pi/2)
-
-
-def ray_set(k: int, theta_hat: float, n: int) -> RaySet:
-    """The k ray angles of the level in [-pi/2, pi/2), sorted descending."""
+def ray_set(k: int, theta_hat: float, n: int) -> tuple[float, ...]:
+    """The k ray angles of the level in [-pi/2, pi/2), strictly
+    descending."""
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in 1..{n}, got {k}")
     base = (theta_hat - (n - k) * _HALF_PI) / k
@@ -58,7 +51,7 @@ def ray_set(k: int, theta_hat: float, n: int) -> RaySet:
             phi = -_HALF_PI
         angles.append(phi)
     angles.sort(reverse=True)
-    return RaySet(k=k, n=n, theta_hat=theta_hat, angles=tuple(angles))
+    return tuple(angles)
 
 
 def _fan_angle(arg_z: float, k: int, theta_hat: float, n: int) -> float:
@@ -97,40 +90,3 @@ def ray_index(arg_z: float, k: int, theta_hat: float, n: int) -> int:
     """Label of the ray of the level nearest arg(z): the nearest integer
     to the fan angle over pi."""
     return round(_fan_angle(arg_z, k, theta_hat, n) / math.pi)
-
-
-@dataclass(frozen=True)
-class AlternationResult:
-    ok: bool
-    interleaved: tuple[float, ...]
-    detail: str = ""
-
-
-def check_alternation(k: int, theta_hat: float, n: int,
-                      atol: float = 1e-12) -> AlternationResult:
-    """Verify that levels k and k-1 interleave with level k outermost.
-
-    The expected order is phi_k^1 > phi_{k-1}^1 > phi_k^2 > ... >
-    phi_{k-1}^{k-1} >= phi_k^k, where the final equality is allowed only
-    when both angles equal -pi/2.
-    """
-    if not 2 <= k <= n:
-        raise ValueError(f"k must lie in 2..{n}, got {k}")
-    outer = ray_set(k, theta_hat, n).angles
-    inner = ray_set(k - 1, theta_hat, n).angles
-    merged = []
-    for j in range(k - 1):
-        merged.append(outer[j])
-        merged.append(inner[j])
-    merged.append(outer[k - 1])
-    for i in range(len(merged) - 1):
-        hi, lo = merged[i], merged[i + 1]
-        last_pair = i == len(merged) - 2
-        if hi > lo + atol:
-            continue
-        if last_pair and abs(hi + _HALF_PI) <= atol and abs(lo + _HALF_PI) <= atol:
-            continue  # shared boundary ray at -pi/2
-        return AlternationResult(
-            False, tuple(merged),
-            f"order violated at position {i}: {hi!r} !> {lo!r}")
-    return AlternationResult(True, tuple(merged))

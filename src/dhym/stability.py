@@ -37,7 +37,6 @@ class Overall(Enum):
 
 @dataclass(frozen=True)
 class PerK:
-    k: int
     sign_h: SectorVerdict  # sector of z2 = a+ip
     sign_e: SectorVerdict  # sector of z1 = 1+iq
     verdict: KVerdict
@@ -71,19 +70,6 @@ class ExistenceVerdict:
     lift: LiftedAngle | LiftUndefined | None = None
 
 
-class BoundsStatus(Enum):
-    OK = "ok"
-    FAIL = "fail"
-    MARGINAL = "marginal"
-
-
-@dataclass(frozen=True)
-class BoundsCheck:
-    status: BoundsStatus
-    which: str | None  # offending divisor, "H" or "E"
-    margin: float  # min over divisors of pi/2 - |divisor_angle - lifted|
-
-
 def _combine(sh: SectorVerdict, se: SectorVerdict) -> KVerdict:
     if sh.value is Sign.ON_RAY or se.value is Sign.ON_RAY:
         return KVerdict.INCONCLUSIVE
@@ -101,7 +87,7 @@ def stability_verdict(rep: ChargeReport) -> StabilityReport:
     for k in range(1, n):
         sh = sector_of(rep.psi2, k, th, n, tol)
         se = sector_of(rep.psi1, k, th, n, tol)
-        per_k[k] = PerK(k=k, sign_h=sh, sign_e=se, verdict=_combine(sh, se))
+        per_k[k] = PerK(sign_h=sh, sign_e=se, verdict=_combine(sh, se))
     verdicts = {p.verdict for p in per_k.values()}
     if verdicts <= {KVerdict.POSITIVE_STABLE, KVerdict.NEGATIVE_STABLE}:
         overall = Overall.STABLE
@@ -117,9 +103,11 @@ def supercritical_check(lift: LiftedAngle, n: int) -> bool:
     return (n - 2) * math.pi / 2 < lift.lifted < n * math.pi / 2
 
 
-def divisor_angle_bounds(rep: ChargeReport, lift: LiftedAngle) -> BoundsCheck:
-    """Check |((n-1) arg z) - lifted| < pi/2 for both divisors H and E."""
-    tol = rep.tol
+def divisor_angle_bounds(rep: ChargeReport,
+                         lift: LiftedAngle) -> tuple[float, str | None]:
+    """The margin min over the divisors H and E of
+    pi/2 - |((n-1) arg z) - lifted|, and the divisor that attains it.
+    Both bounds hold when the margin is positive."""
     margin = math.inf
     which = None
     for name, psi in (("H", rep.psi2), ("E", rep.psi1)):
@@ -127,11 +115,7 @@ def divisor_angle_bounds(rep: ChargeReport, lift: LiftedAngle) -> BoundsCheck:
         m = math.pi / 2 - abs(ang - lift.lifted)
         if m < margin:
             margin, which = m, name
-    if margin > tol.eps_angle:
-        return BoundsCheck(BoundsStatus.OK, None, margin)
-    if margin < -tol.eps_angle:
-        return BoundsCheck(BoundsStatus.FAIL, which, margin)
-    return BoundsCheck(BoundsStatus.MARGINAL, which, margin)
+    return margin, which
 
 
 def existence_verdict(rep: ChargeReport) -> ExistenceVerdict:
@@ -170,21 +154,21 @@ def existence_verdict(rep: ChargeReport) -> ExistenceVerdict:
     notes["lift"] = lift.lifted
     notes["winding"] = lift.winding
     notes["supercritical"] = supercritical_check(lift, rep.g.n)
-    bounds = divisor_angle_bounds(rep, lift)
-    notes["divisor_margin"] = bounds.margin
-    if bounds.status is BoundsStatus.OK:
+    margin, which = divisor_angle_bounds(rep, lift)
+    notes["divisor_margin"] = margin
+    if margin > rep.tol.eps_angle:
         route = (Route.THEOREM_SUFFICIENT if stable
                  else Route.THEOREM_BICONDITIONAL)
         notes["also_certified_by_stability"] = stable
         notes["sufficient_route"] = route.value
         return verdict(Existence.EXISTS)
-    if bounds.status is BoundsStatus.FAIL:
+    if margin < -rep.tol.eps_angle:
         if stable:
             notes["anomaly"] = "stable yet divisor bound fails"
             return verdict(Existence.INCONCLUSIVE)
-        notes["failed_divisor"] = bounds.which
+        notes["failed_divisor"] = which
         return verdict(Existence.NOT_EXISTS)
-    # marginal divisor bound
+    # marginal divisor bound: |margin| <= eps_angle
     notes["divisor_bound"] = "marginal"
     if stable:
         return verdict(Existence.EXISTS, Route.THEOREM_SUFFICIENT)

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from dhym.charges import ChargeReport, Geometry, charge_report
 from dhym.levelcurve import LevelSetContext
 from dhym.lifting import LiftedAngle, cxy_path_lift, sector_lift
+from dhym.rays import ray_set
 from dhym.stability import Overall, stability_verdict
 
 
@@ -82,6 +84,44 @@ def phi_gradient(x: float, y: float, ctx: LevelSetContext) -> tuple[float, float
     """(Phi_x, Phi_y) = n (Im, Re) of e^(-i theta_hat) (x+iy)^(n-1)."""
     w = ctx.n * cmath.exp(-1j * ctx.theta_hat) * complex(x, y) ** (ctx.n - 1)
     return w.imag, w.real
+
+
+@dataclass(frozen=True)
+class AlternationResult:
+    ok: bool
+    interleaved: tuple[float, ...]
+    detail: str = ""
+
+
+def check_alternation(k: int, theta_hat: float, n: int,
+                      atol: float = 1e-12) -> AlternationResult:
+    """Verify that levels k and k-1 interleave with level k outermost.
+
+    The expected order is phi_k^1 > phi_{k-1}^1 > phi_k^2 > ... >
+    phi_{k-1}^{k-1} >= phi_k^k, where the final equality is allowed only
+    when both angles equal -pi/2.
+    """
+    if not 2 <= k <= n:
+        raise ValueError(f"k must lie in 2..{n}, got {k}")
+    outer = ray_set(k, theta_hat, n)
+    inner = ray_set(k - 1, theta_hat, n)
+    merged = []
+    for j in range(k - 1):
+        merged.append(outer[j])
+        merged.append(inner[j])
+    merged.append(outer[k - 1])
+    for i in range(len(merged) - 1):
+        hi, lo = merged[i], merged[i + 1]
+        last_pair = i == len(merged) - 2
+        if hi > lo + atol:
+            continue
+        if (last_pair and abs(hi + math.pi / 2) <= atol
+                and abs(lo + math.pi / 2) <= atol):
+            continue  # shared boundary ray at -pi/2
+        return AlternationResult(
+            False, tuple(merged),
+            f"order violated at position {i}: {hi!r} !> {lo!r}")
+    return AlternationResult(True, tuple(merged))
 
 
 @pytest.fixture

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from dhym import charges, cli, lifting, stability
+from dhym import charges, cli, levelcurve, lifting, stability
 from dhym.config import ConfigError, load_config
 
 from conftest import degenerate_example, scaled_example
@@ -303,9 +303,9 @@ def test_solve_csv_format():
                1e22, 2.2250738585072014e-308, 0.1]
     noise = np.frombuffer(np.random.default_rng(5).bytes(8 * 1000), np.float64)
     cols = np.concatenate([special, noise]).reshape(5, -1)
-    curve = SimpleNamespace(x=cols[0], f=cols[1], f_prime=cols[2],
-                            residual=cols[3], theta_pointwise=cols[4])
-    lines = cli._solve_rows(curve).splitlines()
+    curve = SimpleNamespace(x=cols[0], f=cols[1], f_prime=cols[2])
+    check = SimpleNamespace(residual=cols[3], theta_pointwise=cols[4])
+    lines = cli._solve_rows(curve, check).splitlines()
     assert lines[0] == "x,f,f_prime,residual,theta"
     assert lines[1:] == [",".join(map("{:.17g}".format, row))
                          for row in cols.T.tolist()]
@@ -334,9 +334,9 @@ def _count_calls(monkeypatch, module, name) -> list:
     calls = []
     original = getattr(module, name)
 
-    def counting(arg):
-        calls.append(arg)
-        return original(arg)
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
 
     for mod_name, mod in list(sys.modules.items()):
         if (mod_name.split(".")[0] == "dhym"
@@ -359,6 +359,16 @@ def test_angle_record_computed_once(tmp_path, capsys, monkeypatch):
         capsys.readouterr()
         assert len(zetas) <= 1, (command, len(zetas))
         assert len(verdicts) == 1, (command, len(verdicts))
+
+
+def test_solve_measures_curve_once(tmp_path, capsys, monkeypatch):
+    # the CSV columns and the summary figures come from one evaluation of
+    # the ODE terms, the verifier's; the trace computes none of them
+    calls = _count_calls(monkeypatch, levelcurve, "_ode_terms")
+    assert cli.main(["solve", "--config", write_config(tmp_path, STABLE),
+                     "--out", str(tmp_path / "s.csv")]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 def test_volume_path_lifted_by_analyze_only(tmp_path, capsys, monkeypatch):

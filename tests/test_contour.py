@@ -94,7 +94,7 @@ def test_zero_level_contours_are_straight_rays():
     ctx = level_context(charge_report(g))
     assert abs(ctx.c) <= 1e-9 * ctx.scale
     cs = extract_level_set(ctx, Window(-3, 3, -3, 3), 128, 128)
-    lines = ray_set(g.n, ctx.theta_hat, g.n).angles
+    lines = ray_set(g.n, ctx.theta_hat, g.n)
     for poly in cs.polylines:
         pts = poly[np.hypot(poly[:, 0], poly[:, 1]) > 0.3]
         if len(pts) < 2:

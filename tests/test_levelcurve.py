@@ -69,7 +69,7 @@ def test_vertical_tangent_locus_is_next_ray_set(rng):
         n = int(rng.integers(2, 13))
         th = float(rng.uniform(-math.pi, math.pi))
         ctx = LevelSetContext(n=n, theta_hat=th, c=0.0, scale=1.0)
-        for angle in ray_set(n - 1, th, n).angles:
+        for angle in ray_set(n - 1, th, n):
             _, gy = phi_gradient(math.cos(angle), math.sin(angle), ctx)
             assert abs(gy) <= 1e-10 * n
 
@@ -171,10 +171,10 @@ def test_trace_stable_instances(rng):
         curve = trace_solution(rep, ctx)
         assert curve.x.shape == (257,)
         assert np.all(np.diff(curve.x) > 0)
-        assert curve.endpoint_error <= 1e-6 * max(1.0, abs(g.p))
-        zmax = max(abs(g.z1), abs(g.z2))
-        assert curve.residual_max <= 1e-6 * (1.0 + zmax ** (g.n - 1))
         rep = verify_solution(curve, rep, ctx)
+        assert rep.endpoint_error <= 1e-6 * max(1.0, abs(g.p))
+        zmax = max(abs(g.z1), abs(g.z2))
+        assert rep.residual_max <= 1e-6 * (1.0 + zmax ** (g.n - 1))
         assert rep.passed, (g, rep)
         assert rep.theta_oscillation <= 1e-6
 
@@ -182,9 +182,10 @@ def test_trace_stable_instances(rng):
 def test_pointwise_angle_matches_average_angle(rng):
     for _ in range(50):
         g = sample_stable(rng)
-        curve = trace_solution(*_record(g))
+        rep, ctx = _record(g)
+        check = verify_solution(trace_solution(rep, ctx), rep, ctx)
         th, _ = theta_hat(g)
-        off = math.remainder(float(curve.theta_pointwise[0]) - th, math.tau)
+        off = math.remainder(float(check.theta_pointwise[0]) - th, math.tau)
         assert abs(off) <= 1e-6
 
 
@@ -196,7 +197,7 @@ def test_verify_rejects_perturbed_curve(rng):
         curve, f=curve.f + 1e-2 * rng.standard_normal(curve.f.shape))
     rep = verify_solution(noisy, rep, ctx)
     assert not rep.passed
-    assert not rep.residual_ok
+    assert not rep.residual_max <= rep.residual_bound
 
 
 def test_verify_rejects_off_level_samples(rng):
@@ -211,4 +212,24 @@ def test_verify_rejects_off_level_samples(rng):
                    (phi_gradient(x, y, ctx) for x, y in zip(curve.x, f))])
     rep = verify_solution(dataclasses.replace(curve, f=f, f_prime=fp), rep, ctx)
     assert not rep.passed
-    assert not rep.level_ok
+    assert not rep.level_max <= rep.level_bound
+
+
+def test_verify_bounds_each_node_by_its_own_scale():
+    # |z2|/|z1| is about 10, so against the instance scale max(|z1|,|z2|)^n
+    # an offset of 0.05 (3.7% of |q|) near z1 would hide in rounding noise;
+    # the bound of each node is relative to max(1, |z_j|)^n
+    g = Geometry(12, 9.182629479592398, -13.541372513311577,
+                 -1.3384071406011395)
+    rep, ctx = _record(g)
+    curve = trace_solution(rep, ctx)
+    assert verify_solution(curve, rep, ctx).passed
+    f, fp = curve.f.copy(), curve.f_prime.copy()
+    for j in range(1, 20):
+        f[j] += 0.05
+        gx, gy = phi_gradient(float(curve.x[j]), float(f[j]), ctx)
+        fp[j] = -gx / gy
+    check = verify_solution(dataclasses.replace(curve, f=f, f_prime=fp),
+                            rep, ctx)
+    assert not check.passed
+    assert not check.level_max <= check.level_bound

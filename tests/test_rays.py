@@ -5,7 +5,6 @@ import pytest
 
 from dhym.rays import (
     Sign,
-    check_alternation,
     ray_index,
     ray_set,
     rays_between,
@@ -13,12 +12,14 @@ from dhym.rays import (
 )
 from dhym.tolerances import DEFAULT_TOL
 
+from conftest import check_alternation
+
 
 def test_ray_set_examples():
     rs = ray_set(2, math.pi / 2, 2)
-    assert rs.angles == pytest.approx((math.pi / 4, -math.pi / 4), abs=1e-12)
+    assert rs == pytest.approx((math.pi / 4, -math.pi / 4), abs=1e-12)
     rs = ray_set(1, math.pi / 2, 2)
-    assert rs.angles == pytest.approx((0.0,), abs=1e-12)
+    assert rs == pytest.approx((0.0,), abs=1e-12)
 
 
 def test_ray_set_structure(rng):
@@ -27,12 +28,12 @@ def test_ray_set_structure(rng):
         k = int(rng.integers(1, n + 1))
         th = float(rng.uniform(-math.pi, math.pi))
         rs = ray_set(k, th, n)
-        assert len(rs.angles) == k
-        for phi in rs.angles:
+        assert len(rs) == k
+        for phi in rs:
             assert -math.pi / 2 <= phi < math.pi / 2
             # each angle solves sin((n-k)pi/2 - theta + k*phi) = 0
             assert abs(math.sin((n - k) * math.pi / 2 - th + k * phi)) <= 1e-11
-        for a, b in zip(rs.angles, rs.angles[1:]):
+        for a, b in zip(rs, rs[1:]):
             assert a - b == pytest.approx(math.pi / k, abs=1e-12)
 
 
@@ -43,7 +44,7 @@ def test_sector_of_examples():
     assert v.value is Sign.ON_RAY
     # every ray angle classifies as on-ray
     rs = ray_set(3, 0.7, 5)
-    for phi in rs.angles:
+    for phi in rs:
         v = sector_of(phi, 3, 0.7, 5)
         assert v.value is Sign.ON_RAY
         assert v.margin <= 1e-8
@@ -56,7 +57,7 @@ def test_sector_alternates_between_rays(rng):
         th = float(rng.uniform(-math.pi, math.pi))
         rs = ray_set(k, th, n)
         # midpoints of consecutive sectors carry opposite signs
-        edges = [math.pi / 2] + list(rs.angles) + [-math.pi / 2]
+        edges = [math.pi / 2] + list(rs) + [-math.pi / 2]
         signs = []
         for hi, lo in zip(edges, edges[1:]):
             if hi - lo < 1e-6:
@@ -83,8 +84,8 @@ def test_check_alternation_boundary_case():
     assert res.ok
     rs4 = ray_set(4, 0.0, 4)
     rs3 = ray_set(3, 0.0, 4)
-    assert rs4.angles[-1] == pytest.approx(-math.pi / 2, abs=1e-12)
-    assert rs3.angles[-1] == pytest.approx(-math.pi / 2, abs=1e-12)
+    assert rs4[-1] == pytest.approx(-math.pi / 2, abs=1e-12)
+    assert rs3[-1] == pytest.approx(-math.pi / 2, abs=1e-12)
 
 
 def test_check_alternation_sweep(rng):
@@ -140,7 +141,7 @@ def test_rays_between_matches_ray_set(rng):
         n = int(rng.integers(2, 65))
         th = float(rng.uniform(-math.pi, math.pi))
         for k in (n, n - 1, int(rng.integers(1, n + 1))):
-            angles = ray_set(k, th, n).angles
+            angles = ray_set(k, th, n)
             ends = []
             for _ in range(2):
                 if rng.uniform() < 0.7:
@@ -166,7 +167,7 @@ def test_ray_index(rng):
         n = int(rng.integers(2, 65))
         k = int(rng.integers(1, n + 1))
         th = float(rng.uniform(-math.pi, math.pi))
-        angles = ray_set(k, th, n).angles
+        angles = ray_set(k, th, n)
         labels = [ray_index(phi, k, th, n) for phi in angles]
         assert len(set(labels)) == k
         half = math.pi / (4 * k)

@@ -6,7 +6,6 @@ from dhym.charges import Geometry, charge_report
 from dhym.lifting import LiftedAngle, sector_lift
 from dhym.rays import Sign
 from dhym.stability import (
-    BoundsStatus,
     Existence,
     KVerdict,
     Overall,
@@ -83,18 +82,18 @@ def test_supercritical_stable_implies_all_positive(rng):
 def test_divisor_angle_bounds_examples():
     rec = charge_report(Geometry(2, 2.0, 2.0, 1.0))
     lift = sector_lift(rec)
-    chk = divisor_angle_bounds(rec, lift)
-    assert chk.status is BoundsStatus.OK
+    margin, _ = divisor_angle_bounds(rec, lift)
+    assert margin > rec.tol.eps_angle
     # divisor angles pi/4 sit comfortably inside (0, pi)
-    assert chk.margin > 0.5
+    assert margin > 0.5
 
     rec = charge_report(Geometry(3, 2.0, 0.0, 0.0))
-    chk = divisor_angle_bounds(rec, sector_lift(rec))
-    assert chk.status is BoundsStatus.OK
+    margin, _ = divisor_angle_bounds(rec, sector_lift(rec))
+    assert margin > rec.tol.eps_angle
 
     rec = charge_report(Geometry(2, 2.0, -3.0, 0.0))
-    chk = divisor_angle_bounds(rec, sector_lift(rec))
-    assert chk.status is BoundsStatus.FAIL
+    margin, _ = divisor_angle_bounds(rec, sector_lift(rec))
+    assert margin < -rec.tol.eps_angle
 
 
 def test_existence_exists_both_routes():

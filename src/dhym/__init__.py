@@ -1,9 +1,8 @@
 """Deformed Hermitian-Yang-Mills existence tests on the blowup of P^n."""
 
 from .charges import (ChargeReport, DegenerateGeometryError, Geometry,
-                      InvalidGeometryError, SubvarietyClass, SubvarietyKind,
-                      central_charge, charge_report, degeneracy_check,
-                      theta_hat, zeta)
+                      InvalidGeometryError, central_charges, charge_report,
+                      degeneracy_check, theta_hat, zeta)
 from .contour import ContourSet, Window, extract_level_set
 from .levelcurve import (LevelSetContext, SolutionCurve, TraceError,
                          graphical_existence, level_context, phi,
@@ -14,7 +13,6 @@ from .rays import SectorVerdict, Sign, ray_set, rays_between, sector_of
 from .stability import (Existence, ExistenceVerdict, Overall, StabilityReport,
                         divisor_angle_bounds, existence_verdict,
                         stability_verdict, supercritical_check)
-from .tolerances import DEFAULT_TOL, Tolerances
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

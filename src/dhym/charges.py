@@ -12,9 +12,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from enum import Enum
 
-from .tolerances import DEFAULT_TOL, Tolerances
+from .tolerances import EPS_ANGLE, EPS_ZERO
 
 
 class InvalidGeometryError(ValueError):
@@ -71,31 +70,12 @@ class Geometry:
         return complex(self.a, self.p)
 
 
-class SubvarietyKind(Enum):
-    FULL_SPACE = "full_space"
-    HYPERPLANE_POWER = "hyperplane_power"
-    EXCEPTIONAL_POWER = "exceptional_power"
-
-
-@dataclass(frozen=True)
-class SubvarietyClass:
-    """A cycle class: X itself, H^(n-k), or the effective (-1)^(n-k-1) E^(n-k).
-
-    ``dim`` is the complex dimension k of the cycle; the orientation sign
-    on exceptional powers is baked into the charge formula.
-    """
-
-    kind: SubvarietyKind
-    dim: int
-
-
 @dataclass(frozen=True)
 class ChargeReport:
     """The angle record of one instance, built once by charge_report; the
     verdict, trace and figure layers read it and recompute nothing."""
 
     g: Geometry
-    tol: Tolerances
     zeta: complex
     theta_hat: float  # 0.0 when degenerate
     r_x: float  # |zeta|
@@ -103,12 +83,6 @@ class ChargeReport:
     psi1: float  # arg z1
     psi2: float  # arg z2
     scale: float  # max(|z1|**n, |z2|**n), for relative tolerances
-
-    @property
-    def charges(self) -> dict:
-        """Central charge of every cycle class, built on each access."""
-        return {v: central_charge(self, v)
-                for v in all_subvariety_classes(self.g.n)}
 
     def angle(self) -> float:
         """theta_hat; raises DegenerateGeometryError when zeta vanishes."""
@@ -129,27 +103,26 @@ def zeta(g: Geometry) -> complex:
     raise OverflowError(f"zeta overflow for {g}")
 
 
-def theta_hat(g: Geometry, tol: Tolerances = DEFAULT_TOL) -> tuple[float, float]:
+def theta_hat(g: Geometry) -> tuple[float, float]:
     """Principal average angle in [-pi, pi) and the modulus r_X of zeta.
 
     Raises DegenerateGeometryError when zeta vanishes to tolerance.
     """
-    rep = charge_report(g, tol)
+    rep = charge_report(g)
     return rep.angle(), rep.r_x
 
 
-def central_charge(rep: ChargeReport, v: SubvarietyClass) -> complex:
-    """Charge of a cycle class: -i^(-k) z2^k for H-powers, -i^(-k) z1^k for
-    E-powers, and -i^(-n) zeta for the full space."""
+def central_charges(rep: ChargeReport) -> dict[str, complex]:
+    """Central charge of every cycle class, keyed "X" for the full space and
+    "H:dimk" / "E:dimk" for the k-dimensional cycles H^(n-k) and the
+    effective (-1)^(n-k-1) E^(n-k): -i^(-n) zeta for X, -i^(-k) z2^k and
+    -i^(-k) z1^k for the others."""
     g = rep.g
-    if v.kind is SubvarietyKind.FULL_SPACE:
-        if v.dim != g.n:
-            raise ValueError(f"full space must have dim n = {g.n}, got {v.dim}")
-        return -_INV_I[g.n % 4] * rep.zeta
-    if not 1 <= v.dim <= g.n - 1:
-        raise ValueError(f"cycle dimension must lie in 1..{g.n - 1}, got {v.dim}")
-    base = g.z2 if v.kind is SubvarietyKind.HYPERPLANE_POWER else g.z1
-    return -_INV_I[v.dim % 4] * cpow(base, v.dim)
+    out = {"X": -_INV_I[g.n % 4] * rep.zeta}
+    for k in range(1, g.n):
+        out[f"H:dim{k}"] = -_INV_I[k % 4] * cpow(g.z2, k)
+        out[f"E:dim{k}"] = -_INV_I[k % 4] * cpow(g.z1, k)
+    return out
 
 
 def degeneracy_check(rep: ChargeReport) -> int | None:
@@ -157,31 +130,23 @@ def degeneracy_check(rep: ChargeReport) -> int | None:
 
     Degeneracy means |z2| = |z1| together with an argument gap of 2*pi*m/n.
     """
-    g, tol = rep.g, rep.tol
+    g = rep.g
     m1, m2 = abs(g.z1), abs(g.z2)
-    if abs(m2 - m1) > tol.eps_zero * max(m1, m2):
+    if abs(m2 - m1) > EPS_ZERO * max(m1, m2):
         return None
     dphi = abs(rep.psi2 - rep.psi1)
     m = round(dphi * g.n / math.tau)
-    if abs(dphi - math.tau * m / g.n) > tol.eps_angle:
+    if abs(dphi - math.tau * m / g.n) > EPS_ANGLE:
         return None
     return m
 
 
-def all_subvariety_classes(n: int) -> list[SubvarietyClass]:
-    out = [SubvarietyClass(SubvarietyKind.FULL_SPACE, n)]
-    for k in range(1, n):
-        out.append(SubvarietyClass(SubvarietyKind.HYPERPLANE_POWER, k))
-        out.append(SubvarietyClass(SubvarietyKind.EXCEPTIONAL_POWER, k))
-    return out
-
-
-def charge_report(g: Geometry, tol: Tolerances = DEFAULT_TOL) -> ChargeReport:
+def charge_report(g: Geometry) -> ChargeReport:
     z = zeta(g)
     r = abs(z)
     scale = max(abs(g.z1) ** g.n, abs(g.z2) ** g.n)
-    degenerate = r <= tol.eps_zero * scale
+    degenerate = r <= EPS_ZERO * scale
     th = principal_angle(cmath.phase(z)) if not degenerate else 0.0
-    return ChargeReport(g=g, tol=tol, zeta=z, theta_hat=th, r_x=r,
+    return ChargeReport(g=g, zeta=z, theta_hat=th, r_x=r,
                         degenerate=degenerate, psi1=cmath.phase(g.z1),
                         psi2=cmath.phase(g.z2), scale=scale)

@@ -13,14 +13,13 @@ import json
 import sys
 
 from .charges import (DegenerateGeometryError, Geometry, InvalidGeometryError,
-                      SubvarietyKind, charge_report)
+                      central_charges, charge_report)
 from .config import ConfigError, RunConfig, load_config
 from .figure import FigureError, render_figure
 from .levelcurve import (TraceError, graphical_existence, level_context,
                          same_component, trace_solution, verify_solution)
 from .lifting import LiftedAngle, OriginHit, cxy_path_lift
 from .stability import Existence, existence_verdict
-from .tolerances import Tolerances
 
 EXIT_EXISTS = 0
 EXIT_NOT_EXISTS = 1
@@ -35,16 +34,9 @@ _SOLVE_ROW = ",".join(["%.17g"] * 5) + "\n"
 _SWEEP_ROW = "%.17g,%.17g,%s,%s,%s,%s,%.17g,%.17g,%.17g"
 
 
-def _charge_key(v) -> str:
-    if v.kind is SubvarietyKind.FULL_SPACE:
-        return "X"
-    tag = "H" if v.kind is SubvarietyKind.HYPERPLANE_POWER else "E"
-    return f"{tag}:dim{v.dim}"
-
-
-def analysis_report(g: Geometry, tol: Tolerances) -> dict:
+def analysis_report(g: Geometry) -> dict:
     """All verdicts for one instance as a JSON-serializable dict."""
-    rep = charge_report(g, tol)
+    rep = charge_report(g)
     out: dict = {
         "geometry": {"n": g.n, "a": g.a, "p": g.p, "q": g.q},
         "charge": {
@@ -52,8 +44,8 @@ def analysis_report(g: Geometry, tol: Tolerances) -> dict:
             "theta_hat": rep.theta_hat,
             "r_x": rep.r_x,
             "degenerate": rep.degenerate,
-            "charges": {_charge_key(v): [z.real, z.imag]
-                        for v, z in rep.charges.items()},
+            "charges": {key: [z.real, z.imag]
+                        for key, z in central_charges(rep).items()},
         },
     }
     verdict = existence_verdict(rep)
@@ -100,7 +92,7 @@ def analysis_report(g: Geometry, tol: Tolerances) -> dict:
 
 
 def run_analyze(cfg: RunConfig, out_path: str | None, stdout) -> int:
-    report = analysis_report(cfg.geometry, cfg.tolerances)
+    report = analysis_report(cfg.geometry)
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
@@ -118,7 +110,7 @@ def _solve_rows(curve, check) -> str:
 
 
 def run_solve(cfg: RunConfig, out_path: str | None, stdout, stderr) -> int:
-    rep = charge_report(cfg.geometry, cfg.tolerances)
+    rep = charge_report(cfg.geometry)
     verdict = existence_verdict(rep)
     if verdict.value is not Existence.EXISTS:
         stderr.write(f"no solve attempted: existence is "
@@ -157,7 +149,7 @@ def run_sweep(cfg: RunConfig, out_path: str | None, stdout) -> int:
     if cfg.sweep is None:
         raise ConfigError("sweep command requires a sweep spec in the config")
     sw = cfg.sweep
-    g0, tol = cfg.geometry, cfg.tolerances
+    g0 = cfg.geometry
     ps = _linspace(*sw.p_range, sw.p_count)
     qs = _linspace(*sw.q_range, sw.q_count)
     lines = ["p,q,stability,existence,route,lift_defined,"
@@ -165,7 +157,7 @@ def run_sweep(cfg: RunConfig, out_path: str | None, stdout) -> int:
     for p in ps:
         for q in qs:
             g = Geometry(n=g0.n, a=g0.a, p=p, q=q)
-            lines.append(_sweep_row(g, tol))
+            lines.append(_sweep_row(g))
     text = "\n".join(lines) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
@@ -186,9 +178,9 @@ def _linspace(start: float, stop: float, num: int) -> list:
     return [i * step + start for i in range(div)] + [stop]
 
 
-def _sweep_row(g: Geometry, tol: Tolerances) -> str:
+def _sweep_row(g: Geometry) -> str:
     nan = float("nan")
-    verdict = existence_verdict(charge_report(g, tol))
+    verdict = existence_verdict(charge_report(g))
     stab, lift = verdict.stability, verdict.lift
     if stab is None:  # degenerate
         return _SWEEP_ROW % (g.p, g.q, "degenerate", verdict.value.value,
@@ -206,7 +198,7 @@ def _sweep_row(g: Geometry, tol: Tolerances) -> str:
 def run_figure(cfg: RunConfig, out_path: str | None, stdout) -> int:
     if cfg.figure is None:
         raise ConfigError("figure command requires a figure spec in the config")
-    rep = charge_report(cfg.geometry, cfg.tolerances)
+    rep = charge_report(cfg.geometry)
     ctx = level_context(rep)
     curve = None
     if "solution" in cfg.figure.overlays:

@@ -6,14 +6,13 @@ fail loudly instead of silently using defaults.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from dataclasses import dataclass
 
 from .charges import Geometry, InvalidGeometryError
 from .contour import Window
-from .tolerances import Tolerances
+from .tolerances import EPS_ANGLE
 
 
 class ConfigError(ValueError):
@@ -41,7 +40,6 @@ class FigureSpec:
 @dataclass(frozen=True)
 class RunConfig:
     geometry: Geometry
-    tolerances: Tolerances
     sweep: SweepSpec | None = None
     figure: FigureSpec | None = None
 
@@ -64,8 +62,7 @@ def _number(doc: dict, key: str, where: str) -> float:
 def parse_config(doc) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    _require_keys(doc, {"n", "a", "p", "q", "tolerances", "sweep", "figure"},
-                  "config")
+    _require_keys(doc, {"n", "a", "p", "q", "sweep", "figure"}, "config")
     n = doc.get("n")
     if isinstance(n, bool) or not isinstance(n, int):
         raise ConfigError(f"n must be an integer, got {n!r}")
@@ -76,22 +73,12 @@ def parse_config(doc) -> RunConfig:
     except InvalidGeometryError as exc:
         raise ConfigError(str(exc)) from exc
 
-    tol = Tolerances()
-    if "tolerances" in doc:
-        tdoc = doc["tolerances"]
-        if not isinstance(tdoc, dict):
-            raise ConfigError("tolerances must be an object")
-        fields = {f.name for f in dataclasses.fields(Tolerances)}
-        _require_keys(tdoc, fields, "tolerances")
-        try:
-            tol = dataclasses.replace(tol, **tdoc)
-        except ValueError as exc:
-            raise ConfigError(f"invalid tolerances: {exc}") from exc
-    # rays of the top fan are pi/n apart, so deadbands this wide leave no
-    # argument off a ray and every sector lift undefined
-    if tol.eps_angle >= math.pi / (2 * n):
-        raise ConfigError(f"tolerances.eps_angle must be below pi/(2n) = "
-                          f"{math.pi / (2 * n):.6g}, got {tol.eps_angle!r}")
+    # rays of the top fan are pi/n apart, so an angular deadband of pi/(2n)
+    # or more leaves no argument off a ray and every sector lift undefined
+    if EPS_ANGLE >= math.pi / (2 * n):
+        raise ConfigError(f"n must be at most "
+                          f"{math.floor(math.pi / (2 * EPS_ANGLE))} so that "
+                          f"pi/(2n) exceeds the angular deadband, got {n!r}")
 
     sweep = None
     if "sweep" in doc:
@@ -145,7 +132,7 @@ def parse_config(doc) -> RunConfig:
             raise ConfigError(f"unknown overlay(s): {sorted(bad)}")
         figure = FigureSpec(window=window, samples=samples, overlays=overlays)
 
-    return RunConfig(geometry=geometry, tolerances=tol, sweep=sweep, figure=figure)
+    return RunConfig(geometry=geometry, sweep=sweep, figure=figure)
 
 
 def load_config(text: str) -> RunConfig:

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 from .charges import ChargeReport
 from .rays import Sign, ray_index, rays_between, sector_of
+from .tolerances import (CURVE_SAMPLES, EPS_ZERO, TOL_ANGLE, TOL_ENDPOINT,
+                         TOL_LEVEL)
 
 
 class TraceError(RuntimeError):
@@ -73,12 +75,13 @@ class VerificationReport:
     theta_pointwise: np.ndarray
     residual_max: float
     residual_l2: float
-    residual_bound: float
+    residual_ratio: float  # worst |residual| over the node's own scale
+    residual_bound: float  # TOL_ENDPOINT
     theta_oscillation: float
     theta_mean: float
     endpoint_error: float
     level_max: float  # worst |Phi - c| over the node's own scale
-    level_bound: float  # tol_level
+    level_bound: float  # TOL_LEVEL
     passed: bool
 
 
@@ -111,18 +114,18 @@ def same_component(rep: ChargeReport, ctx: LevelSetContext) -> SameComponentResu
     the same ray.  Otherwise components occupy alternating sectors, so the
     endpoints agree iff no top-level ray lies strictly between them.
     """
-    g, n, th, tol = rep.g, rep.g.n, rep.theta_hat, rep.tol
+    g, n, th = rep.g, rep.g.n, rep.theta_hat
     # |c| is bounded by min(|z1|, |z2|)**n, so the zero test must use that
     # scale; against the max it would misfire whenever |z2| >> |z1|
     zero_scale = min(abs(g.z1), abs(g.z2)) ** n
-    if abs(ctx.c) <= tol.eps_zero * zero_scale:
-        v1 = sector_of(rep.psi1, n, th, n, tol)
-        v2 = sector_of(rep.psi2, n, th, n, tol)
+    if abs(ctx.c) <= EPS_ZERO * zero_scale:
+        v1 = sector_of(rep.psi1, n, th, n)
+        v2 = sector_of(rep.psi2, n, th, n)
         on_rays = v1.value is Sign.ON_RAY and v2.value is Sign.ON_RAY
         same_ray = (on_rays and ray_index(rep.psi1, n, th, n)
                     == ray_index(rep.psi2, n, th, n))
         return SameComponentResult("on_zero_level", same_ray=same_ray)
-    nb = rays_between(rep.psi1, rep.psi2, n, th, n, tol)
+    nb = rays_between(rep.psi1, rep.psi2, n, th, n)
     if nb == 0:
         return SameComponentResult("same")
     return SameComponentResult("different", rays_between=nb)
@@ -141,11 +144,11 @@ def graphical_existence(rep: ChargeReport,
     if sc.status == "on_zero_level":
         # linear solution along a common ray; a ray never has vertical slope
         return GraphicalResult(True)
-    n, th, tol = rep.g.n, rep.theta_hat, rep.tol
-    if rays_between(rep.psi1, rep.psi2, n - 1, th, n, tol) > 0:
+    n, th = rep.g.n, rep.theta_hat
+    if rays_between(rep.psi1, rep.psi2, n - 1, th, n) > 0:
         return GraphicalResult(False, "vertical-tangent ray between endpoints")
     for name, psi in (("(1,q)", rep.psi1), ("(a,p)", rep.psi2)):
-        if sector_of(psi, n - 1, th, n, tol).value is Sign.ON_RAY:
+        if sector_of(psi, n - 1, th, n).value is Sign.ON_RAY:
             return GraphicalResult(False, f"endpoint {name} on a "
                                           f"vertical-tangent ray (inconclusive)")
     return GraphicalResult(True)
@@ -159,13 +162,14 @@ def _level_terms(x: np.ndarray, y: np.ndarray, ctx: LevelSetContext):
     return np.imag(u * z) - ctx.c, ctx.n * u.imag, ctx.n * u.real
 
 
-def _node_scale(x: np.ndarray, y: np.ndarray,
-                ctx: LevelSetContext) -> np.ndarray:
-    """min(scale, max(1, |z|)^n) at each node: the size of Phi's rounding
-    error there.  The cap keeps a node that runs off from loosening its own
-    bound; on the exact arc |z| peaks at an endpoint, so it never binds."""
+def _node_scale(x: np.ndarray, y: np.ndarray, cap: float,
+                k: int) -> np.ndarray:
+    """min(cap, max(1, |z|)^k) at each node.  With k = n and the instance
+    scale as the cap it is the size of Phi's rounding error there.  The cap
+    keeps a node that runs off from loosening its own bound; on the exact
+    arc |z| peaks at an endpoint, so it never binds."""
     import numpy as np
-    return np.minimum(ctx.scale, np.maximum(1.0, np.hypot(x, y)) ** ctx.n)
+    return np.minimum(cap, np.maximum(1.0, np.hypot(x, y)) ** k)
 
 
 def _arc_angles(rep: ChargeReport, ctx: LevelSetContext,
@@ -201,23 +205,23 @@ def _ode_terms(x, f, fp, ctx: LevelSetContext):
 
 
 def trace_solution(rep: ChargeReport, ctx: LevelSetContext) -> SolutionCurve:
-    """Solve the level curve Phi = c on x = linspace(1, a, curve_samples).
+    """Solve the level curve Phi = c on x = linspace(1, a, CURVE_SAMPLES).
 
     All nodes at once: each is seeded from the polar form of the arc, or
     from the common ray on the zero level, and polished by Newton steps in
-    y until |Phi - c| <= tol_level * min(scale, max(1, |z_j|)^n) at every
+    y until |Phi - c| <= TOL_LEVEL * min(scale, max(1, |z_j|)^n) at every
     node z_j, the bound verify_solution checks.  The reported slope is the
     exact level-set slope -Phi_x / Phi_y there.  The curve carries only its
     samples; verify_solution measures it.  ``ctx`` is level_context of the
     record.
     """
     import numpy as np
-    g, tol = rep.g, rep.tol
+    g = rep.g
     sc = same_component(rep, ctx)
     ge = graphical_existence(rep, sc)
     if not ge.yes:
         raise GraphicalPreconditionError(ge.reason)
-    xs = np.linspace(1.0, g.a, tol.curve_samples)
+    xs = np.linspace(1.0, g.a, CURVE_SAMPLES)
     if sc.status == "on_zero_level":
         y = g.q * xs  # the common ray; exact when c is exactly zero
     else:
@@ -231,7 +235,8 @@ def trace_solution(rep: ChargeReport, ctx: LevelSetContext) -> SolutionCurve:
             if np.any(vertical):
                 raise TraceError(f"vertical tangent at "
                                  f"x={float(xs[np.argmax(vertical)])!r}")
-            off = ~(np.abs(r) <= tol.tol_level * _node_scale(xs, y, ctx))
+            off = ~(np.abs(r) <= TOL_LEVEL * _node_scale(xs, y, ctx.scale,
+                                                         ctx.n))
             if not np.any(off):
                 break
             y = np.where(off, y - r / gy, y)
@@ -248,19 +253,25 @@ def verify_solution(curve: SolutionCurve, rep: ChargeReport,
 
     ``ctx`` is level_context of the record, so c comes from the input, never
     from the curve.  The level check reads only the samples (x, f): every
-    node z_j must satisfy |Phi(x_j, f_j) - c| <= tol_level * min(scale,
+    node z_j must satisfy |Phi(x_j, f_j) - c| <= TOL_LEVEL * min(scale,
     max(1, |z_j|)^n), the bound of Phi's rounding error at that node, capped
     at the instance scale; a non-finite node fails it.  The residual of the
-    ODE and the pointwise angle read the curve's own f_prime.
+    ODE and the pointwise angle read the curve's own f_prime, and the
+    residual is bounded node by node too: |res_j| <= TOL_ENDPOINT * (1 +
+    min(zcap, |z_j|)^(n-1)), with zcap = max(1, |z1|, |z2|)^(n-1).
     """
     import numpy as np
-    g, tol = rep.g, rep.tol
+    g, n = rep.g, ctx.n
+    res, theta = _ode_terms(curve.x, curve.f, curve.f_prime, ctx)
+    zcap = max(1.0, abs(g.z1), abs(g.z2)) ** (n - 1)
     with np.errstate(over="ignore", invalid="ignore"):
         level = (np.abs(_level_terms(curve.x, curve.f, ctx)[0])
-                 / _node_scale(curve.x, curve.f, ctx))
+                 / _node_scale(curve.x, curve.f, ctx.scale, n))
+        ratio = np.abs(res) / (1.0 + _node_scale(curve.x, curve.f, zcap,
+                                                 n - 1))
     # a NaN ratio propagates through the max and fails the bound below
     level_max = float(np.max(level))
-    res, theta = _ode_terms(curve.x, curve.f, curve.f_prime, ctx)
+    residual_ratio = float(np.max(ratio))
     residual_max = float(np.max(np.abs(res)))
     with np.errstate(over="ignore"):
         residual_l2 = float(np.sqrt(np.mean(res ** 2)))
@@ -268,21 +279,20 @@ def verify_solution(curve: SolutionCurve, rep: ChargeReport,
         # the squares overflowed; rescaling by the max keeps them in range
         residual_l2 = residual_max * float(
             np.sqrt(np.mean((res / residual_max) ** 2)))
-    zmax = float(np.max(np.hypot(curve.x, curve.f)))
-    residual_bound = tol.tol_endpoint * (1.0 + zmax ** (ctx.n - 1))
     osc = float(np.max(theta) - np.min(theta))
     mean = float(np.mean(theta))
     endpoint_error = float(abs(curve.f[-1] - g.p))
-    passed = (residual_max <= residual_bound and osc <= tol.tol_angle
+    passed = (residual_ratio <= TOL_ENDPOINT and osc <= TOL_ANGLE
               and abs(math.remainder(mean - ctx.theta_hat, math.tau))
-              <= tol.tol_angle
-              and -ctx.n * math.pi / 2 < mean < ctx.n * math.pi / 2
-              and endpoint_error <= tol.tol_endpoint * max(1.0, abs(g.p))
-              and level_max <= tol.tol_level)
+              <= TOL_ANGLE
+              and -n * math.pi / 2 < mean < n * math.pi / 2
+              and endpoint_error <= TOL_ENDPOINT * max(1.0, abs(g.p))
+              and level_max <= TOL_LEVEL)
     return VerificationReport(
         residual=res, theta_pointwise=theta, residual_max=residual_max,
-        residual_l2=residual_l2, residual_bound=residual_bound,
+        residual_l2=residual_l2, residual_ratio=residual_ratio,
+        residual_bound=TOL_ENDPOINT,
         theta_oscillation=osc, theta_mean=mean,
         endpoint_error=endpoint_error, level_max=level_max,
-        level_bound=tol.tol_level, passed=passed,
+        level_bound=TOL_LEVEL, passed=passed,
     )

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .charges import ChargeReport
+from .tolerances import EPS_ANGLE
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,7 @@ def cxy_path_lift(rep: ChargeReport) -> LiftedAngle | OriginHit:
     segment passes through the origin exactly when that angle reaches pi.
 
     Returns OriginHit when some segment's slack pi - |angle| is at most
-    eps_angle; t_star is then the point of that segment nearest the origin.
+    EPS_ANGLE; t_star is then the point of that segment nearest the origin.
     The margin of a lift is the smallest slack.
     """
     g = rep.g
@@ -68,7 +69,7 @@ def cxy_path_lift(rep: ChargeReport) -> LiftedAngle | OriginHit:
     subtended = [cmath.phase((g.z2 - wj * g.z1) / (g.a - wj)) for wj in w]
     slack = [math.pi - abs(s) for s in subtended]
     j = min(range(g.n), key=slack.__getitem__)  # the first smallest slack
-    if slack[j] <= rep.tol.eps_angle:
+    if slack[j] <= EPS_ANGLE:
         beta = 1j * (g.p - w[j] * g.q)
         return OriginHit(
             t_star=-((g.a - w[j]) * beta.conjugate()).real / abs(beta) ** 2)
@@ -88,7 +89,7 @@ def sector_lift(rep: ChargeReport) -> LiftedAngle | LiftUndefined:
     """
     g, n, psi1, psi2 = rep.g, rep.g.n, rep.psi1, rep.psi2
     gap = abs(psi2 - psi1)
-    if gap >= math.pi / n - rep.tol.eps_angle:
+    if gap >= math.pi / n - EPS_ANGLE:
         return LiftUndefined(
             reason="sector condition fails",
             detail=f"|arg z2 - arg z1| = {gap:.6f} >= pi/{n} = {math.pi / n:.6f}")

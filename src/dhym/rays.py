@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .tolerances import DEFAULT_TOL, Tolerances
+from .tolerances import EPS_ANGLE
 
 _HALF_PI = math.pi / 2.0
 
@@ -60,26 +60,25 @@ def _fan_angle(arg_z: float, k: int, theta_hat: float, n: int) -> float:
     return (n - k) * _HALF_PI - theta_hat + k * arg_z
 
 
-def sector_of(arg_z: float, k: int, theta_hat: float, n: int,
-              tol: Tolerances = DEFAULT_TOL) -> SectorVerdict:
+def sector_of(arg_z: float, k: int, theta_hat: float, n: int) -> SectorVerdict:
     """Sign of Im(i^(n-k) e^(-i theta_hat) z^k) for z with argument arg_z,
     which is the sign of sin of the fan angle, with an on-ray deadband."""
     psi = _fan_angle(arg_z, k, theta_hat, n)
     # angular distance from arg(z) to the nearest ray of the level
     margin = abs(math.remainder(psi, math.pi)) / k
-    if margin <= tol.eps_angle:
+    if margin <= EPS_ANGLE:
         return SectorVerdict(Sign.ON_RAY, margin)
     return SectorVerdict(Sign.POSITIVE if math.sin(psi) > 0 else Sign.NEGATIVE,
                          margin)
 
 
-def rays_between(arg1: float, arg2: float, k: int, theta_hat: float, n: int,
-                 tol: Tolerances = DEFAULT_TOL) -> int:
+def rays_between(arg1: float, arg2: float, k: int, theta_hat: float,
+                 n: int) -> int:
     """Number of rays of the level strictly between two arguments, each
-    moved eps_angle inward: the integers strictly between the fan angles
+    moved EPS_ANGLE inward: the integers strictly between the fan angles
     over pi at the two moved ends."""
-    lo = min(arg1, arg2) + tol.eps_angle
-    hi = max(arg1, arg2) - tol.eps_angle
+    lo = min(arg1, arg2) + EPS_ANGLE
+    hi = max(arg1, arg2) - EPS_ANGLE
     if lo >= hi:
         return 0
     return (math.ceil(_fan_angle(hi, k, theta_hat, n) / math.pi)

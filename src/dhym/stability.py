@@ -20,6 +20,7 @@ from enum import Enum
 from .charges import ChargeReport, degeneracy_check
 from .lifting import LiftedAngle, LiftUndefined, sector_lift
 from .rays import SectorVerdict, Sign, sector_of
+from .tolerances import EPS_ANGLE
 
 
 class KVerdict(Enum):
@@ -82,11 +83,11 @@ def _combine(sh: SectorVerdict, se: SectorVerdict) -> KVerdict:
 def stability_verdict(rep: ChargeReport) -> StabilityReport:
     """Per-dimension one-signedness of both generators, combined overall."""
     th = rep.angle()  # raises DegenerateGeometryError
-    n, tol = rep.g.n, rep.tol
+    n = rep.g.n
     per_k = {}
     for k in range(1, n):
-        sh = sector_of(rep.psi2, k, th, n, tol)
-        se = sector_of(rep.psi1, k, th, n, tol)
+        sh = sector_of(rep.psi2, k, th, n)
+        se = sector_of(rep.psi1, k, th, n)
         per_k[k] = PerK(sign_h=sh, sign_e=se, verdict=_combine(sh, se))
     verdicts = {p.verdict for p in per_k.values()}
     if verdicts <= {KVerdict.POSITIVE_STABLE, KVerdict.NEGATIVE_STABLE}:
@@ -156,19 +157,19 @@ def existence_verdict(rep: ChargeReport) -> ExistenceVerdict:
     notes["supercritical"] = supercritical_check(lift, rep.g.n)
     margin, which = divisor_angle_bounds(rep, lift)
     notes["divisor_margin"] = margin
-    if margin > rep.tol.eps_angle:
+    if margin > EPS_ANGLE:
         route = (Route.THEOREM_SUFFICIENT if stable
                  else Route.THEOREM_BICONDITIONAL)
         notes["also_certified_by_stability"] = stable
         notes["sufficient_route"] = route.value
         return verdict(Existence.EXISTS)
-    if margin < -rep.tol.eps_angle:
+    if margin < -EPS_ANGLE:
         if stable:
             notes["anomaly"] = "stable yet divisor bound fails"
             return verdict(Existence.INCONCLUSIVE)
         notes["failed_divisor"] = which
         return verdict(Existence.NOT_EXISTS)
-    # marginal divisor bound: |margin| <= eps_angle
+    # marginal divisor bound: |margin| <= EPS_ANGLE
     notes["divisor_bound"] = "marginal"
     if stable:
         return verdict(Existence.EXISTS, Route.THEOREM_SUFFICIENT)

@@ -33,7 +33,7 @@ from dhym.lifting import (
 )
 from dhym.rays import ray_set
 from dhym.stability import divisor_angle_bounds
-from dhym.tolerances import DEFAULT_TOL
+from dhym.tolerances import EPS_ANGLE, TOL_ENDPOINT
 
 from conftest import (
     check_alternation,
@@ -137,19 +137,19 @@ def test_criterion_4_biconditional(rng):
         if defined:
             margin, _ = divisor_angle_bounds(rec, lift)
             margins.append(abs(margin))
-            predicted = margin > rec.tol.eps_angle
+            predicted = margin > EPS_ANGLE
         actual = False
         ctx = level_context(rec)
         if graphical_existence(rec, same_component(rec, ctx)).yes:
             try:
                 check = verify_solution(trace_solution(rec, ctx), rec, ctx)
                 actual = (check.endpoint_error
-                          <= rec.tol.tol_endpoint * max(1.0, abs(g.p)))
+                          <= TOL_ENDPOINT * max(1.0, abs(g.p)))
             except TraceError:
                 actual = False
         if predicted != actual:
             exceptions += 1
-            if min(margins) >= 10 * DEFAULT_TOL.eps_angle:
+            if min(margins) >= 10 * EPS_ANGLE:
                 knife_edge_only = False
     dt = time.perf_counter() - t0
     rate = exceptions / 1000.0

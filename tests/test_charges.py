@@ -8,10 +8,7 @@ from dhym.charges import (
     DegenerateGeometryError,
     Geometry,
     InvalidGeometryError,
-    SubvarietyClass,
-    SubvarietyKind,
-    all_subvariety_classes,
-    central_charge,
+    central_charges,
     charge_report,
     cpow,
     degeneracy_check,
@@ -103,22 +100,19 @@ def test_theta_hat_reconstructs_zeta(rng):
 
 def test_central_charge_examples():
     g = Geometry(2, 2.0, 2.0, 1.0)
-    rep = charge_report(g)
-    h1 = SubvarietyClass(SubvarietyKind.HYPERPLANE_POWER, 1)
-    e1 = SubvarietyClass(SubvarietyKind.EXCEPTIONAL_POWER, 1)
-    assert central_charge(rep, h1) == pytest.approx(-2 + 2j, abs=1e-12)
-    assert central_charge(rep, e1) == pytest.approx(-1 + 1j, abs=1e-12)
-    full = SubvarietyClass(SubvarietyKind.FULL_SPACE, 2)
+    charges = central_charges(charge_report(g))
+    assert charges["H:dim1"] == pytest.approx(-2 + 2j, abs=1e-12)
+    assert charges["E:dim1"] == pytest.approx(-1 + 1j, abs=1e-12)
     inv_i_n = (-1j) ** g.n
-    assert central_charge(rep, full) == pytest.approx(-inv_i_n * zeta(g), rel=1e-12)
+    assert charges["X"] == pytest.approx(-inv_i_n * zeta(g), rel=1e-12)
 
 
-def test_central_charge_dimension_range():
-    rep = charge_report(Geometry(3, 2.0, 1.0, 0.5))
-    with pytest.raises(ValueError):
-        central_charge(rep, SubvarietyClass(SubvarietyKind.HYPERPLANE_POWER, 3))
-    with pytest.raises(ValueError):
-        central_charge(rep, SubvarietyClass(SubvarietyKind.EXCEPTIONAL_POWER, 0))
+def test_central_charges_keys():
+    # X, plus the H and E powers of every dimension k in 1..n-1
+    for n in (2, 3, 4, 7):
+        charges = central_charges(charge_report(Geometry(n, 2.0, 1.0, 0.5)))
+        assert set(charges) == ({"X"} | {f"H:dim{k}" for k in range(1, n)}
+                                | {f"E:dim{k}" for k in range(1, n)})
 
 
 def test_central_charge_sign_consistency(rng):
@@ -126,13 +120,12 @@ def test_central_charge_sign_consistency(rng):
     # the raw charge form Im(-i^n e^{-i theta} Z(V)) must agree in sign
     for _ in range(300):
         g = random_geometry(rng)
-        rep = charge_report(g)
+        charges = central_charges(charge_report(g))
         th, _ = theta_hat(g)
         w = cmath.exp(-1j * th)
         for k in range(1, g.n):
-            for kind, zl in ((SubvarietyKind.HYPERPLANE_POWER, g.z2),
-                             (SubvarietyKind.EXCEPTIONAL_POWER, g.z1)):
-                zv = central_charge(rep, SubvarietyClass(kind, k))
+            for tag, zl in (("H", g.z2), ("E", g.z1)):
+                zv = charges[f"{tag}:dim{k}"]
                 raw = (-(1j ** g.n) * w * zv).imag
                 red = ((1j ** (g.n - k)) * w * cpow(zl, k)).imag
                 if abs(red) > 1e-9 * max(1.0, abs(zl) ** k):
@@ -146,21 +139,13 @@ def test_degeneracy_check():
     assert charge_report(degenerate_example()).degenerate
 
 
-def test_all_subvariety_classes():
-    classes = all_subvariety_classes(4)
-    # one full-space class plus H and E powers for each k in 1..n-1
-    assert len(classes) == 1 + 2 * 3
-    kinds = [c.kind for c in classes]
-    assert kinds.count(SubvarietyKind.FULL_SPACE) == 1
-
-
 def test_charge_report_consistency():
     rep = charge_report(Geometry(2, 2.0, 2.0, 1.0))
     assert not rep.degenerate
     assert rep.zeta == pytest.approx(6j, abs=1e-12)
     assert rep.theta_hat == pytest.approx(math.pi / 2, abs=1e-12)
     assert rep.r_x == pytest.approx(6.0, abs=1e-12)
-    assert len(rep.charges) == 3
+    assert len(central_charges(rep)) == 3
 
     rep = charge_report(degenerate_example())
     assert rep.degenerate

@@ -519,40 +519,35 @@ def test_seed_flag_removed(tmp_path):
     assert "--seed" in res.stderr
 
 
-def test_tolerances_validated(tmp_path):
-    base = '{"n": 2, "a": 2.0, "p": 2.0, "q": 1.0, "tolerances": %s}'
-    for bad in ('{"curve_samples": "x"}', '{"curve_samples": 2}',
-                '{"curve_samples": 300.0}', '{"eps_zero": -1}',
-                '{"tol_level": 0}', '{"eps_angle": true}',
-                '{"lift_steps": 1024}', '{"initial_step_frac": 0.01}',
-                '{"min_step_frac": 1e-9}',
-                # n = 2: deadbands of pi/4 around rays pi/2 apart cover
-                # every argument
-                '{"eps_angle": 10}', '{"eps_angle": 0.7854}'):
-        with pytest.raises(ConfigError):
-            load_config(base % bad)
-    cfg = load_config(base % '{"curve_samples": 513}')
-    assert cfg.tolerances.curve_samples == 513
-    assert load_config(base % '{"eps_angle": 0.785}').tolerances.eps_angle == 0.785
-    path = write_config(tmp_path, {"n": 2, "a": 2.0, "p": 2.0, "q": 1.0,
-                                   "tolerances": {"curve_samples": "x"}})
-    res = run_cli(["solve", "--config", path,
-                   "--out", str(tmp_path / "no.csv")])
-    assert res.returncode == 64
-    assert "curve_samples" in res.stderr and "Traceback" not in res.stderr
-    path = write_config(tmp_path, {"n": 2, "a": 2.0, "p": 1.0, "q": 1.0,
-                                   "tolerances": {"eps_angle": 10}})
-    res = run_cli(["analyze", "--config", path])
-    assert res.returncode == 64
-    assert "eps_angle" in res.stderr and "Traceback" not in res.stderr
-    # the step knobs of the former adaptive integrator are unknown keys
-    for key, value in (("initial_step_frac", 0.01), ("min_step_frac", 1e-9)):
+def test_tolerances_validated(tmp_path, capsys):
+    # the tolerances are fixed constants: every override the former
+    # "tolerances" object took, valid or not, is now an unknown key
+    out = str(tmp_path / "no.out")
+    for value in ({"curve_samples": "x"}, {"curve_samples": 2},
+                  {"curve_samples": 300.0}, {"eps_zero": -1},
+                  {"tol_level": 0}, {"eps_angle": True},
+                  {"lift_steps": 1024}, {"initial_step_frac": 0.01},
+                  {"min_step_frac": 1e-9}, {"eps_angle": 10},
+                  {"eps_angle": 0.7854}, {"curve_samples": 513},
+                  {"eps_angle": 0.785}, {}):
         path = write_config(tmp_path, {"n": 2, "a": 2.0, "p": 2.0, "q": 1.0,
-                                       "tolerances": {key: value}})
-        res = run_cli(["solve", "--config", path,
-                       "--out", str(tmp_path / "no.csv")])
-        assert res.returncode == 64
-        assert "unknown key" in res.stderr and key in res.stderr
+                                       "tolerances": value})
+        for command in ("analyze", "solve"):
+            assert cli.main([command, "--config", path, "--out", out]) == 64
+            err = capsys.readouterr().err
+            assert "unknown key" in err and "tolerances" in err, value
+    res = run_cli(["solve", "--config", path, "--out", out])
+    assert res.returncode == 64
+    assert "tolerances" in res.stderr and "Traceback" not in res.stderr
+
+
+def test_n_bounded_by_angular_deadband():
+    # the angular deadband 1e-8 must stay below pi/(2n), the half-gap of
+    # the top fan; only parsed, nothing is computed
+    doc = '{"n": %d, "a": 2.0, "p": 1.0, "q": 0.5}'
+    assert load_config(doc % 157_079_632).geometry.n == 157_079_632
+    with pytest.raises(ConfigError, match=r"\bn\b.*157079633"):
+        load_config(doc % 157_079_633)
 
 
 def test_non_finite_ranges_exit_64(tmp_path):

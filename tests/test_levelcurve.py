@@ -233,3 +233,19 @@ def test_verify_bounds_each_node_by_its_own_scale():
                             rep, ctx)
     assert not check.passed
     assert not check.level_max <= check.level_bound
+
+
+def test_verify_bounds_each_residual_by_its_own_scale():
+    # a slope error of 1e-3 near z1 is 263 times its node's residual bound
+    # 1e-6 * (1 + |z_j|^(n-1)), but 1.4e-8 of the bound set by the largest
+    # |z| on the curve; the residual check itself must reject the curve
+    g = Geometry(12, 9.182629479592398, -13.541372513311577,
+                 -1.3384071406011395)
+    rep, ctx = _record(g)
+    curve = trace_solution(rep, ctx)
+    assert verify_solution(curve, rep, ctx).residual_ratio <= 1e-6
+    fp = curve.f_prime.copy()
+    fp[1:20] += 1e-3
+    check = verify_solution(dataclasses.replace(curve, f_prime=fp), rep, ctx)
+    assert not check.passed
+    assert check.residual_ratio > 100 * check.residual_bound

@@ -11,6 +11,7 @@ from dhym.lifting import (
     cxy_path_lift,
     sector_lift,
 )
+from dhym.tolerances import EPS_ANGLE
 
 from conftest import lift_exists, random_geometry, sample_stable, scaled_example
 
@@ -138,7 +139,7 @@ def _numpy_volume_lift(rep):
     subtended = np.angle((g.z2 - w * g.z1) / alpha)
     slack = math.pi - np.abs(subtended)
     j = int(np.argmin(slack))
-    if slack[j] <= rep.tol.eps_angle:
+    if slack[j] <= EPS_ANGLE:
         beta = 1j * (g.p - w[j] * g.q)
         return OriginHit, float(-(alpha[j] * beta.conjugate()).real / abs(beta) ** 2)
     th = rep.angle()

@@ -10,7 +10,7 @@ from dhym.rays import (
     rays_between,
     sector_of,
 )
-from dhym.tolerances import DEFAULT_TOL
+from dhym.tolerances import EPS_ANGLE
 
 from conftest import check_alternation
 
@@ -107,7 +107,7 @@ def test_sector_sign_matches_direct_evaluation(rng):
         th = float(rng.uniform(-math.pi, math.pi))
         arg = float(rng.uniform(-math.pi / 2, math.pi / 2))
         v = sector_of(arg, k, th, n)
-        if v.margin <= DEFAULT_TOL.eps_angle:
+        if v.margin <= EPS_ANGLE:
             continue
         checked += 1
         s = (1j ** ((n - k) % 4) * cmath.exp(-1j * th)
@@ -136,7 +136,7 @@ def test_rays_between_matches_ray_set(rng):
     # reference: the listed rays strictly inside the interval shrunk by
     # eps_angle at both ends; endpoints sit on rays, a few ulp off them,
     # or anywhere in the right half plane
-    eps = DEFAULT_TOL.eps_angle
+    eps = EPS_ANGLE
     for _ in range(1500):
         n = int(rng.integers(2, 65))
         th = float(rng.uniform(-math.pi, math.pi))

@@ -12,3 +12,15 @@ def test_readme_quick_start_runs(capsys):
     exec(compile(code, str(README), "exec"), {})
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "Existence.EXISTS"
+
+
+def test_readme_lists_every_tolerance():
+    # the table under "## Tolerances" names each constant with its value
+    from dhym import tolerances
+    section = README.read_text().split("## Tolerances", 1)[1].split("\n## ", 1)[0]
+    table = {name: float(value) for name, value in
+             re.findall(r"^\| `([A-Z_]+)` \| ([^|]+?) \|", section, re.M)}
+    constants = {name: value for name, value in vars(tolerances).items()
+                 if name.isupper()}
+    assert len(constants) == 6
+    assert table == constants

@@ -15,6 +15,7 @@ from dhym.stability import (
     stability_verdict,
     supercritical_check,
 )
+from dhym.tolerances import EPS_ANGLE
 
 from conftest import (
     collinear_geometry,
@@ -83,17 +84,17 @@ def test_divisor_angle_bounds_examples():
     rec = charge_report(Geometry(2, 2.0, 2.0, 1.0))
     lift = sector_lift(rec)
     margin, _ = divisor_angle_bounds(rec, lift)
-    assert margin > rec.tol.eps_angle
+    assert margin > EPS_ANGLE
     # divisor angles pi/4 sit comfortably inside (0, pi)
     assert margin > 0.5
 
     rec = charge_report(Geometry(3, 2.0, 0.0, 0.0))
     margin, _ = divisor_angle_bounds(rec, sector_lift(rec))
-    assert margin > rec.tol.eps_angle
+    assert margin > EPS_ANGLE
 
     rec = charge_report(Geometry(2, 2.0, -3.0, 0.0))
     margin, _ = divisor_angle_bounds(rec, sector_lift(rec))
-    assert margin < -rec.tol.eps_angle
+    assert margin < -EPS_ANGLE
 
 
 def test_existence_exists_both_routes():

@@ -107,12 +107,26 @@ def test_central_charge_examples():
     assert charges["X"] == pytest.approx(-inv_i_n * zeta(g), rel=1e-12)
 
 
-def test_central_charges_keys():
-    # X, plus the H and E powers of every dimension k in 1..n-1
+def test_all_subvariety_classes():
+    # every cycle class has a charge: X, plus the H and E powers of every
+    # dimension k in 1..n-1
     for n in (2, 3, 4, 7):
         charges = central_charges(charge_report(Geometry(n, 2.0, 1.0, 0.5)))
         assert set(charges) == ({"X"} | {f"H:dim{k}" for k in range(1, n)}
                                 | {f"E:dim{k}" for k in range(1, n)})
+
+
+def test_central_charge_dimension_range():
+    # dimensions 0 and n are not proper cycles and get no charge; each k in
+    # 1..n-1 gets -i^(-k) z^k of its own k
+    g = Geometry(3, 2.0, 1.0, 0.5)
+    charges = central_charges(charge_report(g))
+    for tag in ("H", "E"):
+        assert f"{tag}:dim0" not in charges
+        assert f"{tag}:dim{g.n}" not in charges
+    for k in range(1, g.n):
+        assert charges[f"H:dim{k}"] == pytest.approx(-((-1j) ** k) * g.z2 ** k, rel=1e-12)
+        assert charges[f"E:dim{k}"] == pytest.approx(-((-1j) ** k) * g.z1 ** k, rel=1e-12)
 
 
 def test_central_charge_sign_consistency(rng):

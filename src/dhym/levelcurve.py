@@ -76,12 +76,10 @@ class VerificationReport:
     residual_max: float
     residual_l2: float
     residual_ratio: float  # worst |residual| over the node's own scale
-    residual_bound: float  # TOL_ENDPOINT
     theta_oscillation: float
     theta_mean: float
     endpoint_error: float
     level_max: float  # worst |Phi - c| over the node's own scale
-    level_bound: float  # TOL_LEVEL
     passed: bool
 
 
@@ -257,18 +255,20 @@ def verify_solution(curve: SolutionCurve, rep: ChargeReport,
     max(1, |z_j|)^n), the bound of Phi's rounding error at that node, capped
     at the instance scale; a non-finite node fails it.  The residual of the
     ODE and the pointwise angle read the curve's own f_prime, and the
-    residual is bounded node by node too: |res_j| <= TOL_ENDPOINT * (1 +
-    min(zcap, |z_j|)^(n-1)), with zcap = max(1, |z1|, |z2|)^(n-1).
+    residual is bounded node by node too.  It is built from z_j / x_j, so
+    its scale is |z_j / x_j|^(n-1): |res_j| <= TOL_ENDPOINT * (1 +
+    min(rcap, |z_j / x_j|^(n-1))).  On the exact arc |z / x| = 1 / |cos
+    arg z| peaks at an endpoint, so rcap = max(|z1|, |z2| / a)^(n-1).
     """
     import numpy as np
     g, n = rep.g, ctx.n
     res, theta = _ode_terms(curve.x, curve.f, curve.f_prime, ctx)
-    zcap = max(1.0, abs(g.z1), abs(g.z2)) ** (n - 1)
+    rcap = max(abs(g.z1), abs(g.z2) / g.a) ** (n - 1)
     with np.errstate(over="ignore", invalid="ignore"):
         level = (np.abs(_level_terms(curve.x, curve.f, ctx)[0])
                  / _node_scale(curve.x, curve.f, ctx.scale, n))
-        ratio = np.abs(res) / (1.0 + _node_scale(curve.x, curve.f, zcap,
-                                                 n - 1))
+        ratio = np.abs(res) / (1.0 + _node_scale(1.0, curve.f / curve.x,
+                                                 rcap, n - 1))
     # a NaN ratio propagates through the max and fails the bound below
     level_max = float(np.max(level))
     residual_ratio = float(np.max(ratio))
@@ -291,8 +291,6 @@ def verify_solution(curve: SolutionCurve, rep: ChargeReport,
     return VerificationReport(
         residual=res, theta_pointwise=theta, residual_max=residual_max,
         residual_l2=residual_l2, residual_ratio=residual_ratio,
-        residual_bound=TOL_ENDPOINT,
         theta_oscillation=osc, theta_mean=mean,
-        endpoint_error=endpoint_error, level_max=level_max,
-        level_bound=TOL_LEVEL, passed=passed,
+        endpoint_error=endpoint_error, level_max=level_max, passed=passed,
     )

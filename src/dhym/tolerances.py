@@ -15,7 +15,7 @@ EPS_ANGLE = 1e-8
 # level adherence |Phi - c| at every traced node, relative to its scale
 TOL_LEVEL = 1e-10
 # endpoint error budget, relative to max(1, |p|), and ODE residual budget
-# at every node z_j, relative to 1 + |z_j|**(n-1)
+# at every node z_j = x_j + i f_j, relative to 1 + |z_j / x_j|**(n-1)
 TOL_ENDPOINT = 1e-6
 # pointwise-angle oscillation budget along an accepted curve (radians)
 TOL_ANGLE = 1e-6

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .tolerances import EPS_ANGLE, EPS_ZERO
 
@@ -42,24 +42,32 @@ def cpow(z: complex, k: int) -> complex:
 _INV_I = (1 + 0j, -1j, -1 + 0j, 1j)
 
 
-@dataclass(frozen=True)
-class Geometry:
-    """Problem instance: [omega] = a*H - E, [alpha] = p*H - q*E on Bl(P^n)."""
-
+class _GeometryFields(NamedTuple):
     n: int
     a: float
     p: float
     q: float
 
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 2:
-            raise InvalidGeometryError(f"n must be an integer >= 2, got {self.n!r}")
-        for name in ("a", "p", "q"):
-            v = getattr(self, name)
+
+class Geometry(_GeometryFields):
+    """Problem instance: [omega] = a*H - E, [alpha] = p*H - q*E on Bl(P^n)."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, a: float, p: float, q: float):
+        if not isinstance(n, int) or n < 2:
+            raise InvalidGeometryError(f"n must be an integer >= 2, got {n!r}")
+        for name, v in (("a", a), ("p", p), ("q", q)):
             if not math.isfinite(v):
                 raise InvalidGeometryError(f"{name} must be finite, got {v!r}")
-        if not self.a > 1.0:
-            raise InvalidGeometryError(f"a must be > 1, got {self.a!r}")
+        if not a > 1.0:
+            raise InvalidGeometryError(f"a must be > 1, got {a!r}")
+        return super().__new__(cls, n, a, p, q)
+
+    @classmethod
+    def _make(cls, fields):
+        """Validates, so that _replace does too."""
+        return cls(*fields)
 
     @property
     def z1(self) -> complex:
@@ -70,8 +78,7 @@ class Geometry:
         return complex(self.a, self.p)
 
 
-@dataclass(frozen=True)
-class ChargeReport:
+class ChargeReport(NamedTuple):
     """The angle record of one instance, built once by charge_report; the
     verdict, trace and figure layers read it and recompute nothing."""
 

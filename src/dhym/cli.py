@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
+import math
 import sys
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .charges import (DegenerateGeometryError, Geometry, InvalidGeometryError,
                       central_charges, charge_report)
@@ -91,9 +92,41 @@ def analysis_report(g: Geometry) -> dict:
     return out
 
 
+def _json(o, nl: str = "\n") -> str:
+    """json.dumps(o, indent=2, sort_keys=True) of plain dicts, lists and
+    scalars, in one pass: with an indent the json module runs its
+    pure-Python encoder, which costs more than building the report."""
+    t = type(o)
+    if t is float:
+        if math.isfinite(o):
+            return float.__repr__(o)
+        return "NaN" if o != o else "Infinity" if o > 0 else "-Infinity"
+    if t is str:
+        return _json_str(o)
+    inner = nl + "  "
+    if t is dict:
+        if not o:
+            return "{}"
+        return "{" + inner + ("," + inner).join(
+            [_json_str(k) + ": " + _json(o[k], inner) for k in sorted(o)]
+        ) + nl + "}"
+    if t is list:
+        if not o:
+            return "[]"
+        return "[" + inner + ("," + inner).join(
+            [_json(v, inner) for v in o]) + nl + "]"
+    if t is bool:
+        return "true" if o else "false"
+    if t is int:
+        return int.__repr__(o)
+    if o is None:
+        return "null"
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+
 def run_analyze(cfg: RunConfig, out_path: str | None, stdout) -> int:
     report = analysis_report(cfg.geometry)
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = _json(report) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -103,10 +136,10 @@ def run_analyze(cfg: RunConfig, out_path: str | None, stdout) -> int:
 
 def _solve_rows(curve, check) -> str:
     import numpy as np
-    rows = np.column_stack((curve.x, curve.f, curve.f_prime, check.residual,
-                            check.theta_pointwise)).tolist()
-    return "x,f,f_prime,residual,theta\n" + "".join(
-        [_SOLVE_ROW % tuple(row) for row in rows])
+    flat = np.column_stack((curve.x, curve.f, curve.f_prime, check.residual,
+                            check.theta_pointwise)).ravel().tolist()
+    return ("x,f,f_prime,residual,theta\n"
+            + _SOLVE_ROW * len(curve.x) % tuple(flat))
 
 
 def run_solve(cfg: RunConfig, out_path: str | None, stdout, stderr) -> int:
@@ -138,7 +171,7 @@ def run_solve(cfg: RunConfig, out_path: str | None, stdout, stderr) -> int:
         "theta_oscillation": check.theta_oscillation,
         "verified": check.passed,
     }
-    stdout.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    stdout.write(_json(summary) + "\n")
     if not check.passed:
         stderr.write("anomaly: traced curve failed verification\n")
         return EXIT_ANOMALY

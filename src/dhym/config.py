@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .charges import Geometry, InvalidGeometryError
 from .contour import Window
@@ -22,23 +22,20 @@ class ConfigError(ValueError):
 _OVERLAYS = ("level_set", "rays_top", "rays_vertical", "endpoints", "solution")
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(NamedTuple):
     p_range: tuple[float, float]
     q_range: tuple[float, float]
     p_count: int
     q_count: int
 
 
-@dataclass(frozen=True)
-class FigureSpec:
+class FigureSpec(NamedTuple):
     window: Window
     samples: int = 256
     overlays: tuple[str, ...] = _OVERLAYS
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     geometry: Geometry
     sweep: SweepSpec | None = None
     figure: FigureSpec | None = None

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .levelcurve import LevelSetContext
 
@@ -51,8 +51,7 @@ def _segment_table() -> np.ndarray:
     return table
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(NamedTuple):
     xmin: float
     xmax: float
     ymin: float
@@ -62,8 +61,7 @@ class Window:
         return self.xmin <= x <= self.xmax and self.ymin <= y <= self.ymax
 
 
-@dataclass
-class ContourSet:
+class ContourSet(NamedTuple):
     polylines: list  # list of (m, 2) float arrays
     cell_diag: float
 

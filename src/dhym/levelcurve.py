@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .charges import ChargeReport
 from .rays import Sign, ray_index, rays_between, sector_of
@@ -41,36 +41,31 @@ _BISECTIONS = 53
 _NEWTON_STEPS = 16
 
 
-@dataclass(frozen=True)
-class LevelSetContext:
+class LevelSetContext(NamedTuple):
     n: int
     theta_hat: float
     c: float
     scale: float  # max(1, |z1|**n, |z2|**n)
 
 
-@dataclass(frozen=True)
-class SameComponentResult:
+class SameComponentResult(NamedTuple):
     status: str  # "same" | "different" | "on_zero_level"
     rays_between: int = 0
     same_ray: bool | None = None
 
 
-@dataclass(frozen=True)
-class GraphicalResult:
+class GraphicalResult(NamedTuple):
     yes: bool
     reason: str = ""
 
 
-@dataclass(frozen=True)
-class SolutionCurve:
+class SolutionCurve(NamedTuple):
     x: np.ndarray
     f: np.ndarray
     f_prime: np.ndarray
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     residual: np.ndarray  # of the ODE at each node, as in _ode_terms
     theta_pointwise: np.ndarray
     residual_max: float

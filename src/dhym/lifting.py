@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .charges import ChargeReport
 from .tolerances import EPS_ANGLE
 
 
-@dataclass(frozen=True)
-class LiftedAngle:
+class LiftedAngle(NamedTuple):
     theta_principal: float  # in [-pi, pi)
     winding: int
     lifted: float  # theta_principal + 2*pi*winding
@@ -27,13 +26,11 @@ class LiftedAngle:
     margin: float  # angular slack (radians) before the route breaks down
 
 
-@dataclass(frozen=True)
-class OriginHit:
+class OriginHit(NamedTuple):
     t_star: float
 
 
-@dataclass(frozen=True)
-class LiftUndefined:
+class LiftUndefined(NamedTuple):
     reason: str
     detail: str = ""
 

@@ -11,8 +11,8 @@ closed form; only the figure lists the rays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .tolerances import EPS_ANGLE
 
@@ -25,8 +25,7 @@ class Sign(Enum):
     ON_RAY = "on_ray"
 
 
-@dataclass(frozen=True)
-class SectorVerdict:
+class SectorVerdict(NamedTuple):
     value: Sign
     margin: float  # angular distance to the nearest ray of the level
 

@@ -14,8 +14,8 @@ instance's angle record (charges.charge_report) and recomputes none of it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .charges import ChargeReport, degeneracy_check
 from .lifting import LiftedAngle, LiftUndefined, sector_lift
@@ -36,15 +36,13 @@ class Overall(Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class PerK:
+class PerK(NamedTuple):
     sign_h: SectorVerdict  # sector of z2 = a+ip
     sign_e: SectorVerdict  # sector of z1 = 1+iq
     verdict: KVerdict
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(NamedTuple):
     per_k: dict[int, PerK]
     overall: Overall
 
@@ -61,11 +59,10 @@ class Route(Enum):
     DEGENERATE = "degenerate"
 
 
-@dataclass(frozen=True)
-class ExistenceVerdict:
+class ExistenceVerdict(NamedTuple):
     value: Existence
     route: Route
-    notes: dict = field(default_factory=dict)
+    notes: dict
     # what the verdict was decided from; None for a degenerate record
     stability: StabilityReport | None = None
     lift: LiftedAngle | LiftUndefined | None = None

@@ -63,6 +63,11 @@ def test_geometry_validation():
     g = Geometry(2, 2.0, 2.0, 1.0)
     assert g.z1 == 1 + 1j
     assert g.z2 == 2 + 2j
+    # a copy is validated like a new instance
+    assert type(g._replace(p=3.0)) is Geometry
+    assert g._replace(p=3.0) == Geometry(2, 2.0, 3.0, 1.0)
+    with pytest.raises(InvalidGeometryError):
+        g._replace(a=1.0)
 
 
 def test_zeta_examples():

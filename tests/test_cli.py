@@ -14,7 +14,7 @@ import pytest
 from dhym import charges, cli, levelcurve, lifting, stability
 from dhym.config import ConfigError, load_config
 
-from conftest import degenerate_example, scaled_example
+from conftest import degenerate_example, random_geometry, scaled_example
 
 
 def run_cli(args, stdin_text=None):
@@ -311,6 +311,49 @@ def test_solve_csv_format():
                          for row in cols.T.tolist()]
 
 
+def _stdlib_json(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+def test_json_writer_matches_stdlib(tmp_path, monkeypatch, capsys):
+    # the stdlib encoder is the oracle for cli._json, byte for byte
+    reports = [cli.analysis_report(charges.Geometry(**doc))
+               for command, doc, _, _ in PINNED_OUTPUTS if command == "analyze"]
+    rng = np.random.default_rng(31)
+    pool = [random_geometry(rng, n_hi=40) for _ in range(300)]
+    assert {g.n for g in pool} == set(range(2, 41))
+    reports += [cli.analysis_report(g) for g in pool]
+    for report in reports:
+        assert cli._json(report) == _stdlib_json(report)
+    # solve prints its summary through the writer: the text must be what
+    # the stdlib prints for the values it holds
+    monkeypatch.chdir(tmp_path)
+    summaries = 0
+    for command, doc, code, _ in PINNED_OUTPUTS:
+        if command == "solve" and code == 0:
+            assert cli.main([command, "--config",
+                             write_config(tmp_path, doc)]) == 0
+            out = capsys.readouterr().out
+            assert out == _stdlib_json(json.loads(out)) + "\n"
+            summaries += 1
+    assert summaries == 2
+
+
+def test_json_writer_edge_values():
+    text = "\u00e9\n\"\\\x00\u2028\U0001f600"
+    values = [-0.0, 5e-324, 1e308, -1e308, math.nan, math.inf, -math.inf,
+              0.1, 0, -7, 10 ** 30, True, False, None, "", text, {}, [],
+              {"b": {}, "a": [], "": [[], {}, [[]], {"x": {}}]},
+              [[1.5, "t"], {text: [-0.0, {"\u00e9": math.nan}]}]]
+    for value in values + [values]:
+        assert cli._json(value) == _stdlib_json(value)
+    # a record or a numpy scalar in a report is a bug, not a list or a float
+    for bad in (np.float64(1.0), np.bool_(True), {1, 2}, b"x", (1.5,),
+                charges.Geometry(2, 2.0, 1.0, 1.0)):
+        with pytest.raises(TypeError):
+            cli._json({"k": [bad]})
+
+
 def test_main_reuses_parser(tmp_path, capsys):
     path = write_config(tmp_path, STABLE)
     analyze = ["analyze", "--config", path]
@@ -410,16 +453,19 @@ def test_solve_skips_volume_path(tmp_path, capsys, monkeypatch):
 
 
 # imports dhym, then runs each command of argv[2:] in-process on the
-# config argv[1]; prints, per step, the exit code and whether numpy is loaded
-_NUMPY_PROBE = """
+# config argv[1]; prints, per step, the exit code and which of numpy,
+# dataclasses and inspect (which pulls in ast, dis and tokenize) are loaded
+_IMPORT_PROBE = """
 import contextlib, io, json, sys
 import dhym, dhym.cli
-steps = [["import", None, "numpy" in sys.modules]]
+def heavy():
+    return [m for m in ("numpy", "dataclasses", "inspect") if m in sys.modules]
+steps = [["import", None, heavy()]]
 for command in sys.argv[2:]:
     with contextlib.redirect_stdout(io.StringIO()):
         code = dhym.cli.main([command, "--config", sys.argv[1],
                               "--out", sys.argv[1] + "." + command])
-    steps.append([command, code, "numpy" in sys.modules])
+    steps.append([command, code, heavy()])
 print(json.dumps(steps))
 """
 
@@ -430,13 +476,15 @@ def test_verdicts_never_import_numpy(tmp_path):
         "p_count": 3, "q_count": 3},
         "figure": {"window": [-4, 4, -4, 4], "samples": 64}})
     res = subprocess.run(
-        [sys.executable, "-c", _NUMPY_PROBE, path,
+        [sys.executable, "-c", _IMPORT_PROBE, path,
          "analyze", "sweep", "solve", "figure"],
         capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    assert json.loads(res.stdout) == [
-        ["import", None, False], ["analyze", 0, False], ["sweep", 0, False],
-        ["solve", 0, True], ["figure", 0, True]]
+    steps = json.loads(res.stdout)
+    assert steps[:3] == [["import", None, []], ["analyze", 0, []],
+                         ["sweep", 0, []]]
+    assert [step[:2] for step in steps[3:]] == [["solve", 0], ["figure", 0]]
+    assert all("numpy" in step[2] for step in steps[3:])
 
 
 def test_linspace_matches_numpy():

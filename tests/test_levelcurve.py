@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -194,8 +193,8 @@ def test_verify_rejects_perturbed_curve(rng):
     g = Geometry(2, 2.0, 2.0, 1.0)
     rep, ctx = _record(g)
     curve = trace_solution(rep, ctx)
-    noisy = dataclasses.replace(
-        curve, f=curve.f + 1e-2 * rng.standard_normal(curve.f.shape))
+    noisy = curve._replace(
+        f=curve.f + 1e-2 * rng.standard_normal(curve.f.shape))
     rep = verify_solution(noisy, rep, ctx)
     assert not rep.passed
     assert rep.residual_ratio > TOL_ENDPOINT
@@ -211,7 +210,7 @@ def test_verify_rejects_off_level_samples(rng):
     f[1:-1] *= 1.0 + 0.05 * rng.standard_normal(len(f) - 2)
     fp = np.array([-gx / gy for gx, gy in
                    (phi_gradient(x, y, ctx) for x, y in zip(curve.x, f))])
-    rep = verify_solution(dataclasses.replace(curve, f=f, f_prime=fp), rep, ctx)
+    rep = verify_solution(curve._replace(f=f, f_prime=fp), rep, ctx)
     assert not rep.passed
     assert not rep.level_max <= TOL_LEVEL
 
@@ -230,8 +229,7 @@ def test_verify_bounds_each_node_by_its_own_scale():
         f[j] += 0.05
         gx, gy = phi_gradient(float(curve.x[j]), float(f[j]), ctx)
         fp[j] = -gx / gy
-    check = verify_solution(dataclasses.replace(curve, f=f, f_prime=fp),
-                            rep, ctx)
+    check = verify_solution(curve._replace(f=f, f_prime=fp), rep, ctx)
     assert not check.passed
     assert not check.level_max <= TOL_LEVEL
 
@@ -250,7 +248,6 @@ def test_verify_bounds_each_residual_by_its_own_scale():
     for nodes in (slice(1, 20), slice(-20, -1)):
         fp = curve.f_prime.copy()
         fp[nodes] += 1e-3
-        check = verify_solution(dataclasses.replace(curve, f_prime=fp),
-                                rep, ctx)
+        check = verify_solution(curve._replace(f_prime=fp), rep, ctx)
         assert not check.passed
         assert check.residual_ratio > 100 * TOL_ENDPOINT

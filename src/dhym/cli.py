@@ -14,13 +14,13 @@ import sys
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .charges import (DegenerateGeometryError, Geometry, InvalidGeometryError,
-                      central_charges, charge_report)
+                      central_charges, charge_report, degeneracy_check)
 from .config import ConfigError, RunConfig, load_config
 from .figure import FigureError, render_figure
 from .levelcurve import (TraceError, graphical_existence, level_context,
                          same_component, trace_solution, verify_solution)
 from .lifting import LiftedAngle, OriginHit, cxy_path_lift
-from .stability import Existence, existence_verdict
+from .stability import Existence, existence_verdict, supercritical_check
 
 EXIT_EXISTS = 0
 EXIT_NOT_EXISTS = 1
@@ -50,11 +50,13 @@ def analysis_report(g: Geometry) -> dict:
         },
     }
     verdict = existence_verdict(rep)
-    notes = dict(verdict.notes)
+    margin, divisor = verdict.divisor or (None, None)
     out["existence"] = {"value": verdict.value.value,
-                        "route": verdict.route.value, "notes": notes}
+                        "route": verdict.route.value,
+                        "reason": verdict.reason,
+                        "divisor_margin": margin, "divisor": divisor}
     if rep.degenerate:
-        out["charge"]["degenerate_m"] = notes["degenerate_m"]
+        out["charge"]["degenerate_m"] = degeneracy_check(rep)
         return out
 
     stab, lift = verdict.stability, verdict.lift
@@ -70,19 +72,17 @@ def analysis_report(g: Geometry) -> dict:
     cxy = cxy_path_lift(rep)
     if isinstance(cxy, OriginHit):
         out["volume_path"] = {"defined": False, "origin_hit_t": cxy.t_star}
-        note = f"origin hit at t = {cxy.t_star:.9f}"
     else:
         out["volume_path"] = {"defined": True, "winding": cxy.winding,
                               "lifted": cxy.lifted}
-        note = f"lift {cxy.lifted:.9f} (corroborating only)"
     if isinstance(lift, LiftedAngle):
         out["lift"] = {"defined": True, "method": lift.method,
                        "winding": lift.winding, "lifted": lift.lifted,
-                       "margin": lift.margin}
+                       "margin": lift.margin,
+                       "supercritical": supercritical_check(lift, g.n)}
     else:
         out["lift"] = {"defined": False, "reason": lift.reason,
                        "detail": lift.detail}
-        notes["volume_path"] = note
     sc = same_component(rep, level_context(rep))
     out["same_component"] = {"status": sc.status,
                              "rays_between": sc.rays_between,
@@ -147,7 +147,8 @@ def run_solve(cfg: RunConfig, out_path: str | None, stdout, stderr) -> int:
     verdict = existence_verdict(rep)
     if verdict.value is not Existence.EXISTS:
         stderr.write(f"no solve attempted: existence is "
-                     f"{verdict.value.value} via {verdict.route.value}\n")
+                     f"{verdict.value.value} via {verdict.route.value} "
+                     f"({verdict.reason})\n")
         return _EXIT_FOR[verdict.value]
     try:
         ctx = level_context(rep)
@@ -222,7 +223,7 @@ def _sweep_row(g: Geometry) -> str:
                       for pk in stab.per_k.values())
     lift_defined = isinstance(lift, LiftedAngle)
     lift_margin = lift.margin if lift_defined else nan
-    div_margin = verdict.notes.get("divisor_margin", nan)
+    div_margin = verdict.divisor[0] if verdict.divisor else nan
     return _SWEEP_ROW % (g.p, g.q, stab.overall.value, verdict.value.value,
                          verdict.route.value, "true" if lift_defined else "false",
                          stab_margin, lift_margin, div_margin)

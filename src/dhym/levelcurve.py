@@ -45,12 +45,12 @@ class LevelSetContext(NamedTuple):
     n: int
     theta_hat: float
     c: float
-    scale: float  # max(1, |z1|**n, |z2|**n)
+    scale: float  # rep.scale, max(|z1|**n, |z2|**n) >= 1 as |z1| >= 1
 
 
 class SameComponentResult(NamedTuple):
     status: str  # "same" | "different" | "on_zero_level"
-    rays_between: int = 0
+    rays_between: int = 0  # a deadband count, as rays.rays_between
     same_ray: bool | None = None
 
 
@@ -90,14 +90,13 @@ def level_context(rep: ChargeReport) -> LevelSetContext:
     |c| <= min(|z1|, |z2|)^n, so c is taken from the end nearer the origin.
     """
     g, th = rep.g, rep.angle()  # raises DegenerateGeometryError
-    scale = max(1.0, rep.scale)
-    ctx = LevelSetContext(n=g.n, theta_hat=th, c=0.0, scale=scale)
-    c1 = phi(1.0, g.q, ctx)
-    c2 = phi(g.a, g.p, ctx)
-    if abs(c1 - c2) > 1e-9 * scale:
+    rot = cmath.exp(-1j * th)
+    c1 = (rot * g.z1 ** g.n).imag
+    c2 = (rot * g.z2 ** g.n).imag
+    if abs(c1 - c2) > 1e-9 * rep.scale:
         raise TraceError(f"endpoint level values disagree: {c1!r} vs {c2!r}")
     c = c1 if abs(g.z1) <= abs(g.z2) else c2
-    return LevelSetContext(n=g.n, theta_hat=th, c=c, scale=scale)
+    return LevelSetContext(n=g.n, theta_hat=th, c=c, scale=rep.scale)
 
 
 def same_component(rep: ChargeReport, ctx: LevelSetContext) -> SameComponentResult:

@@ -75,7 +75,9 @@ def rays_between(arg1: float, arg2: float, k: int, theta_hat: float,
                  n: int) -> int:
     """Number of rays of the level strictly between two arguments, each
     moved EPS_ANGLE inward: the integers strictly between the fan angles
-    over pi at the two moved ends."""
+    over pi at the two moved ends.  It is a deadband count: a ray within
+    EPS_ANGLE of either argument is not counted, so it can fall short of
+    the exact count by one at each end."""
     lo = min(arg1, arg2) + EPS_ANGLE
     hi = max(arg1, arg2) - EPS_ANGLE
     if lo >= hi:

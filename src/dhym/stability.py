@@ -17,7 +17,7 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
-from .charges import ChargeReport, degeneracy_check
+from .charges import ChargeReport
 from .lifting import LiftedAngle, LiftUndefined, sector_lift
 from .rays import SectorVerdict, Sign, sector_of
 from .tolerances import EPS_ANGLE
@@ -59,13 +59,22 @@ class Route(Enum):
     DEGENERATE = "degenerate"
 
 
+# why a verdict is not EXISTS, one token each; the reason is "" exactly
+# when the verdict is EXISTS
+REASONS = ("divisor_bound_fails", "degenerate", "lift_undefined",
+           "divisor_bound_marginal", "stable_but_lift_undefined",
+           "stable_but_divisor_fails")
+
+
 class ExistenceVerdict(NamedTuple):
     value: Existence
     route: Route
-    notes: dict
-    # what the verdict was decided from; None for a degenerate record
+    reason: str  # "" or one of REASONS
+    # what the verdict was decided from; None for a degenerate record, and
+    # divisor is divisor_angle_bounds of the lift, None when it is undefined
     stability: StabilityReport | None = None
     lift: LiftedAngle | LiftUndefined | None = None
+    divisor: tuple[float, str] | None = None
 
 
 def _combine(sh: SectorVerdict, se: SectorVerdict) -> KVerdict:
@@ -102,18 +111,14 @@ def supercritical_check(lift: LiftedAngle, n: int) -> bool:
 
 
 def divisor_angle_bounds(rep: ChargeReport,
-                         lift: LiftedAngle) -> tuple[float, str | None]:
+                         lift: LiftedAngle) -> tuple[float, str]:
     """The margin min over the divisors H and E of
-    pi/2 - |((n-1) arg z) - lifted|, and the divisor that attains it.
-    Both bounds hold when the margin is positive."""
-    margin = math.inf
-    which = None
-    for name, psi in (("H", rep.psi2), ("E", rep.psi1)):
-        ang = (rep.g.n - 1) * psi
-        m = math.pi / 2 - abs(ang - lift.lifted)
-        if m < margin:
-            margin, which = m, name
-    return margin, which
+    pi/2 - |((n-1) arg z) - lifted|, and the divisor that attains it, H on
+    a tie.  Both bounds hold when the margin is positive."""
+    n = rep.g.n
+    h = math.pi / 2 - abs((n - 1) * rep.psi2 - lift.lifted)
+    e = math.pi / 2 - abs((n - 1) * rep.psi1 - lift.lifted)
+    return (h, "H") if h <= e else (e, "E")
 
 
 def existence_verdict(rep: ChargeReport) -> ExistenceVerdict:
@@ -122,52 +127,36 @@ def existence_verdict(rep: ChargeReport) -> ExistenceVerdict:
     The lift route is authoritative: existence iff the sector lift is
     defined and both divisor bounds hold.  When the lift is undefined we
     report inconclusive rather than non-existence, since a different path
-    could in principle still define a lift.  Stability is recorded and used
-    as an independent certificate when the lift route is marginal.
+    could in principle still define a lift.  Stability is used as an
+    independent certificate when the divisor bound is marginal; where it
+    contradicts the lift route the verdict is inconclusive.
 
-    The verdict carries the stability report and the sector lift it was
-    decided from; a degenerate record gets neither, and only ``rep`` is read.
+    The verdict carries the stability report, the sector lift and the
+    divisor bound it was decided from; a degenerate record gets none of
+    them, and only ``rep`` is read.
     """
     if rep.degenerate:
-        return ExistenceVerdict(
-            Existence.INCONCLUSIVE, Route.DEGENERATE,
-            notes={"degenerate_m": degeneracy_check(rep), "r_x": rep.r_x})
+        return ExistenceVerdict(Existence.INCONCLUSIVE, Route.DEGENERATE,
+                                "degenerate")
     stab, lift = stability_verdict(rep), sector_lift(rep)
     stable = stab.overall is Overall.STABLE
-    notes: dict = {"lemma_stability": stab.overall.value}
-
-    def verdict(value: Existence, route=Route.THEOREM_BICONDITIONAL):
-        return ExistenceVerdict(value, route, notes, stab, lift)
-
     if isinstance(lift, LiftUndefined):
-        notes["lift"] = "undefined"
-        notes["lift_reason"] = lift.reason
-        notes["lift_detail"] = lift.detail
-        if stable:
-            # stability guarantees the sector condition; reaching this branch
-            # means the gap sits inside the angular deadband
-            notes["anomaly"] = "stable but sector lift undefined (knife edge)"
-        return verdict(Existence.INCONCLUSIVE)
-
-    notes["lift"] = lift.lifted
-    notes["winding"] = lift.winding
-    notes["supercritical"] = supercritical_check(lift, rep.g.n)
-    margin, which = divisor_angle_bounds(rep, lift)
-    notes["divisor_margin"] = margin
-    if margin > EPS_ANGLE:
-        route = (Route.THEOREM_SUFFICIENT if stable
-                 else Route.THEOREM_BICONDITIONAL)
-        notes["also_certified_by_stability"] = stable
-        notes["sufficient_route"] = route.value
-        return verdict(Existence.EXISTS)
-    if margin < -EPS_ANGLE:
-        if stable:
-            notes["anomaly"] = "stable yet divisor bound fails"
-            return verdict(Existence.INCONCLUSIVE)
-        notes["failed_divisor"] = which
-        return verdict(Existence.NOT_EXISTS)
-    # marginal divisor bound: |margin| <= EPS_ANGLE
-    notes["divisor_bound"] = "marginal"
-    if stable:
-        return verdict(Existence.EXISTS, Route.THEOREM_SUFFICIENT)
-    return verdict(Existence.INCONCLUSIVE)
+        # stability guarantees the sector condition; a stable record here
+        # has its gap inside the angular deadband
+        return ExistenceVerdict(
+            Existence.INCONCLUSIVE, Route.THEOREM_BICONDITIONAL,
+            "stable_but_lift_undefined" if stable else "lift_undefined",
+            stab, lift)
+    divisor = divisor_angle_bounds(rep, lift)
+    route = Route.THEOREM_BICONDITIONAL
+    if divisor[0] > EPS_ANGLE:
+        value, reason = Existence.EXISTS, ""
+    elif divisor[0] < -EPS_ANGLE:
+        value, reason = ((Existence.INCONCLUSIVE, "stable_but_divisor_fails")
+                         if stable else
+                         (Existence.NOT_EXISTS, "divisor_bound_fails"))
+    elif stable:  # a marginal divisor bound, |margin| <= EPS_ANGLE
+        value, reason, route = Existence.EXISTS, "", Route.THEOREM_SUFFICIENT
+    else:
+        value, reason = Existence.INCONCLUSIVE, "divisor_bound_marginal"
+    return ExistenceVerdict(value, route, reason, stab, lift, divisor)

@@ -63,7 +63,9 @@ def test_analyze_exists(tmp_path):
     assert res.returncode == 0
     doc = json.loads(res.stdout)
     assert doc["existence"]["value"] == "exists"
-    assert doc["existence"]["notes"]["also_certified_by_stability"] is True
+    assert doc["existence"]["route"] == "lift_and_divisor_bounds"
+    assert doc["existence"]["reason"] == ""
+    assert doc["stability"]["overall"] == "stable"
     assert doc["charge"]["theta_hat"] == pytest.approx(math.pi / 2)
 
 
@@ -80,7 +82,9 @@ def test_analyze_lift_undefined(tmp_path):
     assert res.returncode == 2
     doc = json.loads(res.stdout)
     assert doc["existence"]["value"] == "inconclusive"
-    assert "lift" in json.dumps(doc["existence"]["notes"]).lower()
+    assert doc["existence"]["reason"] == "lift_undefined"
+    assert doc["existence"]["divisor"] is None
+    assert doc["lift"]["defined"] is False
 
 
 def test_analyze_degenerate_cites_witness(tmp_path):
@@ -255,16 +259,18 @@ DEGENERATE = {"n": 3, "a": 1.2320508075688774, "p": -1.8660254037844386,
 EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 
 # sha256 of stdout followed by the solve CSV (if any), recorded before the
-# analysis and the CSV writer were rewritten; the bytes must not drift
+# analysis and the CSV writer were rewritten; the bytes must not drift.  The
+# analyze digests were recorded when the existence block's free-form notes
+# gave way to reason, divisor_margin and divisor
 PINNED_OUTPUTS = [
     ("analyze", STABLE, 0,
-     "9e28b5260bd9583754968dc964bcad1276ccd9b36019bc30e3518d253acfadad"),
+     "e7abfc28e7027585507e795baa3a97b0c33473460bfa0a131e232618fe115e25"),
     ("analyze", LIFT_UNDEFINED, 2,
-     "d039fc054cc639aadff89ddc8fe4856516c50e5dc2d355f99934b380179a9770"),
+     "a62882c4749eedcad3eb436dd3cdc6a528035df9fd06234aff43e8880016d010"),
     ("analyze", ORIGIN_HIT, 2,
-     "9e337cb10d072d52ec655a2ec9fd254d515821d11000a53628e8a79a048dec8b"),
+     "7ac89b9e758838cb86f0dcdb6b60dc83166ee59e16e63a764b06ff20b9cc4b9e"),
     ("analyze", DEGENERATE, 2,
-     "fe49c28fb8f215fbf213461041e01d3d538fe8ca8970ddd7fa5501c555e5a6ea"),
+     "77680811d1f410c286c709dd6a577311a065b3359355882ee8f97bdf6f8c6233"),
     ("solve", STABLE, 0,
      "959647cebbf0cab4b89a6ff9c1e84c68793aab932e203795209d18cc00c70189"),
     ("solve", STEEP, 0,
@@ -337,6 +343,35 @@ def test_json_writer_matches_stdlib(tmp_path, monkeypatch, capsys):
             assert out == _stdlib_json(json.loads(out)) + "\n"
             summaries += 1
     assert summaries == 2
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def test_existence_block_is_typed():
+    # the existence block holds five keys, prints as strict JSON, and gives
+    # a reason from the closed set exactly when the value is not "exists"
+    docs = [doc for command, doc, _, _ in PINNED_OUTPUTS
+            if command == "analyze"]
+    rng = np.random.default_rng(14)
+    docs += [geometry_doc(random_geometry(rng)) for _ in range(300)]
+    reasons = set()
+    for doc in docs:
+        text = cli._json(cli.analysis_report(charges.Geometry(**doc)))
+        report = json.loads(text, parse_constant=_reject_constant)
+        block = report["existence"]
+        assert set(block) == {"value", "route", "reason", "divisor_margin",
+                              "divisor"}, doc
+        assert (block["reason"] == "") == (block["value"] == "exists"), doc
+        assert block["reason"] in ("", *stability.REASONS), doc
+        lifted = report.get("lift", {}).get("defined", False)
+        assert (block["divisor"] is None) == (not lifted), doc
+        assert (block["divisor_margin"] is None) == (not lifted), doc
+        assert block["divisor"] in (None, "H", "E"), doc
+        reasons.add(block["reason"])
+    assert {"", "degenerate", "lift_undefined",
+            "divisor_bound_fails"} <= reasons
 
 
 def test_json_writer_edge_values():
@@ -420,12 +455,13 @@ def test_volume_path_lifted_by_analyze_only(tmp_path, capsys, monkeypatch):
     calls = _count_calls(monkeypatch, lifting, "cxy_path_lift")
     verdict = stability.existence_verdict(charges.charge_report(scaled_example()))
     assert verdict.value is stability.Existence.INCONCLUSIVE
-    assert "volume_path" not in verdict.notes and calls == []
+    assert verdict.reason == "lift_undefined" and calls == []
     assert cli.main(["analyze", "--config",
                      write_config(tmp_path, ORIGIN_HIT)]) == 2
     report = json.loads(capsys.readouterr().out)
     assert len(calls) == 1
-    assert report["existence"]["notes"]["volume_path"].startswith("origin hit")
+    assert report["volume_path"]["defined"] is False
+    assert 0.0 <= report["volume_path"]["origin_hit_t"] <= 1.0
 
 
 def test_sweep_skips_volume_path(tmp_path, capsys, monkeypatch):
@@ -442,8 +478,8 @@ def test_sweep_skips_volume_path(tmp_path, capsys, monkeypatch):
 
 
 def test_solve_skips_volume_path(tmp_path, capsys, monkeypatch):
-    # solve prints only the verdict and its route, so it never lifts the
-    # volume path, not even where the sector lift is undefined
+    # solve prints only the verdict, its route and its reason, so it never
+    # lifts the volume path, not even where the sector lift is undefined
     calls = _count_calls(monkeypatch, lifting, "cxy_path_lift")
     path = write_config(tmp_path, LIFT_UNDEFINED)
     assert cli.main(["solve", "--config", path,

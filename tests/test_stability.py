@@ -3,7 +3,7 @@ import math
 import pytest
 
 from dhym.charges import Geometry, charge_report
-from dhym.lifting import LiftedAngle, sector_lift
+from dhym.lifting import LiftedAngle, LiftUndefined, sector_lift
 from dhym.rays import Sign
 from dhym.stability import (
     Existence,
@@ -100,7 +100,8 @@ def test_divisor_angle_bounds_examples():
 def test_existence_exists_both_routes():
     v = existence_verdict(charge_report(Geometry(2, 2.0, 2.0, 1.0)))
     assert v.value is Existence.EXISTS
-    assert v.notes["also_certified_by_stability"] is True
+    assert v.reason == "" and v.divisor[0] > EPS_ANGLE
+    assert v.stability.overall is Overall.STABLE
 
 
 def test_existence_not_exists():
@@ -113,12 +114,14 @@ def test_existence_degenerate():
     v = existence_verdict(charge_report(degenerate_example()))
     assert v.value is Existence.INCONCLUSIVE
     assert v.route is Route.DEGENERATE
+    assert v.reason == "degenerate" and v.stability is v.divisor is None
 
 
 def test_existence_inconclusive_when_no_path_lifts():
     v = existence_verdict(charge_report(scaled_example()))
     assert v.value is Existence.INCONCLUSIVE
-    assert "lift" in str(v.notes).lower()
+    assert v.reason == "lift_undefined" and v.divisor is None
+    assert isinstance(v.lift, LiftUndefined)
 
 
 def test_stable_implies_exists(rng):

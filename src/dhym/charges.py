@@ -13,7 +13,7 @@ import cmath
 import math
 from typing import NamedTuple
 
-from .tolerances import EPS_ANGLE, EPS_ZERO
+from .tolerances import EPS_ZERO
 
 
 class InvalidGeometryError(ValueError):
@@ -133,19 +133,13 @@ def central_charges(rep: ChargeReport) -> dict[str, complex]:
 
 
 def degeneracy_check(rep: ChargeReport) -> int | None:
-    """Return the witnessing integer m when z2^n = z1^n to tolerance, else None.
+    """The witnessing integer m of a degenerate record, else None.
 
     Degeneracy means |z2| = |z1| together with an argument gap of 2*pi*m/n.
     """
-    g = rep.g
-    m1, m2 = abs(g.z1), abs(g.z2)
-    if abs(m2 - m1) > EPS_ZERO * max(m1, m2):
+    if not rep.degenerate:
         return None
-    dphi = abs(rep.psi2 - rep.psi1)
-    m = round(dphi * g.n / math.tau)
-    if abs(dphi - math.tau * m / g.n) > EPS_ANGLE:
-        return None
-    return m
+    return round(abs(rep.psi2 - rep.psi1) * rep.g.n / math.tau)
 
 
 def charge_report(g: Geometry) -> ChargeReport:

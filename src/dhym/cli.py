@@ -234,12 +234,10 @@ def run_figure(cfg: RunConfig, out_path: str | None, stdout) -> int:
         raise ConfigError("figure command requires a figure spec in the config")
     rep = charge_report(cfg.geometry)
     ctx = level_context(rep)
-    curve = None
-    if "solution" in cfg.figure.overlays:
-        try:  # GraphicalPreconditionError is a TraceError
-            curve = trace_solution(rep, ctx)
-        except TraceError:
-            curve = None
+    try:  # GraphicalPreconditionError is a TraceError
+        curve = trace_solution(rep, ctx)
+    except TraceError:
+        curve = None
     svg = render_figure(rep, ctx, cfg.figure, curve=curve)
     if out_path:
         with open(out_path, "w") as fh:

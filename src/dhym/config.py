@@ -1,7 +1,8 @@
 """JSON run configuration for the command-line front end.
 
 A config is a single JSON document; unknown keys are rejected so typos
-fail loudly instead of silently using defaults.
+fail loudly instead of silently using defaults.  Every value is read by
+one of three checked readers: an object, a number or a list of numbers.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ class ConfigError(ValueError):
     pass
 
 
-_OVERLAYS = ("level_set", "rays_top", "rays_vertical", "endpoints", "solution")
+# the largest n whose half fan gap pi/(2n) exceeds the angular deadband
+_N_MAX = math.floor(math.pi / (2 * EPS_ANGLE))
 
 
 class SweepSpec(NamedTuple):
@@ -31,8 +33,7 @@ class SweepSpec(NamedTuple):
 
 class FigureSpec(NamedTuple):
     window: Window
-    samples: int = 256
-    overlays: tuple[str, ...] = _OVERLAYS
+    samples: int  # contour oracle grid size per axis, 256 when not given
 
 
 class RunConfig(NamedTuple):
@@ -41,93 +42,76 @@ class RunConfig(NamedTuple):
     figure: FigureSpec | None = None
 
 
-def _require_keys(doc: dict, allowed: set, where: str) -> None:
-    unknown = set(doc) - allowed
+def _object(doc, allowed, where: str) -> dict:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = set(doc) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
+    return doc
 
 
-def _number(doc: dict, key: str, where: str) -> float:
-    if key not in doc:
-        raise ConfigError(f"missing required key {key!r} in {where}")
-    v = doc[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{where}.{key} must be a number, got {v!r}")
-    return float(v)
+def _number(v, where: str, kind: type = float):
+    """A JSON number as a float, or with kind int a JSON integer as an int;
+    never a bool or a string.  A missing key reads as None."""
+    if isinstance(v, bool) or not isinstance(v, (int, kind)):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{where} must be {what}, got {v!r}")
+    try:
+        return kind(v)
+    except OverflowError:  # a JSON integer beyond the float range
+        raise ConfigError(f"{where} must be finite") from None
+
+
+def _numbers(doc: dict, key: str, count: int, where: str) -> tuple:
+    """doc[key] as exactly count numbers; each (lo, hi) pair of them must
+    have a finite width, which also rules out a non-finite end."""
+    v, name = doc.get(key), f"{where}.{key}"
+    if not isinstance(v, list) or len(v) != count:
+        raise ConfigError(f"{name} must be a list of {count} numbers, got {v!r}")
+    out = tuple([_number(x, f"an entry of {name}") for x in v])
+    if not all(math.isfinite(hi - lo) for lo, hi in zip(out[::2], out[1::2])):
+        raise ConfigError(f"{name} must be finite with a finite width, got {v!r}")
+    return out
 
 
 def parse_config(doc) -> RunConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
-    _require_keys(doc, {"n", "a", "p", "q", "sweep", "figure"}, "config")
-    n = doc.get("n")
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ConfigError(f"n must be an integer, got {n!r}")
+    _object(doc, {*Geometry._fields, "sweep", "figure"}, "config")
+    n = _number(doc.get("n"), "n", int)
     try:
-        geometry = Geometry(n=n, a=_number(doc, "a", "config"),
-                            p=_number(doc, "p", "config"),
-                            q=_number(doc, "q", "config"))
+        geometry = Geometry(n, *(_number(doc.get(key), key)
+                                 for key in ("a", "p", "q")))
     except InvalidGeometryError as exc:
         raise ConfigError(str(exc)) from exc
 
     # rays of the top fan are pi/n apart, so an angular deadband of pi/(2n)
     # or more leaves no argument off a ray and every sector lift undefined
-    if EPS_ANGLE >= math.pi / (2 * n):
-        raise ConfigError(f"n must be at most "
-                          f"{math.floor(math.pi / (2 * EPS_ANGLE))} so that "
-                          f"pi/(2n) exceeds the angular deadband, got {n!r}")
+    if n > _N_MAX:
+        raise ConfigError(f"n must be at most {_N_MAX} so that pi/(2n) "
+                          f"exceeds the angular deadband, got {n!r}")
 
     sweep = None
     if "sweep" in doc:
-        sdoc = doc["sweep"]
-        if not isinstance(sdoc, dict):
-            raise ConfigError("sweep must be an object")
-        _require_keys(sdoc, {"p_range", "q_range", "p_count", "q_count"}, "sweep")
-        try:
-            sweep = SweepSpec(
-                p_range=(float(sdoc["p_range"][0]), float(sdoc["p_range"][1])),
-                q_range=(float(sdoc["q_range"][0]), float(sdoc["q_range"][1])),
-                p_count=int(sdoc["p_count"]),
-                q_count=int(sdoc["q_count"]),
-            )
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed sweep spec: {exc}") from exc
+        sdoc = _object(doc["sweep"], SweepSpec._fields, "sweep")
+        sweep = SweepSpec(
+            p_range=_numbers(sdoc, "p_range", 2, "sweep"),
+            q_range=_numbers(sdoc, "q_range", 2, "sweep"),
+            p_count=_number(sdoc.get("p_count"), "sweep.p_count", int),
+            q_count=_number(sdoc.get("q_count"), "sweep.q_count", int))
         if sweep.p_count < 1 or sweep.q_count < 1:
             raise ConfigError("sweep grid counts must be >= 1")
-        for key in ("p_range", "q_range"):
-            lo, hi = getattr(sweep, key)
-            if not math.isfinite(hi - lo):  # also catches a non-finite end
-                raise ConfigError(f"sweep.{key} must be finite with a finite "
-                                  f"width, got {sdoc[key]!r}")
 
     figure = None
     if "figure" in doc:
-        fdoc = doc["figure"]
-        if not isinstance(fdoc, dict):
-            raise ConfigError("figure must be an object")
-        _require_keys(fdoc, {"window", "samples", "overlays"}, "figure")
-        try:
-            w = fdoc["window"]
-            window = Window(float(w[0]), float(w[1]), float(w[2]), float(w[3]))
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed figure window: {exc}") from exc
-        # a finite width also rules out a non-finite end
-        if not (math.isfinite(window.xmax - window.xmin)
-                and math.isfinite(window.ymax - window.ymin)):
-            raise ConfigError(f"figure.window must be finite with a finite "
-                              f"width, got {w!r}")
+        fdoc = _object(doc["figure"], FigureSpec._fields, "figure")
+        window = Window(*_numbers(fdoc, "window", 4, "figure"))
         if not (window.xmin < window.xmax and window.ymin < window.ymax):
-            raise ConfigError("figure window must be non-empty")
-        samples = fdoc.get("samples", 256)
+            raise ConfigError("figure.window must be non-empty")
+        samples = _number(fdoc.get("samples", 256), "figure.samples", int)
         # the contour oracle holds several (samples+1)^2 arrays at once
-        if (isinstance(samples, bool) or not isinstance(samples, int)
-                or not 64 <= samples <= 2048):
-            raise ConfigError("figure samples must be an integer in [64, 2048]")
-        overlays = tuple(fdoc.get("overlays", _OVERLAYS))
-        bad = set(overlays) - set(_OVERLAYS)
-        if bad:
-            raise ConfigError(f"unknown overlay(s): {sorted(bad)}")
-        figure = FigureSpec(window=window, samples=samples, overlays=overlays)
+        if not 64 <= samples <= 2048:
+            raise ConfigError("figure.samples must be an integer in [64, 2048]")
+        figure = FigureSpec(window=window, samples=samples)
 
     return RunConfig(geometry=geometry, sweep=sweep, figure=figure)
 
@@ -135,6 +119,6 @@ def parse_config(doc) -> RunConfig:
 def load_config(text: str) -> RunConfig:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer of over 4300 digits
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return parse_config(doc)

@@ -70,7 +70,7 @@ def _clip_ray(phi: float, window: Window):
 
 def render_figure(rep: ChargeReport, ctx: LevelSetContext, spec: FigureSpec,
                   curve: SolutionCurve | None = None) -> str:
-    """Level-set figure: contour polylines, ray overlays, endpoint markers."""
+    """Level-set figure: rays, contour polylines, solution, endpoint markers."""
     import numpy as np
     g, window = rep.g, spec.window
     for name, (x, y) in (("(1,q)", (1.0, g.q)), (("(a,p)"), (g.a, g.p))):
@@ -88,30 +88,26 @@ def render_figure(rep: ChargeReport, ctx: LevelSetContext, spec: FigureSpec,
     # of the next fan down (the vertical-tangent locus)
     for name, k, color, dash in (("top", g.n, "#888888", "2,4"),
                                  ("vertical", g.n - 1, "#bb4444", "8,4")):
-        if f"rays_{name}" not in spec.overlays:
-            continue
         style = f"stroke:{color};stroke-width:1;stroke-dasharray:{dash}"
         for phi_ang in ray_set(k, ctx.theta_hat, g.n):
             seg = _clip_ray(phi_ang, window)
             if seg:
                 parts.append(_polyline(seg, f"ray-{name}", style, mapper))
 
-    if "level_set" in spec.overlays:
-        contours = extract_level_set(ctx, window, spec.samples, spec.samples)
-        for poly in contours.polylines:
-            parts.append(_polyline(
-                poly, "level", "stroke:#3465a4;stroke-width:1.5", mapper))
+    contours = extract_level_set(ctx, window, spec.samples, spec.samples)
+    for poly in contours.polylines:
+        parts.append(_polyline(
+            poly, "level", "stroke:#3465a4;stroke-width:1.5", mapper))
 
-    if "solution" in spec.overlays and curve is not None:
+    if curve is not None:
         pts = np.column_stack([curve.x, curve.f])
         parts.append(_polyline(
             pts, "solution", "stroke:#2a7d2a;stroke-width:2.5", mapper))
 
-    if "endpoints" in spec.overlays:
-        for x, y in ((1.0, g.q), (g.a, g.p)):
-            px, py = mapper(x, y)
-            parts.append(f'<circle class="endpoint" cx="{_fmt(px)}" '
-                         f'cy="{_fmt(py)}" r="4" fill="#cc4400"/>')
+    for x, y in ((1.0, g.q), (g.a, g.p)):
+        px, py = mapper(x, y)
+        parts.append(f'<circle class="endpoint" cx="{_fmt(px)}" '
+                     f'cy="{_fmt(py)}" r="4" fill="#cc4400"/>')
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -78,11 +78,6 @@ class VerificationReport(NamedTuple):
     passed: bool
 
 
-def phi(x: float, y: float, ctx: LevelSetContext) -> float:
-    """Im(e^(-i theta_hat) (x+iy)^n)."""
-    return (cmath.exp(-1j * ctx.theta_hat) * complex(x, y) ** ctx.n).imag
-
-
 def level_context(rep: ChargeReport) -> LevelSetContext:
     """Level value shared by (1, q) and (a, p); verified from both ends.
 

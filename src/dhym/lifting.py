@@ -19,9 +19,8 @@ from .tolerances import EPS_ANGLE
 
 
 class LiftedAngle(NamedTuple):
-    theta_principal: float  # in [-pi, pi)
     winding: int
-    lifted: float  # theta_principal + 2*pi*winding
+    lifted: float  # theta_hat + 2*pi*winding
     method: str  # "volume_path" | "sector_path"
     margin: float  # angular slack (radians) before the route breaks down
 
@@ -41,8 +40,8 @@ def _finish_lift(rep: ChargeReport, total: float, margin: float,
     # paths start on the positive real axis (argument 0)
     winding = round((total - th) / math.tau)
     lifted = th + math.tau * winding
-    return LiftedAngle(theta_principal=th, winding=winding, lifted=lifted,
-                       method=method, margin=margin)
+    return LiftedAngle(winding=winding, lifted=lifted, method=method,
+                       margin=margin)
 
 
 def cxy_path_lift(rep: ChargeReport) -> LiftedAngle | OriginHit:

@@ -80,6 +80,11 @@ def lift_exists(rep: ChargeReport) -> bool:
     return isinstance(cxy_path_lift(rep), LiftedAngle)
 
 
+def phi(x: float, y: float, ctx: LevelSetContext) -> float:
+    """Im(e^(-i theta_hat) (x+iy)^n)."""
+    return (cmath.exp(-1j * ctx.theta_hat) * complex(x, y) ** ctx.n).imag
+
+
 def phi_gradient(x: float, y: float, ctx: LevelSetContext) -> tuple[float, float]:
     """(Phi_x, Phi_y) = n (Im, Re) of e^(-i theta_hat) (x+iy)^(n-1)."""
     w = ctx.n * cmath.exp(-1j * ctx.theta_hat) * complex(x, y) ** (ctx.n - 1)

@@ -18,7 +18,6 @@ from dhym.config import FigureSpec
 from dhym.levelcurve import (
     graphical_existence,
     level_context,
-    phi,
     same_component,
     trace_solution,
     verify_solution,
@@ -40,6 +39,7 @@ from conftest import (
     collinear_geometry,
     degenerate_example,
     lift_exists,
+    phi,
     random_geometry,
     sample_stable,
     scaled_example,

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import math
+import re
 import struct
 import subprocess
 import sys
@@ -46,6 +47,14 @@ def test_load_config_rejects_unknown_keys():
     with pytest.raises(ConfigError):
         load_config('{"n": 3, "a": 2.0, "p": 1.0, "q": 0.5, '
                     '"tolerances": {"nope": 1}}')
+    # the figure draws every layer, so a list of layers is an unknown key
+    doc = {"n": 3, "a": 2.0, "p": 1.0, "q": 0.5,
+           "figure": {"window": [-3, 3, -3, 3], "overlays": ["endpoints"]}}
+    with pytest.raises(ConfigError, match=r"unknown key.*figure.*overlays"):
+        load_config(json.dumps(doc))
+    res = run_cli(["figure", "--config", "-"], stdin_text=json.dumps(doc))
+    assert res.returncode == 64 and res.stdout == ""
+    assert "overlays" in res.stderr and "Traceback" not in res.stderr
 
 
 def test_load_config_rejects_bad_values():
@@ -55,6 +64,32 @@ def test_load_config_rejects_bad_values():
         load_config('{"n": 2, "a": 0.5, "p": 1.0, "q": 0.5}')
     with pytest.raises(ConfigError):
         load_config('[1, 2]')
+    # each nested value is checked as the top-level ones are: a string, a
+    # bool, a fraction or a surplus entry is an error naming the key
+    base = {"n": 3, "a": 2.0, "p": 1.0, "q": 0.5}
+    sweep = {"p_range": [0, 1], "q_range": [0, 1], "p_count": 2, "q_count": 2}
+    for key, doc in (
+            ("sweep.p_range", {"sweep": {**sweep, "p_range": ["0", "1"],
+                                         "q_count": True}}),
+            ("sweep.p_range", {"sweep": {**sweep, "p_range": ["0", "1"]}}),
+            ("sweep.q_count", {"sweep": {**sweep, "q_count": True}}),
+            ("sweep.p_count", {"sweep": {**sweep, "p_count": 2.9}}),
+            ("sweep.p_count", {"sweep": {**sweep, "p_count": 1e3}}),
+            ("sweep.p_range", {"sweep": {**sweep, "p_range": [0, 1, 7]}}),
+            ("figure.window", {"figure": {"window": ["-3", 3, -3, 3]}}),
+            ("figure.samples", {"figure": {"window": [-3, 3, -3, 3],
+                                           "samples": True}})):
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            load_config(json.dumps({**base, **doc}))
+    # integers beyond the float range, and past Python's 4300-digit limit
+    # on parsing one, are config errors, not an overflow anomaly or a crash
+    big = "1" + "0" * 400
+    for key, text in (
+            ("a", '{"n": 3, "a": %s, "p": 1, "q": 0.5}' % big),
+            ("n", '{"n": %s, "a": 2, "p": 1, "q": 0.5}' % big),
+            ("JSON", '{"n": 3, "a": 1%s, "p": 1, "q": 0.5}' % ("0" * 5000))):
+        with pytest.raises(ConfigError, match=rf"\b{key}\b"):
+            load_config(text)
 
 
 def test_analyze_exists(tmp_path):

@@ -9,7 +9,6 @@ from dhym.levelcurve import (
     LevelSetContext,
     graphical_existence,
     level_context,
-    phi,
     same_component,
     trace_solution,
     verify_solution,
@@ -19,6 +18,7 @@ from dhym.tolerances import TOL_ENDPOINT, TOL_LEVEL
 
 from conftest import (
     collinear_geometry,
+    phi,
     phi_gradient,
     random_geometry,
     sample_stable,

@@ -35,3 +35,20 @@ def test_readme_lists_every_reason():
                         section, re.M)
     assert sorted(tokens) == sorted(REASONS)
     assert len(set(REASONS)) == len(REASONS) == 6
+
+
+def test_readme_lists_every_config_key():
+    # the table under "## Config keys" names each key the parser admits, and
+    # its default for figure.samples is the one the parser fills in
+    from dhym.charges import Geometry
+    from dhym.config import FigureSpec, SweepSpec, load_config
+    section = (README.read_text().split("## Config keys", 1)[1]
+               .split("\n## ", 1)[0])
+    rows = {key: default.strip() for key, default in
+            re.findall(r"^\| `([a-z_.]+)` \|.*\|([^|]+)\|$", section, re.M)}
+    assert set(rows) == {*Geometry._fields, "sweep", "figure",
+                         *(f"sweep.{key}" for key in SweepSpec._fields),
+                         *(f"figure.{key}" for key in FigureSpec._fields)}
+    cfg = load_config('{"n": 2, "a": 2, "p": 1, "q": 1, '
+                      '"figure": {"window": [-3, 3, -3, 3]}}')
+    assert rows["figure.samples"] == str(cfg.figure.samples)

@@ -56,7 +56,7 @@ def test_collinear_classes_are_stable(rng):
 
 
 def test_supercritical_check():
-    mk = lambda lifted: LiftedAngle(0.0, 0, lifted, "sector_path", 1.0)
+    mk = lambda lifted: LiftedAngle(0, lifted, "sector_path", 1.0)
     assert supercritical_check(mk(math.pi / 2), 2)
     assert not supercritical_check(mk(0.0), 3)
     assert supercritical_check(mk(5 * math.pi / 2 - 1e-6), 5)

@@ -90,6 +90,7 @@ class ChargeReport(NamedTuple):
     psi1: float  # arg z1
     psi2: float  # arg z2
     scale: float  # max(|z1|**n, |z2|**n), for relative tolerances
+    c: float  # Im(e^(-i theta_hat) z^n) at z1 and z2; 0.0 when degenerate
 
     def angle(self) -> float:
         """theta_hat; raises DegenerateGeometryError when zeta vanishes."""
@@ -147,7 +148,13 @@ def charge_report(g: Geometry) -> ChargeReport:
     r = abs(z)
     scale = max(abs(g.z1) ** g.n, abs(g.z2) ** g.n)
     degenerate = r <= EPS_ZERO * scale
-    th = principal_angle(cmath.phase(z)) if not degenerate else 0.0
+    th = c = 0.0
+    if not degenerate:
+        th = principal_angle(cmath.phase(z))
+        # each end's value is off by about eps * |z|^n while |c| <=
+        # min(|z1|, |z2|)^n, so c comes from the nearer end
+        near = g.z1 if abs(g.z1) <= abs(g.z2) else g.z2
+        c = (cmath.exp(-1j * th) * near ** g.n).imag
     return ChargeReport(g=g, zeta=z, theta_hat=th, r_x=r,
                         degenerate=degenerate, psi1=cmath.phase(g.z1),
-                        psi2=cmath.phase(g.z2), scale=scale)
+                        psi2=cmath.phase(g.z2), scale=scale, c=c)

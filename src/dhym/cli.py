@@ -17,8 +17,8 @@ from .charges import (DegenerateGeometryError, Geometry, InvalidGeometryError,
                       central_charges, charge_report, degeneracy_check)
 from .config import ConfigError, RunConfig, load_config
 from .figure import FigureError, render_figure
-from .levelcurve import (TraceError, graphical_existence, level_context,
-                         same_component, trace_solution, verify_solution)
+from .levelcurve import (TraceError, graphical_existence, same_component,
+                         trace_solution, verify_solution)
 from .lifting import LiftedAngle, OriginHit, cxy_path_lift
 from .stability import Existence, existence_verdict, supercritical_check
 
@@ -83,7 +83,7 @@ def analysis_report(g: Geometry) -> dict:
     else:
         out["lift"] = {"defined": False, "reason": lift.reason,
                        "detail": lift.detail}
-    sc = same_component(rep, level_context(rep))
+    sc = same_component(rep)
     out["same_component"] = {"status": sc.status,
                              "rays_between": sc.rays_between,
                              "same_ray": sc.same_ray}
@@ -151,12 +151,11 @@ def run_solve(cfg: RunConfig, out_path: str | None, stdout, stderr) -> int:
                      f"({verdict.reason})\n")
         return _EXIT_FOR[verdict.value]
     try:
-        ctx = level_context(rep)
-        curve = trace_solution(rep, ctx)
+        curve = trace_solution(rep)
     except TraceError as exc:
         stderr.write(f"anomaly: trace failed despite yes-verdict: {exc}\n")
         return EXIT_ANOMALY
-    check = verify_solution(curve, rep, ctx)
+    check = verify_solution(curve, rep)
     # the CSV is written whether or not the curve verifies
     target = out_path or "solution.csv"
     with open(target, "w") as fh:
@@ -164,7 +163,7 @@ def run_solve(cfg: RunConfig, out_path: str | None, stdout, stderr) -> int:
     summary = {
         "samples": len(curve.x),
         "csv": target,
-        "c": ctx.c,
+        "c": rep.c,
         "endpoint_error": check.endpoint_error,
         "residual_max": check.residual_max,
         "residual_l2": check.residual_l2,
@@ -233,12 +232,11 @@ def run_figure(cfg: RunConfig, out_path: str | None, stdout) -> int:
     if cfg.figure is None:
         raise ConfigError("figure command requires a figure spec in the config")
     rep = charge_report(cfg.geometry)
-    ctx = level_context(rep)
     try:  # GraphicalPreconditionError is a TraceError
-        curve = trace_solution(rep, ctx)
+        curve = trace_solution(rep)
     except TraceError:
         curve = None
-    svg = render_figure(rep, ctx, cfg.figure, curve=curve)
+    svg = render_figure(rep, cfg.figure, curve=curve)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(svg)

@@ -15,7 +15,7 @@ import functools
 import math
 from typing import NamedTuple
 
-from .levelcurve import LevelSetContext
+from .charges import ChargeReport
 
 # local corner order: 0=(i,j), 1=(i+1,j), 2=(i+1,j+1), 3=(i,j+1)
 # local edge ids and the corners they join
@@ -65,22 +65,20 @@ class ContourSet(NamedTuple):
     polylines: list  # list of (m, 2) float arrays
     cell_diag: float
 
-    def component_near(self, point, radius: float | None = None) -> int | None:
-        """Index of the polyline within radius (default 2 cell diagonals)."""
+    def component_near(self, point) -> int | None:
+        """Index of the nearest polyline within 2 cell diagonals, else None."""
         import numpy as np
-        if radius is None:
-            radius = 2.0 * self.cell_diag
         p = np.asarray(point, dtype=float)
-        best, best_d = None, radius
+        best, best_d = None, 2.0 * self.cell_diag
         for idx, poly in enumerate(self.polylines):
             d = _point_polyline_distance(p, poly)
             if d <= best_d:
                 best, best_d = idx, d
         return best
 
-    def same_component(self, p1, p2, radius: float | None = None) -> bool | None:
+    def same_component(self, p1, p2) -> bool | None:
         """True/False when both points locate on a polyline, else None."""
-        c1, c2 = (self.component_near(p, radius) for p in (p1, p2))
+        c1, c2 = (self.component_near(p) for p in (p1, p2))
         return None if c1 is None or c2 is None else c1 == c2
 
 
@@ -163,26 +161,28 @@ def _stitch(nb0: list, nb1: list, order: list) -> list:
     return chains
 
 
-def extract_level_set(ctx: LevelSetContext, window: Window,
-                      nx: int = 256, ny: int = 256) -> ContourSet:
-    """Contours of Phi = c on an (nx+1) x (ny+1) node grid over the window.
+def extract_level_set(rep: ChargeReport, window: Window,
+                      samples: int) -> ContourSet:
+    """Contours of Phi = c on a (samples+1)^2 node grid over the window.
 
-    Raises OverflowError when Phi is not finite somewhere on the grid.
+    Raises DegenerateGeometryError for a degenerate record and
+    OverflowError when Phi is not finite somewhere on the grid.
     """
     import numpy as np
-    if nx < 64 or ny < 64:
+    th, n = rep.angle(), rep.g.n
+    if samples < 64:
         raise ValueError("oracle grid must be at least 64x64 cells")
-    xs = np.linspace(window.xmin, window.xmax, nx + 1)
-    ys = np.linspace(window.ymin, window.ymax, ny + 1)
+    xs = np.linspace(window.xmin, window.xmax, samples + 1)
+    ys = np.linspace(window.ymin, window.ymax, samples + 1)
     zx = xs[:, None] + 1j * ys[None, :]
     with np.errstate(over="ignore", invalid="ignore"):
-        values = np.imag(np.exp(-1j * ctx.theta_hat) * zx ** ctx.n) - ctx.c
+        values = np.imag(np.exp(-1j * th) * zx ** n) - rep.c
     if not np.all(np.isfinite(values)):
-        raise OverflowError(f"Phi overflows float64 on the window for n={ctx.n}")
+        raise OverflowError(f"Phi overflows float64 on the window for n={n}")
     # nudge exact zeros off the grid so every crossing is a sign change
     eps = 1e-300 + 1e-15 * float(np.max(np.abs(values)))
     values = np.where(values == 0.0, eps, values)
     polylines = marching_squares(values, xs, ys)
-    dx = (window.xmax - window.xmin) / nx
-    dy = (window.ymax - window.ymin) / ny
+    dx = (window.xmax - window.xmin) / samples
+    dy = (window.ymax - window.ymin) / samples
     return ContourSet(polylines=polylines, cell_diag=math.hypot(dx, dy))

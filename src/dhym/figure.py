@@ -12,7 +12,7 @@ import math
 from .charges import ChargeReport
 from .config import FigureSpec
 from .contour import Window, extract_level_set
-from .levelcurve import LevelSetContext, SolutionCurve
+from .levelcurve import SolutionCurve
 from .rays import ray_set
 
 _W = 640
@@ -68,11 +68,11 @@ def _clip_ray(phi: float, window: Window):
     return ((t_lo * dx, t_lo * dy), (t_hi * dx, t_hi * dy))
 
 
-def render_figure(rep: ChargeReport, ctx: LevelSetContext, spec: FigureSpec,
+def render_figure(rep: ChargeReport, spec: FigureSpec,
                   curve: SolutionCurve | None = None) -> str:
     """Level-set figure: rays, contour polylines, solution, endpoint markers."""
     import numpy as np
-    g, window = rep.g, spec.window
+    g, th, window = rep.g, rep.angle(), spec.window
     for name, (x, y) in (("(1,q)", (1.0, g.q)), (("(a,p)"), (g.a, g.p))):
         if not window.contains(x, y):
             raise FigureError(f"figure window must contain endpoint {name}")
@@ -89,12 +89,12 @@ def render_figure(rep: ChargeReport, ctx: LevelSetContext, spec: FigureSpec,
     for name, k, color, dash in (("top", g.n, "#888888", "2,4"),
                                  ("vertical", g.n - 1, "#bb4444", "8,4")):
         style = f"stroke:{color};stroke-width:1;stroke-dasharray:{dash}"
-        for phi_ang in ray_set(k, ctx.theta_hat, g.n):
+        for phi_ang in ray_set(k, th, g.n):
             seg = _clip_ray(phi_ang, window)
             if seg:
                 parts.append(_polyline(seg, f"ray-{name}", style, mapper))
 
-    contours = extract_level_set(ctx, window, spec.samples, spec.samples)
+    contours = extract_level_set(rep, window, spec.samples)
     for poly in contours.polylines:
         parts.append(_polyline(
             poly, "level", "stroke:#3465a4;stroke-width:1.5", mapper))

@@ -9,9 +9,9 @@ output grid is solved at once, seeded by bisecting for the angle with
 r(phi) cos(phi) = x and polished by Newton steps in y on Phi = c.  The
 trace only solves; verify_solution is the one place that measures a curve
 (its level, the ODE residual, the pointwise angle and the endpoint error).
-The layers read the angle record (charges.charge_report) and the context
-that level_context builds from it once, and recompute neither.  Only the
-array functions import numpy, so the verdicts run without loading it.
+Every layer reads theta_hat and c from the angle record
+(charges.charge_report) and recomputes neither.  Only the array functions
+import numpy, so the verdicts run without loading it.
 """
 
 from __future__ import annotations
@@ -39,13 +39,6 @@ class GraphicalPreconditionError(TraceError):
 _BISECTIONS = 53
 # Newton steps in y allowed to bring every node onto its level target
 _NEWTON_STEPS = 16
-
-
-class LevelSetContext(NamedTuple):
-    n: int
-    theta_hat: float
-    c: float
-    scale: float  # rep.scale, max(|z1|**n, |z2|**n) >= 1 as |z1| >= 1
 
 
 class SameComponentResult(NamedTuple):
@@ -78,34 +71,33 @@ class VerificationReport(NamedTuple):
     passed: bool
 
 
-def level_context(rep: ChargeReport) -> LevelSetContext:
-    """Level value shared by (1, q) and (a, p); verified from both ends.
+def level_context(rep: ChargeReport) -> None:
+    """Check that (1, q) and (a, p) share the level value rep.c.
 
-    Each end's value carries a rounding error of order eps * |z|^n, while
-    |c| <= min(|z1|, |z2|)^n, so c is taken from the end nearer the origin.
+    charge_report takes c from the end nearer the origin; this computes the
+    far end's value and raises TraceError when the two differ by more than
+    EPS_ZERO * scale.
     """
     g, th = rep.g, rep.angle()  # raises DegenerateGeometryError
-    rot = cmath.exp(-1j * th)
-    c1 = (rot * g.z1 ** g.n).imag
-    c2 = (rot * g.z2 ** g.n).imag
-    if abs(c1 - c2) > 1e-9 * rep.scale:
-        raise TraceError(f"endpoint level values disagree: {c1!r} vs {c2!r}")
-    c = c1 if abs(g.z1) <= abs(g.z2) else c2
-    return LevelSetContext(n=g.n, theta_hat=th, c=c, scale=rep.scale)
+    far = g.z2 if abs(g.z1) <= abs(g.z2) else g.z1
+    c_far = (cmath.exp(-1j * th) * far ** g.n).imag
+    if abs(rep.c - c_far) > EPS_ZERO * rep.scale:
+        raise TraceError(f"endpoint level values disagree: "
+                         f"{rep.c!r} vs {c_far!r}")
 
 
-def same_component(rep: ChargeReport, ctx: LevelSetContext) -> SameComponentResult:
+def same_component(rep: ChargeReport) -> SameComponentResult:
     """Do the two endpoints sit on the same component of the level set?
 
     For c = 0 the level set is n rays; the endpoints match iff they sit on
     the same ray.  Otherwise components occupy alternating sectors, so the
     endpoints agree iff no top-level ray lies strictly between them.
     """
-    g, n, th = rep.g, rep.g.n, rep.theta_hat
+    g, n, th = rep.g, rep.g.n, rep.angle()
     # |c| is bounded by min(|z1|, |z2|)**n, so the zero test must use that
     # scale; against the max it would misfire whenever |z2| >> |z1|
     zero_scale = min(abs(g.z1), abs(g.z2)) ** n
-    if abs(ctx.c) <= EPS_ZERO * zero_scale:
+    if abs(rep.c) <= EPS_ZERO * zero_scale:
         v1 = sector_of(rep.psi1, n, th, n)
         v2 = sector_of(rep.psi2, n, th, n)
         on_rays = v1.value is Sign.ON_RAY and v2.value is Sign.ON_RAY
@@ -131,7 +123,7 @@ def graphical_existence(rep: ChargeReport,
     if sc.status == "on_zero_level":
         # linear solution along a common ray; a ray never has vertical slope
         return GraphicalResult(True)
-    n, th = rep.g.n, rep.theta_hat
+    n, th = rep.g.n, rep.angle()
     if rays_between(rep.psi1, rep.psi2, n - 1, th, n) > 0:
         return GraphicalResult(False, "vertical-tangent ray between endpoints")
     for name, psi in (("(1,q)", rep.psi1), ("(a,p)", rep.psi2)):
@@ -141,12 +133,12 @@ def graphical_existence(rep: ChargeReport,
     return GraphicalResult(True)
 
 
-def _level_terms(x: np.ndarray, y: np.ndarray, ctx: LevelSetContext):
+def _level_terms(x: np.ndarray, y: np.ndarray, rep: ChargeReport):
     """Phi - c and the gradient (Phi_x, Phi_y) at arrays of points."""
     import numpy as np
-    z = x + 1j * y
-    u = np.exp(-1j * ctx.theta_hat) * z ** (ctx.n - 1)
-    return np.imag(u * z) - ctx.c, ctx.n * u.imag, ctx.n * u.real
+    n, z = rep.g.n, x + 1j * y
+    u = np.exp(-1j * rep.theta_hat) * z ** (n - 1)
+    return np.imag(u * z) - rep.c, n * u.imag, n * u.real
 
 
 def _node_scale(x: np.ndarray, y: np.ndarray, cap: float,
@@ -159,39 +151,38 @@ def _node_scale(x: np.ndarray, y: np.ndarray, cap: float,
     return np.minimum(cap, np.maximum(1.0, np.hypot(x, y)) ** k)
 
 
-def _arc_angles(rep: ChargeReport, ctx: LevelSetContext,
-                xs: np.ndarray) -> np.ndarray:
+def _arc_angles(rep: ChargeReport, xs: np.ndarray) -> np.ndarray:
     """Angle phi of the arc point above each x, by bisection on
     r(phi) cos(phi) = x: a graphical arc has no vertical tangent, so that
     abscissa runs monotonically from 1 at arg z1 to a at arg z2."""
     import numpy as np
-    n = ctx.n
+    n = rep.g.n
     # sin(n phi - theta_hat) has the sign of c between the endpoint
     # arguments; the floor keeps a rounding slip at either end finite
-    sign = math.copysign(1.0, ctx.c)
+    sign = math.copysign(1.0, rep.c)
     floor = np.finfo(float).tiny
-    root_c = abs(ctx.c) ** (1.0 / n)
+    root_c = abs(rep.c) ** (1.0 / n)
     lo = np.full(xs.shape, rep.psi1)
     hi = np.full(xs.shape, rep.psi2)
     for _ in range(_BISECTIONS):
         mid = 0.5 * (lo + hi)
-        s = np.maximum(sign * np.sin(n * mid - ctx.theta_hat), floor)
+        s = np.maximum(sign * np.sin(n * mid - rep.theta_hat), floor)
         short = root_c * s ** (-1.0 / n) * np.cos(mid) < xs
         lo = np.where(short, mid, lo)
         hi = np.where(short, hi, mid)
     return 0.5 * (lo + hi)
 
 
-def _ode_terms(x, f, fp, ctx: LevelSetContext):
+def _ode_terms(x, f, fp, rep: ChargeReport):
     """Residual Im(e^(-i theta_hat) (1 + i f/x)^(n-1) (1 + i f')) of the ODE
     and the pointwise angle (n-1) arctan(f/x) + arctan(f')."""
     import numpy as np
-    zr = 1.0 + 1j * f / x
-    res = np.imag(np.exp(-1j * ctx.theta_hat) * zr ** (ctx.n - 1) * (1.0 + 1j * fp))
-    return res, (ctx.n - 1) * np.arctan2(f, x) + np.arctan(fp)
+    n, zr = rep.g.n, 1.0 + 1j * f / x
+    res = np.imag(np.exp(-1j * rep.theta_hat) * zr ** (n - 1) * (1.0 + 1j * fp))
+    return res, (n - 1) * np.arctan2(f, x) + np.arctan(fp)
 
 
-def trace_solution(rep: ChargeReport, ctx: LevelSetContext) -> SolutionCurve:
+def trace_solution(rep: ChargeReport) -> SolutionCurve:
     """Solve the level curve Phi = c on x = linspace(1, a, CURVE_SAMPLES).
 
     All nodes at once: each is seeded from the polar form of the arc, or
@@ -199,12 +190,13 @@ def trace_solution(rep: ChargeReport, ctx: LevelSetContext) -> SolutionCurve:
     y until |Phi - c| <= TOL_LEVEL * min(scale, max(1, |z_j|)^n) at every
     node z_j, the bound verify_solution checks.  The reported slope is the
     exact level-set slope -Phi_x / Phi_y there.  The curve carries only its
-    samples; verify_solution measures it.  ``ctx`` is level_context of the
-    record.
+    samples; verify_solution measures it.  It first checks, by
+    level_context, that both endpoints share the record's c.
     """
     import numpy as np
     g = rep.g
-    sc = same_component(rep, ctx)
+    level_context(rep)
+    sc = same_component(rep)
     ge = graphical_existence(rep, sc)
     if not ge.yes:
         raise GraphicalPreconditionError(ge.reason)
@@ -212,18 +204,18 @@ def trace_solution(rep: ChargeReport, ctx: LevelSetContext) -> SolutionCurve:
     if sc.status == "on_zero_level":
         y = g.q * xs  # the common ray; exact when c is exactly zero
     else:
-        y = xs * np.tan(_arc_angles(rep, ctx, xs))
+        y = xs * np.tan(_arc_angles(rep, xs))
     # a node whose terms overflow comes out NaN or inf and counts as off
     # the level, so the polish reports it instead of numpy warning about it
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(_NEWTON_STEPS):
-            r, gx, gy = _level_terms(xs, y, ctx)
+            r, gx, gy = _level_terms(xs, y, rep)
             vertical = np.abs(gy) <= 1e-12 * np.hypot(gx, gy)
             if np.any(vertical):
                 raise TraceError(f"vertical tangent at "
                                  f"x={float(xs[np.argmax(vertical)])!r}")
-            off = ~(np.abs(r) <= TOL_LEVEL * _node_scale(xs, y, ctx.scale,
-                                                         ctx.n))
+            off = ~(np.abs(r) <= TOL_LEVEL * _node_scale(xs, y, rep.scale,
+                                                         g.n))
             if not np.any(off):
                 break
             y = np.where(off, y - r / gy, y)
@@ -233,12 +225,12 @@ def trace_solution(rep: ChargeReport, ctx: LevelSetContext) -> SolutionCurve:
     return SolutionCurve(x=xs, f=y, f_prime=-gx / gy)
 
 
-def verify_solution(curve: SolutionCurve, rep: ChargeReport,
-                    ctx: LevelSetContext) -> VerificationReport:
+def verify_solution(curve: SolutionCurve,
+                    rep: ChargeReport) -> VerificationReport:
     """Independent check of a traced curve against the original equation,
     and the one place its figures are computed.
 
-    ``ctx`` is level_context of the record, so c comes from the input, never
+    theta_hat and c come from the angle record, so from the input, never
     from the curve.  The level check reads only the samples (x, f): every
     node z_j must satisfy |Phi(x_j, f_j) - c| <= TOL_LEVEL * min(scale,
     max(1, |z_j|)^n), the bound of Phi's rounding error at that node, capped
@@ -250,12 +242,12 @@ def verify_solution(curve: SolutionCurve, rep: ChargeReport,
     arg z| peaks at an endpoint, so rcap = max(|z1|, |z2| / a)^(n-1).
     """
     import numpy as np
-    g, n = rep.g, ctx.n
-    res, theta = _ode_terms(curve.x, curve.f, curve.f_prime, ctx)
+    g, n, th = rep.g, rep.g.n, rep.angle()
+    res, theta = _ode_terms(curve.x, curve.f, curve.f_prime, rep)
     rcap = max(abs(g.z1), abs(g.z2) / g.a) ** (n - 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        level = (np.abs(_level_terms(curve.x, curve.f, ctx)[0])
-                 / _node_scale(curve.x, curve.f, ctx.scale, n))
+        level = (np.abs(_level_terms(curve.x, curve.f, rep)[0])
+                 / _node_scale(curve.x, curve.f, rep.scale, n))
         ratio = np.abs(res) / (1.0 + _node_scale(1.0, curve.f / curve.x,
                                                  rcap, n - 1))
     # a NaN ratio propagates through the max and fails the bound below
@@ -272,8 +264,7 @@ def verify_solution(curve: SolutionCurve, rep: ChargeReport,
     mean = float(np.mean(theta))
     endpoint_error = float(abs(curve.f[-1] - g.p))
     passed = (residual_ratio <= TOL_ENDPOINT and osc <= TOL_ANGLE
-              and abs(math.remainder(mean - ctx.theta_hat, math.tau))
-              <= TOL_ANGLE
+              and abs(math.remainder(mean - th, math.tau)) <= TOL_ANGLE
               and -n * math.pi / 2 < mean < n * math.pi / 2
               and endpoint_error <= TOL_ENDPOINT * max(1.0, abs(g.p))
               and level_max <= TOL_LEVEL)

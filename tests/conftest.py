@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from dhym.charges import ChargeReport, Geometry, charge_report
-from dhym.levelcurve import LevelSetContext
 from dhym.lifting import LiftedAngle, cxy_path_lift, sector_lift
 from dhym.rays import ray_set
 from dhym.stability import Overall, stability_verdict
@@ -80,14 +79,15 @@ def lift_exists(rep: ChargeReport) -> bool:
     return isinstance(cxy_path_lift(rep), LiftedAngle)
 
 
-def phi(x: float, y: float, ctx: LevelSetContext) -> float:
-    """Im(e^(-i theta_hat) (x+iy)^n)."""
-    return (cmath.exp(-1j * ctx.theta_hat) * complex(x, y) ** ctx.n).imag
+def phi(x: float, y: float, n: int, th: float) -> float:
+    """Im(e^(-i th) (x+iy)^n)."""
+    return (cmath.exp(-1j * th) * complex(x, y) ** n).imag
 
 
-def phi_gradient(x: float, y: float, ctx: LevelSetContext) -> tuple[float, float]:
-    """(Phi_x, Phi_y) = n (Im, Re) of e^(-i theta_hat) (x+iy)^(n-1)."""
-    w = ctx.n * cmath.exp(-1j * ctx.theta_hat) * complex(x, y) ** (ctx.n - 1)
+def phi_gradient(x: float, y: float, n: int,
+                 th: float) -> tuple[float, float]:
+    """(Phi_x, Phi_y) = n (Im, Re) of e^(-i th) (x+iy)^(n-1)."""
+    w = n * cmath.exp(-1j * th) * complex(x, y) ** (n - 1)
     return w.imag, w.real
 
 

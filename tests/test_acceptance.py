@@ -59,8 +59,10 @@ def test_criterion_1_shared_level_value(rng):
     worst = 0.0
     for _ in range(10_000):
         g = random_geometry(rng)
-        ctx = level_context(charge_report(g))
-        diff = abs(phi(1.0, g.q, ctx) - phi(g.a, g.p, ctx))
+        rec = charge_report(g)
+        level_context(rec)  # raises TraceError when the two ends disagree
+        th = rec.theta_hat
+        diff = abs(phi(1.0, g.q, g.n, th) - phi(g.a, g.p, g.n, th))
         scale = max(abs(g.z1), abs(g.z2)) ** g.n
         worst = max(worst, diff / scale)
     dt = time.perf_counter() - t0
@@ -98,16 +100,15 @@ def test_criterion_3_stability_sufficiency(rng):
     for _ in range(1000):
         g = sample_stable(rng)
         rec = charge_report(g)
-        ctx = level_context(rec)
-        if not graphical_existence(rec, same_component(rec, ctx)).yes:
+        if not graphical_existence(rec, same_component(rec)).yes:
             failures += 1
             continue
         try:
-            curve = trace_solution(rec, ctx)
+            curve = trace_solution(rec)
         except TraceError:
             failures += 1
             continue
-        check = verify_solution(curve, rec, ctx)
+        check = verify_solution(curve, rec)
         e_rel = check.endpoint_error / max(1.0, abs(g.p))
         zmax = max(abs(g.z1), abs(g.z2))
         r_rel = check.residual_max / (1.0 + zmax ** (g.n - 1))
@@ -139,10 +140,9 @@ def test_criterion_4_biconditional(rng):
             margins.append(abs(margin))
             predicted = margin > EPS_ANGLE
         actual = False
-        ctx = level_context(rec)
-        if graphical_existence(rec, same_component(rec, ctx)).yes:
+        if graphical_existence(rec, same_component(rec)).yes:
             try:
-                check = verify_solution(trace_solution(rec, ctx), rec, ctx)
+                check = verify_solution(trace_solution(rec), rec)
                 actual = (check.endpoint_error
                           <= TOL_ENDPOINT * max(1.0, abs(g.p)))
             except TraceError:
@@ -191,14 +191,13 @@ def test_criterion_7_exact_solution_recovery(rng):
         lam = float(rng.uniform(-2.0, 2.0))
         g = collinear_geometry(n, a, lam)
         rec = charge_report(g)
-        ctx = level_context(rec)
-        curve = trace_solution(rec, ctx)
+        curve = trace_solution(rec)
         dev = float(np.max(np.abs(curve.f - lam * curve.x)))
         worst_f = max(worst_f, dev / max(1.0, abs(lam) * a))
         target = n * math.atan(lam)
         toff = float(np.max(np.abs([
             math.remainder(t - target, math.tau)
-            for t in verify_solution(curve, rec, ctx).theta_pointwise])))
+            for t in verify_solution(curve, rec).theta_pointwise])))
         worst_theta = max(worst_theta, toff)
     ok = worst_f <= 1e-8 and worst_theta <= 1e-8
     report("7 exact solution recovery", ok,
@@ -213,19 +212,18 @@ def test_criterion_8_oracle_equivalence(rng):
     for _ in range(500):
         g = random_geometry(rng)
         rec = charge_report(g)
-        ctx = level_context(rec)
-        res = same_component(rec, ctx)
+        res = same_component(rec)
         analytic = res.status == "same" or (
             res.status == "on_zero_level" and bool(res.same_ray))
         m = 1.3 * max(g.a, abs(g.p), abs(g.q), 1.0)
-        cs = extract_level_set(ctx, Window(-m, m, -m, m), 128, 128)
+        cs = extract_level_set(rec, Window(-m, m, -m, m), 128)
         oracle = cs.same_component((1.0, g.q), (g.a, g.p))
         if oracle is not None and oracle == analytic:
             agree += 1
         else:
             # disagreement must be a grid knife edge: an endpoint within
             # two cells of a ray of the top fan
-            rays = ray_set(g.n, ctx.theta_hat, g.n)
+            rays = ray_set(g.n, rec.theta_hat, g.n)
             near = False
             for z in (g.z1, g.z2):
                 arg = math.atan2(z.imag, z.real)
@@ -249,10 +247,9 @@ def test_criterion_9_figure_reproduction():
     g = Geometry(11, 2.0, 1.1, 0.4)
     window = Window(-3.0, 3.0, -3.0, 3.0)
     rec = charge_report(g)
-    ctx = level_context(rec)
-    cs = extract_level_set(ctx, window, 256, 256)
+    cs = extract_level_set(rec, window, 256)
     oracle_count = len(cs.polylines)
-    svg = render_figure(rec, ctx, FigureSpec(window=window, samples=256))
+    svg = render_figure(rec, FigureSpec(window=window, samples=256))
     root = ET.fromstring(svg)
     svg_count = sum(1 for el in root.iter()
                     if el.tag.endswith("polyline")

@@ -168,3 +168,4 @@ def test_charge_report_consistency():
 
     rep = charge_report(degenerate_example())
     assert rep.degenerate
+    assert rep.theta_hat == 0.0 and rep.c == 0.0

@@ -6,7 +6,6 @@ import pytest
 from dhym import contour
 from dhym.charges import Geometry, charge_report
 from dhym.contour import Window, extract_level_set, marching_squares
-from dhym.levelcurve import level_context
 from dhym.rays import ray_set
 
 from conftest import random_geometry
@@ -19,26 +18,26 @@ def grid_field(fn, lo, hi, m=101):
     return vals, xs, ys
 
 
-def polar_component_count(ctx, window, samples=20000):
+def polar_component_count(rep, window, samples=20000):
     """Count sign-class sectors whose level arc enters the window.
 
     On the ray through angle phi the level set has the exact polar form
     r = (c / sin(n*phi - theta))^{1/n} wherever the sine sign matches c,
     so each sector is probed by sampling its angular extent.
     """
+    n, th, c = rep.g.n, rep.theta_hat, rep.c
     phis = np.linspace(-math.pi, math.pi, samples, endpoint=False)
-    s = np.sin(ctx.n * phis - ctx.theta_hat)
-    ok = np.sign(s) == np.sign(ctx.c)
+    s = np.sin(n * phis - th)
+    ok = np.sign(s) == np.sign(c)
     r = np.full_like(phis, np.nan)
-    r[ok] = (ctx.c / s[ok]) ** (1.0 / ctx.n)
+    r[ok] = (c / s[ok]) ** (1.0 / n)
     x = r * np.cos(phis)
     y = r * np.sin(phis)
     inside = ok & (x >= window.xmin) & (x <= window.xmax) \
         & (y >= window.ymin) & (y <= window.ymax)
     # a sector index identifies the component the probe point belongs to;
     # reduce mod 2n so the seam at phi = +-pi does not split a sector
-    sectors = np.floor(
-        (ctx.n * phis - ctx.theta_hat) / math.pi).astype(int) % (2 * ctx.n)
+    sectors = np.floor((n * phis - th) / math.pi).astype(int) % (2 * n)
     return len(set(sectors[inside]))
 
 
@@ -76,25 +75,25 @@ def test_saddle_cells_do_not_connect_across_center():
 
 def test_extract_level_set_min_grid():
     g = Geometry(3, 2.0, 1.0, 0.2)
-    ctx = level_context(charge_report(g))
+    rep = charge_report(g)
     with pytest.raises(ValueError):
-        extract_level_set(ctx, Window(-2, 2, -2, 2), 32, 32)
+        extract_level_set(rep, Window(-2, 2, -2, 2), 32)
 
 
 def test_component_membership_queries():
     g = Geometry(2, 2.0, 2.0, 1.0)
-    ctx = level_context(charge_report(g))
-    cs = extract_level_set(ctx, Window(-3, 3, -3, 3), 128, 128)
+    rep = charge_report(g)
+    cs = extract_level_set(rep, Window(-3, 3, -3, 3), 128)
     assert cs.same_component((1.0, g.q), (g.a, g.p)) is True
     assert cs.component_near((100.0, 100.0)) is None
 
 
 def test_zero_level_contours_are_straight_rays():
     g = Geometry(2, 2.0, 2.0, 1.0)  # c = 0 for this instance
-    ctx = level_context(charge_report(g))
-    assert abs(ctx.c) <= 1e-9 * ctx.scale
-    cs = extract_level_set(ctx, Window(-3, 3, -3, 3), 128, 128)
-    lines = ray_set(g.n, ctx.theta_hat, g.n)
+    rep = charge_report(g)
+    assert abs(rep.c) <= 1e-9 * rep.scale
+    cs = extract_level_set(rep, Window(-3, 3, -3, 3), 128)
+    lines = ray_set(g.n, rep.theta_hat, g.n)
     for poly in cs.polylines:
         pts = poly[np.hypot(poly[:, 0], poly[:, 1]) > 0.3]
         if len(pts) < 2:
@@ -111,18 +110,18 @@ def test_zero_level_contours_are_straight_rays():
 
 def test_full_window_component_count_matches_sector_count():
     g = Geometry(11, 2.0, 1.1, 0.4)
-    ctx = level_context(charge_report(g))
+    rep = charge_report(g)
     w = Window(-3.0, 3.0, -3.0, 3.0)
-    cs = extract_level_set(ctx, w, 256, 256)
-    assert len(cs.polylines) == polar_component_count(ctx, w) == 11
+    cs = extract_level_set(rep, w, 256)
+    assert len(cs.polylines) == polar_component_count(rep, w) == 11
 
 
 def test_half_window_component_count_matches_sector_count():
     g = Geometry(11, 2.0, 1.1, 0.4)
-    ctx = level_context(charge_report(g))
+    rep = charge_report(g)
     w = Window(0.1, 3.0, -3.0, 3.0)
-    cs = extract_level_set(ctx, w, 128, 256)
-    assert len(cs.polylines) == polar_component_count(ctx, w)
+    cs = extract_level_set(rep, w, 256)
+    assert len(cs.polylines) == polar_component_count(rep, w)
 
 
 def test_window_counts_random_instances(rng):
@@ -132,19 +131,19 @@ def test_window_counts_random_instances(rng):
         p = float(rng.uniform(-2, 2))
         q = float(rng.uniform(-2, 2))
         g = Geometry(n, a, p, q)
-        ctx = level_context(charge_report(g))
-        if abs(ctx.c) <= 1e-6 * ctx.scale:
+        rep = charge_report(g)
+        if abs(rep.c) <= 1e-6 * rep.scale:
             continue
         m = 1.5 * max(a, abs(p), abs(q))
         w = Window(-m, m, -m, m)
-        cs = extract_level_set(ctx, w, 192, 192)
+        cs = extract_level_set(rep, w, 192)
         # components clipping only a sliver thinner than a couple of grid
         # cells may be missed, so bracket with shrunk and grown windows
         pad = 2.0 * cs.cell_diag
         lo = polar_component_count(
-            ctx, Window(w.xmin + pad, w.xmax - pad, w.ymin + pad, w.ymax - pad))
+            rep, Window(w.xmin + pad, w.xmax - pad, w.ymin + pad, w.ymax - pad))
         hi = polar_component_count(
-            ctx, Window(w.xmin - pad, w.xmax + pad, w.ymin - pad, w.ymax + pad))
+            rep, Window(w.xmin - pad, w.xmax + pad, w.ymin - pad, w.ymax + pad))
         assert lo <= len(cs.polylines) <= hi, g
 
 
@@ -284,9 +283,9 @@ def test_stitcher_matches_reference_on_level_sets(rng, monkeypatch):
     monkeypatch.setattr(contour, "marching_squares", recording)
     while len(grids) < 50:
         g = random_geometry(rng)
-        ctx = level_context(charge_report(g))
+        rep = charge_report(g)
         w = 1.3 * max(g.a, abs(g.p), abs(g.q), 1.0)
-        extract_level_set(ctx, Window(-w, w, -w, w), 128, 128)
+        extract_level_set(rep, Window(-w, w, -w, w), 128)
     for values, xs, ys in grids:
         _assert_same_polylines(values, xs, ys)
 

@@ -5,10 +5,10 @@ Both endpoints (1, q) and (a, p) always share the level value c, so a
 solution is a graphical arc of the level curve over [1, a].  In polar form
 that arc is explicit, r(phi) = (c / sin(n phi - theta_hat))^(1/n) for phi
 between arg z1 and arg z2, so nothing is integrated: every node of the
-output grid is solved at once, seeded by bisecting for the angle with
-r(phi) cos(phi) = x and polished by Newton steps in y on Phi = c.  The
-trace only solves; verify_solution is the one place that measures a curve
-(its level, the ODE residual, the pointwise angle and the endpoint error).
+output grid is solved at once, seeded from the arc sampled in phi and
+polished by Newton steps in y on Phi = c.  The trace only solves;
+verify_solution is the one place that measures a curve (its level, the
+ODE residual, the pointwise angle and the endpoint error).
 Every layer reads theta_hat and c from the angle record
 (charges.charge_report) and recomputes neither.  Only the array functions
 import numpy, so the verdicts run without loading it.
@@ -34,10 +34,8 @@ class GraphicalPreconditionError(TraceError):
     """trace_solution called on an instance without a graphical arc."""
 
 
-# halvings that shrink the angle bracket, no wider than pi/n <= pi/2, below
-# the spacing of doubles near 1
-_BISECTIONS = 53
-# Newton steps in y allowed to bring every node onto its level target
+# Newton steps in y allowed to bring every node onto its level target, the
+# last one included
 _NEWTON_STEPS = 16
 
 
@@ -151,26 +149,22 @@ def _node_scale(x: np.ndarray, y: np.ndarray, cap: float,
     return np.minimum(cap, np.maximum(1.0, np.hypot(x, y)) ** k)
 
 
-def _arc_angles(rep: ChargeReport, xs: np.ndarray) -> np.ndarray:
-    """Angle phi of the arc point above each x, by bisection on
-    r(phi) cos(phi) = x: a graphical arc has no vertical tangent, so that
-    abscissa runs monotonically from 1 at arg z1 to a at arg z2."""
+def _arc_seed(rep: ChargeReport, xs: np.ndarray) -> np.ndarray:
+    """y above each x on the polar arc sampled from arg z1 to arg z2, its
+    ends pinned to (1, q) and (a, p).  A graphical arc has a monotone
+    abscissa, so one interpolation seeds every node.  y is r sin(phi), as
+    x tan(phi) caps |y / x| near 1e16, where phi rounds to +-pi/2."""
     import numpy as np
-    n = rep.g.n
+    g, n = rep.g, rep.g.n
+    phi = np.linspace(rep.psi1, rep.psi2, CURVE_SAMPLES)
     # sin(n phi - theta_hat) has the sign of c between the endpoint
-    # arguments; the floor keeps a rounding slip at either end finite
-    sign = math.copysign(1.0, rep.c)
-    floor = np.finfo(float).tiny
-    root_c = abs(rep.c) ** (1.0 / n)
-    lo = np.full(xs.shape, rep.psi1)
-    hi = np.full(xs.shape, rep.psi2)
-    for _ in range(_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        s = np.maximum(sign * np.sin(n * mid - rep.theta_hat), floor)
-        short = root_c * s ** (-1.0 / n) * np.cos(mid) < xs
-        lo = np.where(short, mid, lo)
-        hi = np.where(short, hi, mid)
-    return 0.5 * (lo + hi)
+    # arguments; the floor keeps a rounding slip near either end finite
+    s = np.maximum(math.copysign(1.0, rep.c) * np.sin(n * phi - rep.theta_hat),
+                   np.finfo(float).tiny)
+    r = abs(rep.c) ** (1.0 / n) * s ** (-1.0 / n)
+    ax, ay = r * np.cos(phi), r * np.sin(phi)
+    ax[0], ay[0], ax[-1], ay[-1] = 1.0, g.q, g.a, g.p
+    return np.interp(xs, ax, ay)
 
 
 def _ode_terms(x, f, fp, rep: ChargeReport):
@@ -185,13 +179,14 @@ def _ode_terms(x, f, fp, rep: ChargeReport):
 def trace_solution(rep: ChargeReport) -> SolutionCurve:
     """Solve the level curve Phi = c on x = linspace(1, a, CURVE_SAMPLES).
 
-    All nodes at once: each is seeded from the polar form of the arc, or
-    from the common ray on the zero level, and polished by Newton steps in
-    y until |Phi - c| <= TOL_LEVEL * min(scale, max(1, |z_j|)^n) at every
-    node z_j, the bound verify_solution checks.  The reported slope is the
-    exact level-set slope -Phi_x / Phi_y there.  The curve carries only its
-    samples; verify_solution measures it.  It first checks, by
-    level_context, that both endpoints share the record's c.
+    All nodes at once, with no search: each is seeded from the closed-form
+    polar arc, or from the common ray on the zero level.  Newton steps in y
+    on every node bring |Phi - c| within TOL_LEVEL * min(scale, max(1,
+    |z_j|)^n) at each node z_j, the bound verify_solution checks, and one
+    step more then takes each node to full precision.  The slope is the
+    exact level-set slope -Phi_x / Phi_y at the final nodes.  The curve is
+    its samples alone; verify_solution measures it.  level_context first
+    checks that both endpoints share the record's c.
     """
     import numpy as np
     g = rep.g
@@ -201,24 +196,28 @@ def trace_solution(rep: ChargeReport) -> SolutionCurve:
     if not ge.yes:
         raise GraphicalPreconditionError(ge.reason)
     xs = np.linspace(1.0, g.a, CURVE_SAMPLES)
-    if sc.status == "on_zero_level":
-        y = g.q * xs  # the common ray; exact when c is exactly zero
-    else:
-        y = xs * np.tan(_arc_angles(rep, xs))
-    # a node whose terms overflow comes out NaN or inf and counts as off
-    # the level, so the polish reports it instead of numpy warning about it
+    # an overflow leaves NaN or inf terms, which the polish reports by name
     with np.errstate(over="ignore", invalid="ignore"):
+        if sc.status == "on_zero_level":
+            y = g.q * xs  # the common ray; exact when c is exactly zero
+        else:
+            y = _arc_seed(rep, xs)
+        on_level = False
         for _ in range(_NEWTON_STEPS):
             r, gx, gy = _level_terms(xs, y, rep)
+            finite = np.isfinite(r) & np.isfinite(gx) & np.isfinite(gy)
+            if not np.all(finite):
+                raise TraceError(f"level terms overflow at "
+                                 f"x={float(xs[np.argmin(finite)])!r}")
             vertical = np.abs(gy) <= 1e-12 * np.hypot(gx, gy)
             if np.any(vertical):
                 raise TraceError(f"vertical tangent at "
                                  f"x={float(xs[np.argmax(vertical)])!r}")
-            off = ~(np.abs(r) <= TOL_LEVEL * _node_scale(xs, y, rep.scale,
-                                                         g.n))
-            if not np.any(off):
+            if on_level:
                 break
-            y = np.where(off, y - r / gy, y)
+            off = np.abs(r) > TOL_LEVEL * _node_scale(xs, y, rep.scale, g.n)
+            on_level = not np.any(off)
+            y = y - r / gy
         else:
             raise TraceError(f"level polish did not converge at "
                              f"x={float(xs[np.argmax(off)])!r}")

@@ -307,9 +307,9 @@ PINNED_OUTPUTS = [
     ("analyze", DEGENERATE, 2,
      "77680811d1f410c286c709dd6a577311a065b3359355882ee8f97bdf6f8c6233"),
     ("solve", STABLE, 0,
-     "959647cebbf0cab4b89a6ff9c1e84c68793aab932e203795209d18cc00c70189"),
+     "80c51845d5b106c6770b30bf5db485cbf8ce437058eaf59a1a36a0adf5525872"),
     ("solve", STEEP, 0,
-     "2639b95da7c7aa8ba7f8cf891c672076aa3eac4f794a4baeb47edccc31d8f157"),
+     "dce0a20f8f378657f4bbb6fe092f2066ad9ee3284b0cc4c38d0b6220e0932b52"),
     ("solve", LIFT_UNDEFINED, 2, EMPTY),
     ("solve", ORIGIN_HIT, 2, EMPTY),
     ("solve", DEGENERATE, 2, EMPTY),
@@ -723,14 +723,19 @@ def _reject_constant(token):
     # the residual's squares overflow, though every residual is finite
     ("solve", {"n": 16, "a": 2042771443713.4456, "p": 222241502356885.84,
                "q": 6031517675622.951}, 0),
-    # the polish overflows to NaN nodes: an anomaly, not a NaN summary
-    ("solve", {"n": 2, "a": 1.3686385038302029e+94,
-               "p": -1.5927239311624523e+89, "q": -6.46789271801482e+95}, 3),
-    # the figure's trace overflows the same way and must fail without a warning
+    # |z2|^200 is 1.4e308, so the level terms overflow at the last nodes:
+    # an anomaly that names the overflow, not a NaN summary
+    ("solve", {"n": 200, "a": 8.239982867972993, "p": -33.74574160476608,
+               "q": -4.095265545167276}, 3),
+    # the figure's trace overflows too and must fail without a warning
     ("figure", {"n": 2, "a": 3.233796133252511e+100, "p": -1e+150,
                 "q": -8.984439347343544e+134,
                 "figure": {"window": [-2e150, 2e150, -2e150, 2e150],
                            "samples": 64}}, 0),
+    # at x = 1, |y / x| = |q| is far beyond the 1e16 that tan(phi) reaches
+    # near pi/2, so the seed must come from r sin(phi)
+    ("solve", {"n": 2, "a": 1.3686385038302029e+94,
+               "p": -1.5927239311624523e+89, "q": -6.46789271801482e+95}, 0),
 ])
 def test_large_magnitudes_give_strict_output(command, doc, code, tmp_path):
     path = write_config(tmp_path, doc)
@@ -748,3 +753,4 @@ def test_large_magnitudes_give_strict_output(command, doc, code, tmp_path):
     else:
         assert res.stdout == "" and res.stderr.startswith("anomaly: ")
         assert "np.float64" not in res.stderr
+        assert "level terms overflow at x=" in res.stderr

@@ -200,9 +200,32 @@ def test_trace_stable_instances(rng):
         rep = verify_solution(curve, rep)
         assert rep.endpoint_error <= 1e-6 * max(1.0, abs(g.p))
         zmax = max(abs(g.z1), abs(g.z2))
+        # rep.passed implies this: each node's residual bound is
+        # TOL_ENDPOINT * (1 + min(rcap, |z_j / x_j|^(n-1))), and its cap
+        # rcap = max(|z1|, |z2| / a)^(n-1) is at most zmax^(n-1)
         assert rep.residual_max <= 1e-6 * (1.0 + zmax ** (g.n - 1))
         assert rep.passed, (g, rep)
         assert rep.theta_oscillation <= 1e-6
+
+
+def test_trace_n2_nodes_are_exact_roots(rng):
+    # for n = 2, Phi = c reads sin(th) y^2 + 2 x cos(th) y - (x^2 sin(th) + c)
+    # = 0, with discriminant / 4 = x^2 + c sin(th); every node must sit on
+    # the root of the traced branch to near full precision, which a polish
+    # that stops at the level tolerance does not reach
+    for _ in range(200):
+        rep = charge_report(sample_stable(rng, n_lo=2, n_hi=2))
+        curve = trace_solution(rep)
+        x, s, co = curve.x, math.sin(rep.theta_hat), math.cos(rep.theta_hat)
+        # the square root takes the sign of x cos(th), so the sum in t and
+        # thus neither root formula cancels
+        t = -(x * co + math.copysign(1.0, co) * np.sqrt(x * x + rep.c * s))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            roots = (t / s, -(x * x * s + rep.c) / t)
+        # the traced branch passes through (1, q)
+        y = min(roots, key=lambda r: abs(r[0] - rep.g.q))
+        err = np.abs(curve.f - y) / np.maximum(1.0, np.hypot(x, y))
+        assert np.max(err) <= 1e-12, rep.g
 
 
 def test_pointwise_angle_matches_average_angle(rng):

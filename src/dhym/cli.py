@@ -1,8 +1,8 @@
 """Command-line front end: analyze, solve, sweep, and figure.
 
 Exit codes: 0 a solution exists, 1 no solution, 2 inconclusive or
-degenerate, 3 internal anomaly (trace failed despite a yes-verdict, or
-arithmetic overflow), 64 usage and configuration errors.
+degenerate, 3 internal anomaly (a yes-verdict whose trace fails or does
+not verify, or arithmetic overflow), 64 usage and configuration errors.
 """
 
 from __future__ import annotations
@@ -13,10 +13,10 @@ import math
 import sys
 from json.encoder import encode_basestring_ascii as _json_str
 
-from .charges import (DegenerateGeometryError, Geometry, InvalidGeometryError,
-                      central_charges, charge_report, degeneracy_check)
+from .charges import (DegenerateGeometryError, Geometry, central_charges,
+                      charge_report, degeneracy_check)
 from .config import ConfigError, RunConfig, load_config
-from .figure import FigureError, render_figure
+from .figure import render_figure
 from .levelcurve import (TraceError, graphical_existence, same_component,
                          trace_solution, verify_solution)
 from .lifting import LiftedAngle, OriginHit, cxy_path_lift
@@ -124,13 +124,18 @@ def _json(o, nl: str = "\n") -> str:
     raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
-def run_analyze(cfg: RunConfig, out_path: str | None, stdout) -> int:
-    report = analysis_report(cfg.geometry)
-    text = _json(report) + "\n"
+def _write_out(text: str, out_path: str | None, stdout, tee=False) -> None:
+    """text to --out when it is given, else (or also, with tee) to stdout."""
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
-    stdout.write(text)
+    if tee or not out_path:
+        stdout.write(text)
+
+
+def run_analyze(cfg: RunConfig, out_path: str | None, stdout) -> int:
+    report = analysis_report(cfg.geometry)
+    _write_out(_json(report) + "\n", out_path, stdout, tee=True)
     return _EXIT_FOR[Existence(report["existence"]["value"])]
 
 
@@ -142,24 +147,34 @@ def _solve_rows(curve, check) -> str:
             + _SOLVE_ROW * len(curve.x) % tuple(flat))
 
 
-def run_solve(cfg: RunConfig, out_path: str | None, stdout, stderr) -> int:
-    rep = charge_report(cfg.geometry)
+def _solution(rep):
+    """(verdict, curve, check): only an EXISTS verdict is traced and
+    verified, and a trace that fails raises TraceError."""
     verdict = existence_verdict(rep)
     if verdict.value is not Existence.EXISTS:
+        return verdict, None, None
+    try:
+        curve = trace_solution(rep)
+    except TraceError as exc:
+        raise TraceError(f"trace failed despite yes-verdict: {exc}") from exc
+    return verdict, curve, verify_solution(curve, rep)
+
+
+def _require_verified(check) -> None:  # called once the output is written
+    if check is not None and not check.passed:
+        raise TraceError("traced curve failed verification")
+
+
+def run_solve(cfg: RunConfig, out_path: str | None, stdout, stderr) -> int:
+    rep = charge_report(cfg.geometry)
+    verdict, curve, check = _solution(rep)
+    if curve is None:
         stderr.write(f"no solve attempted: existence is "
                      f"{verdict.value.value} via {verdict.route.value} "
                      f"({verdict.reason})\n")
         return _EXIT_FOR[verdict.value]
-    try:
-        curve = trace_solution(rep)
-    except TraceError as exc:
-        stderr.write(f"anomaly: trace failed despite yes-verdict: {exc}\n")
-        return EXIT_ANOMALY
-    check = verify_solution(curve, rep)
-    # the CSV is written whether or not the curve verifies
     target = out_path or "solution.csv"
-    with open(target, "w") as fh:
-        fh.write(_solve_rows(curve, check))
+    _write_out(_solve_rows(curve, check), target, stdout)
     summary = {
         "samples": len(curve.x),
         "csv": target,
@@ -172,17 +187,14 @@ def run_solve(cfg: RunConfig, out_path: str | None, stdout, stderr) -> int:
         "verified": check.passed,
     }
     stdout.write(_json(summary) + "\n")
-    if not check.passed:
-        stderr.write("anomaly: traced curve failed verification\n")
-        return EXIT_ANOMALY
+    _require_verified(check)
     return EXIT_EXISTS
 
 
 def run_sweep(cfg: RunConfig, out_path: str | None, stdout) -> int:
     if cfg.sweep is None:
         raise ConfigError("sweep command requires a sweep spec in the config")
-    sw = cfg.sweep
-    g0 = cfg.geometry
+    sw, g0 = cfg.sweep, cfg.geometry
     ps = _linspace(*sw.p_range, sw.p_count)
     qs = _linspace(*sw.q_range, sw.q_count)
     lines = ["p,q,stability,existence,route,lift_defined,"
@@ -191,12 +203,7 @@ def run_sweep(cfg: RunConfig, out_path: str | None, stdout) -> int:
         for q in qs:
             g = Geometry(n=g0.n, a=g0.a, p=p, q=q)
             lines.append(_sweep_row(g))
-    text = "\n".join(lines) + "\n"
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        stdout.write(text)
+    _write_out("\n".join(lines) + "\n", out_path, stdout)
     return 0
 
 
@@ -232,16 +239,10 @@ def run_figure(cfg: RunConfig, out_path: str | None, stdout) -> int:
     if cfg.figure is None:
         raise ConfigError("figure command requires a figure spec in the config")
     rep = charge_report(cfg.geometry)
-    try:  # GraphicalPreconditionError is a TraceError
-        curve = trace_solution(rep)
-    except TraceError:
-        curve = None
-    svg = render_figure(rep, cfg.figure, curve=curve)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(svg)
-    else:
-        stdout.write(svg)
+    _, curve, check = _solution(rep)
+    # exit 0 for every verdict; only an EXISTS verdict's curve is drawn
+    _write_out(render_figure(rep, cfg.figure, curve=curve), out_path, stdout)
+    _require_verified(check)
     return 0
 
 
@@ -292,9 +293,12 @@ def main(argv=None) -> int:
             return run_sweep(cfg, args.out, sys.stdout)
         return run_figure(cfg, args.out, sys.stdout)
     # OSError: a config that cannot be read or an --out that cannot be written
-    except (ConfigError, OSError, FigureError, InvalidGeometryError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except TraceError as exc:
+        print(f"anomaly: {exc}", file=sys.stderr)
+        return EXIT_ANOMALY
     except OverflowError as exc:
         print(f"error: arithmetic overflow: {exc}", file=sys.stderr)
         return EXIT_ANOMALY

@@ -107,6 +107,9 @@ def parse_config(doc) -> RunConfig:
         window = Window(*_numbers(fdoc, "window", 4, "figure"))
         if not (window.xmin < window.xmax and window.ymin < window.ymax):
             raise ConfigError("figure.window must be non-empty")
+        for name, z in (("(1,q)", geometry.z1), ("(a,p)", geometry.z2)):
+            if not window.contains(z.real, z.imag):
+                raise ConfigError(f"figure.window must contain endpoint {name}")
         samples = _number(fdoc.get("samples", 256), "figure.samples", int)
         # the contour oracle holds several (samples+1)^2 arrays at once
         if not 64 <= samples <= 2048:

@@ -19,10 +19,6 @@ _W = 640
 _H = 640
 
 
-class FigureError(ValueError):
-    pass
-
-
 def _fmt(v: float) -> str:
     s = f"{v:.3f}"
     return "0.000" if s == "-0.000" else s
@@ -73,9 +69,6 @@ def render_figure(rep: ChargeReport, spec: FigureSpec,
     """Level-set figure: rays, contour polylines, solution, endpoint markers."""
     import numpy as np
     g, th, window = rep.g, rep.angle(), spec.window
-    for name, (x, y) in (("(1,q)", (1.0, g.q)), (("(a,p)"), (g.a, g.p))):
-        if not window.contains(x, y):
-            raise FigureError(f"figure window must contain endpoint {name}")
     mapper = _Mapper(window)
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',

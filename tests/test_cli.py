@@ -15,7 +15,8 @@ import pytest
 from dhym import charges, cli, levelcurve, lifting, stability
 from dhym.config import ConfigError, load_config
 
-from conftest import degenerate_example, random_geometry, scaled_example
+from conftest import (degenerate_example, random_geometry, sample_stable,
+                      scaled_example)
 
 
 def run_cli(args, stdin_text=None):
@@ -90,6 +91,21 @@ def test_load_config_rejects_bad_values():
             ("JSON", '{"n": 3, "a": 1%s, "p": 1, "q": 0.5}' % ("0" * 5000))):
         with pytest.raises(ConfigError, match=rf"\b{key}\b"):
             load_config(text)
+
+
+def test_load_config_window_contains_endpoints():
+    # (1, q) = (1, 1) and (a, p) = (2, 3); each missed endpoint is named
+    base = {"n": 2, "a": 2.0, "p": 3.0, "q": 1.0}
+    for window, name in (([1.5, 3.0, 0.0, 4.0], "(1,q)"),
+                         ([0.0, 3.0, 0.0, 2.0], "(a,p)")):
+        doc = {**base, "figure": {"window": window}}
+        with pytest.raises(ConfigError, match=re.escape(
+                f"figure.window must contain endpoint {name}")):
+            load_config(json.dumps(doc))
+    # an edge through an endpoint still contains it
+    for window in ([1.0, 2.0, 1.0, 3.0], [0.0, 3.0, -1.0, 3.0]):
+        cfg = load_config(json.dumps({**base, "figure": {"window": window}}))
+        assert cfg.figure.window == tuple(window)
 
 
 def test_analyze_exists(tmp_path):
@@ -594,12 +610,20 @@ def test_unwritable_out_exits_64(tmp_path):
 
 
 def test_figure_window_must_contain_endpoints(tmp_path):
+    # a config error for every subcommand, which all check the figure
+    # object, before anything is computed or written
     doc = {"n": 2, "a": 2.0, "p": 2.0, "q": 1.0,
-           "figure": {"window": [-1.0, 1.0, -1.0, 1.0]}}
+           "figure": {"window": [-1.0, 1.0, -1.0, 1.0]},
+           "sweep": {"p_range": [0, 1], "q_range": [0, 1],
+                     "p_count": 2, "q_count": 2}}
     path = write_config(tmp_path, doc)
-    res = run_cli(["figure", "--config", path,
-                   "--out", str(tmp_path / "fig.svg")])
-    assert res.returncode == 64
+    for command in ("figure", "analyze", "solve", "sweep"):
+        out = tmp_path / f"{command}.out"
+        res = run_cli([command, "--config", path, "--out", str(out)])
+        assert res.returncode == 64, command
+        assert res.stderr == ("error: figure.window must contain "
+                              "endpoint (a,p)\n")
+        assert res.stdout == "" and not out.exists()
 
 
 def test_figure_samples_bounded(tmp_path):
@@ -727,7 +751,8 @@ def _reject_constant(token):
     # an anomaly that names the overflow, not a NaN summary
     ("solve", {"n": 200, "a": 8.239982867972993, "p": -33.74574160476608,
                "q": -4.095265545167276}, 3),
-    # the figure's trace overflows too and must fail without a warning
+    # the lifted angle is exactly -n pi/2, so the verdict is inconclusive
+    # and no trace is attempted; the figure still draws without a warning
     ("figure", {"n": 2, "a": 3.233796133252511e+100, "p": -1e+150,
                 "q": -8.984439347343544e+134,
                 "figure": {"window": [-2e150, 2e150, -2e150, 2e150],
@@ -736,6 +761,11 @@ def _reject_constant(token):
     # near pi/2, so the seed must come from r sin(phi)
     ("solve", {"n": 2, "a": 1.3686385038302029e+94,
                "p": -1.5927239311624523e+89, "q": -6.46789271801482e+95}, 0),
+    # the figure traces the exists verdict of the n = 200 instance before
+    # it draws, so it names the trace's overflow, not the contour's
+    ("figure", {"n": 200, "a": 8.239982867972993, "p": -33.74574160476608,
+                "q": -4.095265545167276,
+                "figure": {"window": [-1, 9, -34, 1], "samples": 64}}, 3),
 ])
 def test_large_magnitudes_give_strict_output(command, doc, code, tmp_path):
     path = write_config(tmp_path, doc)
@@ -745,12 +775,91 @@ def test_large_magnitudes_give_strict_output(command, doc, code, tmp_path):
     res = run_cli(args)
     assert res.returncode == code, res.stderr
     assert "Warning" not in res.stderr and "Traceback" not in res.stderr
-    if command == "figure":
-        ET.fromstring(res.stdout)
-    elif code == 0:
-        summary = json.loads(res.stdout, parse_constant=_reject_constant)
-        assert summary["verified"] is True
-    else:
-        assert res.stdout == "" and res.stderr.startswith("anomaly: ")
+    if code == 3:
+        assert res.stdout == "" and res.stderr.startswith(
+            "anomaly: trace failed despite yes-verdict: ")
         assert "np.float64" not in res.stderr
         assert "level terms overflow at x=" in res.stderr
+    elif command == "figure":
+        ET.fromstring(res.stdout)
+    else:
+        summary = json.loads(res.stdout, parse_constant=_reject_constant)
+        assert summary["verified"] is True
+
+
+FIGURE_STABLE = {**STABLE, "figure": {"window": [0.0, 4.0, -1.0, 2.0],
+                                      "samples": 64}}
+
+
+def test_trace_failure_is_an_anomaly(tmp_path, capsys, monkeypatch):
+    # a yes-verdict whose trace fails exits 3 before anything is written,
+    # for the figure as for solve
+    def failing(rep):
+        raise levelcurve.TraceError("injected")
+
+    monkeypatch.setattr(cli, "trace_solution", failing)
+    path = write_config(tmp_path, FIGURE_STABLE)
+    for command in ("figure", "solve"):
+        out = tmp_path / f"{command}.out"
+        assert cli.main([command, "--config", path, "--out", str(out)]) == 3
+        res = capsys.readouterr()
+        assert res.out == "" and not out.exists()
+        assert res.err == ("anomaly: trace failed despite yes-verdict: "
+                           "injected\n")
+
+
+def test_unverified_curve_is_an_anomaly(tmp_path, capsys, monkeypatch):
+    # a traced curve that fails verification is still written, then
+    # reported with exit 3
+    def offset(rep):
+        curve = levelcurve.trace_solution(rep)
+        return curve._replace(f=curve.f + 0.05)
+
+    monkeypatch.setattr(cli, "trace_solution", offset)
+    path = write_config(tmp_path, FIGURE_STABLE)
+    for command in ("figure", "solve"):
+        out = tmp_path / f"{command}.out"
+        assert cli.main([command, "--config", path, "--out", str(out)]) == 3
+        res = capsys.readouterr()
+        assert res.err == "anomaly: traced curve failed verification\n"
+        if command == "figure":
+            root = ET.fromstring(out.read_text())
+            assert sum(el.get("class") == "solution"
+                       for el in root.iter()) == 1
+        else:
+            assert json.loads(res.out)["verified"] is False
+            assert out.read_text().startswith("x,f,f_prime,residual,theta\n")
+
+
+def _window(g):
+    """A window around both endpoints; a > 1 always."""
+    return [0.5, g.a + 0.5, min(g.q, g.p) - 0.5, max(g.q, g.p) + 0.5]
+
+
+def test_one_gate_from_verdict_to_curve(tmp_path, capsys, monkeypatch):
+    # figure and solve each decide existence once, trace only an exists
+    # verdict, and the figure draws a solution exactly then
+    rng = np.random.default_rng(18)
+    pool = ([random_geometry(rng) for _ in range(60)]
+            + [sample_stable(rng) for _ in range(20)])
+    exists = [stability.existence_verdict(charges.charge_report(g)).value
+              is stability.Existence.EXISTS for g in pool]
+    assert 0 < sum(exists) < len(pool)
+    verdicts = _count_calls(monkeypatch, stability, "existence_verdict")
+    traces = _count_calls(monkeypatch, levelcurve, "trace_solution")
+    out = str(tmp_path / "out")
+    for g, yes in zip(pool, exists):
+        path = write_config(tmp_path, geometry_doc(
+            g, figure={"window": _window(g), "samples": 64}))
+        for command in ("figure", "solve"):
+            verdicts.clear()
+            traces.clear()
+            code = cli.main([command, "--config", path, "--out", out])
+            capsys.readouterr()
+            assert code == 0 if command == "figure" or yes else code in (1, 2)
+            assert len(verdicts) == 1 and len(traces) == yes, (command, g)
+            if command == "figure":
+                root = ET.fromstring(open(out).read())
+                drawn = sum(el.get("class") == "solution"
+                            for el in root.iter())
+                assert drawn == yes, g

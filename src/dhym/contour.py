@@ -2,11 +2,14 @@
 
 This is the brute-force oracle for component questions: it never looks at
 ray combinatorics, only at signs of Phi - c on a grid.  Numpy classifies
-the cells, interpolates the crossed grid edges and joins each crossed edge
-to its (at most two) neighbours in index arrays; Python only walks those
-arrays, so chains stitch together exactly and each connected component of
-the level set inside the window becomes one polyline (open chain or loop).
-numpy is imported where it is used, so importing dhym.cli does not load it.
+the cells, numbers the crossed grid edges with one stable sort of the
+segment ends, interpolates each crossing once into a node table and joins
+each node to its (at most two) neighbours in index arrays; Python only
+walks those arrays into chains of node indices, so chains stitch together
+exactly and each connected component of the level set inside the window
+becomes one chain (open or a loop).  A ContourSet holds the node table and
+the chains; its polylines are derived from them.  numpy is imported where
+it is used, so importing dhym.cli does not load it.
 """
 
 from __future__ import annotations
@@ -62,16 +65,22 @@ class Window(NamedTuple):
 
 
 class ContourSet(NamedTuple):
-    polylines: list  # list of (m, 2) float arrays
+    points: np.ndarray  # (m, 2) crossings, one row per crossed grid edge
+    chains: list  # row indices of each polyline; a loop repeats its start
     cell_diag: float
+
+    @property
+    def polylines(self) -> list:
+        """One (m, 2) float array per chain, loops closed."""
+        return [self.points[chain] for chain in self.chains]
 
     def component_near(self, point) -> int | None:
         """Index of the nearest polyline within 2 cell diagonals, else None."""
         import numpy as np
         p = np.asarray(point, dtype=float)
         best, best_d = None, 2.0 * self.cell_diag
-        for idx, poly in enumerate(self.polylines):
-            d = _point_polyline_distance(p, poly)
+        for idx, chain in enumerate(self.chains):
+            d = _point_polyline_distance(p, self.points[chain])
             if d <= best_d:
                 best, best_d = idx, d
         return best
@@ -95,11 +104,13 @@ def _point_polyline_distance(p: np.ndarray, poly: np.ndarray) -> float:
     return float(d.min())
 
 
-def marching_squares(values: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> list:
-    """Polylines of the zero level of ``values`` sampled at xs x ys.
+def marching_squares(values: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> tuple:
+    """Node table and chains of the zero level of ``values`` on xs x ys.
 
-    values[i, j] corresponds to (xs[i], ys[j]).  Returns a list of (m, 2)
-    arrays; loops repeat their first vertex at the end.
+    values[i, j] corresponds to (xs[i], ys[j]).  Returns ``(points,
+    chains)``: points is an (m, 2) array with one row per crossed grid edge,
+    in first-seen order, and each chain lists the rows of one polyline; a
+    loop repeats its first node at the end.
     """
     import numpy as np
     nx, ny = values.shape
@@ -115,18 +126,27 @@ def marching_squares(values: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> list
     n_xedges = (nx - 1) * ny
     edges = np.column_stack([ci * ny + cj, n_xedges + (ci + 1) * (ny - 1) + cj,
                              ci * ny + cj + 1, n_xedges + ci * (ny - 1) + cj])
-    # (segment, end) grid edge ids, in cell order then table order
-    ends = edges[np.arange(len(ci))[:, None, None], segs][segs[:, :, 0] >= 0]
+    # grid edge of each segment end slot, in cell order then table order;
+    # slot s ^ 1 is the other end of the same segment
+    ends = edges[np.arange(len(ci))[:, None, None], segs][segs[:, :, 0] >= 0].ravel()
 
-    # nodes are the crossed grid edges renumbered 0..m-1; end slot s holds
-    # node inv[s] and slot s ^ 1 its neighbour, in segment order per node
-    nodes, first, inv = np.unique(ends, return_index=True, return_inverse=True)
-    inv = inv.ravel()
-    deg = np.bincount(inv)
-    head = np.cumsum(deg) - deg
-    nbr = np.append(inv[np.argsort(inv, kind="stable") ^ 1], -1)
-    nb0, nb1 = nbr[head], np.where(deg == 2, nbr[head + 1], -1)
+    # a grid edge borders two cells at most, so it fills one or two slots;
+    # the stable sort puts them side by side, the first-seen slot first
+    s = np.argsort(ends, kind="stable")
+    sorted_ends = ends[s]
+    again = sorted_ends[1:] == sorted_ends[:-1]
+    second, earlier = s[1:][again], s[:-1][again]
+    first = np.ones(len(s), dtype=bool)
+    first[second] = False
+    # nodes are numbered by first-seen slot; a second slot takes its
+    # edge's node, and each node's neighbours are its slots' partners
+    node = np.cumsum(first) - 1
+    node[second] = node[earlier]
+    head = np.flatnonzero(first)
+    nb1 = np.full(len(head), -1)
+    nb1[node[second]] = node[second ^ 1]
 
+    nodes = ends[head]
     is_x = nodes < n_xedges
     i0 = np.where(is_x, nodes // ny, (nodes - n_xedges) // (ny - 1))
     j0 = np.where(is_x, nodes % ny, (nodes - n_xedges) % (ny - 1))
@@ -135,19 +155,18 @@ def marching_squares(values: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> list
     t = np.clip(v0 / (v0 - v1), 0.0, 1.0)
     points = np.column_stack([xs[i0] + t * (xs[i1] - xs[i0]),
                               ys[j0] + t * (ys[j1] - ys[j0])])
-    order = np.argsort(first).tolist()  # first-seen order
-    return [points[chain] for chain in _stitch(nb0.tolist(), nb1.tolist(), order)]
+    return points, _stitch(node[head ^ 1].tolist(), nb1.tolist())
 
 
-def _stitch(nb0: list, nb1: list, order: list) -> list:
+def _stitch(nb0: list, nb1: list) -> list:
     """Node chains of a graph whose node v has neighbours nb0[v], nb1[v]
     (-1 at an open end).  Open chains come first, each walked from its
-    first-seen end; then loops, each walked from its first-seen node towards
-    nb0 and closed by repeating the start.  ``order`` is the first-seen order.
+    lower-numbered end; then loops, each walked from its lowest node towards
+    nb0 and closed by repeating the start.
     """
     seen = bytearray(len(nb0))
     chains = []
-    for start in [v for v in order if nb1[v] < 0] + order:
+    for start in [v for v, b in enumerate(nb1) if b < 0] + list(range(len(nb0))):
         if seen[start]:
             continue
         chain, prev, cur = [], -1, start
@@ -174,15 +193,20 @@ def extract_level_set(rep: ChargeReport, window: Window,
         raise ValueError("oracle grid must be at least 64x64 cells")
     xs = np.linspace(window.xmin, window.xmax, samples + 1)
     ys = np.linspace(window.ymin, window.ymax, samples + 1)
-    zx = xs[:, None] + 1j * ys[None, :]
+    zx = np.empty((samples + 1, samples + 1), dtype=complex)
+    zx.real = xs[:, None]
+    zx.imag = ys[None, :]
     with np.errstate(over="ignore", invalid="ignore"):
-        values = np.imag(np.exp(-1j * th) * zx ** n) - rep.c
-    if not np.all(np.isfinite(values)):
+        zx **= n
+        np.multiply(np.exp(-1j * th), zx, out=zx)
+        values = zx.imag - rep.c
+        # NaN propagates through the max, so one pass checks finiteness
+        peak = float(np.max(np.abs(values)))
+    if not math.isfinite(peak):
         raise OverflowError(f"Phi overflows float64 on the window for n={n}")
     # nudge exact zeros off the grid so every crossing is a sign change
-    eps = 1e-300 + 1e-15 * float(np.max(np.abs(values)))
-    values = np.where(values == 0.0, eps, values)
-    polylines = marching_squares(values, xs, ys)
+    values[values == 0.0] = 1e-300 + 1e-15 * peak
+    points, chains = marching_squares(values, xs, ys)
     dx = (window.xmax - window.xmin) / samples
     dy = (window.ymax - window.ymin) / samples
-    return ContourSet(polylines=polylines, cell_diag=math.hypot(dx, dy))
+    return ContourSet(points, chains, math.hypot(dx, dy))

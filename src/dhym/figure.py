@@ -19,9 +19,12 @@ _W = 640
 _H = 640
 
 
-def _fmt(v: float) -> str:
-    s = f"{v:.3f}"
-    return "0.000" if s == "-0.000" else s
+def _pairs(flat) -> list:
+    """"x,y" strings of the pixel pairs in flat = (x0, y0, x1, y1, ...),
+    three decimals per number and -0.000 written as 0.000."""
+    # with three decimals per number, a match is always a whole coordinate
+    text = "%.3f,%.3f " * (len(flat) // 2) % tuple(flat)
+    return text.replace("-0.000", "0.000").split()
 
 
 class _Mapper:
@@ -36,12 +39,14 @@ class _Mapper:
                 _H - (y - self.window.ymin) * self.sy)
 
 
-def _polyline(points, cls: str, style: str, mapper: _Mapper) -> str:
+def _pixels(mapper: _Mapper, x, y) -> list:
+    """Formatted pixel pairs of the window coordinate arrays x and y."""
     import numpy as np
-    px, py = mapper(*np.asarray(points, dtype=float).T)
-    flat = np.column_stack([px, py]).ravel().tolist()
-    # with three decimals per number, a match is always a whole coordinate
-    coords = ("%.3f,%.3f " * len(px) % tuple(flat))[:-1].replace("-0.000", "0.000")
+    return _pairs(np.column_stack(mapper(x, y)).ravel().tolist())
+
+
+def _polyline(pairs, cls: str, style: str) -> str:
+    coords = " ".join(pairs)
     return f'<polyline class="{cls}" points="{coords}" style="{style}" fill="none"/>'
 
 
@@ -67,7 +72,6 @@ def _clip_ray(phi: float, window: Window):
 def render_figure(rep: ChargeReport, spec: FigureSpec,
                   curve: SolutionCurve | None = None) -> str:
     """Level-set figure: rays, contour polylines, solution, endpoint markers."""
-    import numpy as np
     g, th, window = rep.g, rep.angle(), spec.window
     mapper = _Mapper(window)
     parts = [
@@ -85,22 +89,26 @@ def render_figure(rep: ChargeReport, spec: FigureSpec,
         for phi_ang in ray_set(k, th, g.n):
             seg = _clip_ray(phi_ang, window)
             if seg:
-                parts.append(_polyline(seg, f"ray-{name}", style, mapper))
+                (x0, y0), (x1, y1) = seg
+                parts.append(_polyline(_pairs(mapper(x0, y0) + mapper(x1, y1)),
+                                       f"ray-{name}", style))
 
+    # every crossing is mapped and formatted once; a loop's closing node
+    # reuses its start's string
     contours = extract_level_set(rep, window, spec.samples)
-    for poly in contours.polylines:
-        parts.append(_polyline(
-            poly, "level", "stroke:#3465a4;stroke-width:1.5", mapper))
+    nodes = _pixels(mapper, *contours.points.T)
+    for chain in contours.chains:
+        parts.append(_polyline(map(nodes.__getitem__, chain), "level",
+                               "stroke:#3465a4;stroke-width:1.5"))
 
     if curve is not None:
-        pts = np.column_stack([curve.x, curve.f])
-        parts.append(_polyline(
-            pts, "solution", "stroke:#2a7d2a;stroke-width:2.5", mapper))
+        parts.append(_polyline(_pixels(mapper, curve.x, curve.f), "solution",
+                               "stroke:#2a7d2a;stroke-width:2.5"))
 
     for x, y in ((1.0, g.q), (g.a, g.p)):
-        px, py = mapper(x, y)
-        parts.append(f'<circle class="endpoint" cx="{_fmt(px)}" '
-                     f'cy="{_fmt(py)}" r="4" fill="#cc4400"/>')
+        cx, cy = _pairs(mapper(x, y))[0].split(",")
+        parts.append(f'<circle class="endpoint" cx="{cx}" cy="{cy}" r="4" '
+                     f'fill="#cc4400"/>')
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -289,6 +289,11 @@ PINNED_FIGURES = [
     ({"n": 12, "a": 2.0, "p": 1.1, "q": 0.4,
       "figure": {"window": [-2.5, 2.5, -2.0, 3.0], "samples": 1024}},
      "0cd3abe775c73a4d32ceddddcf117914b95d1e81f418c15a5a01694dd254098f"),
+    # c = 0 with 1,025 grid nodes exactly on the zero level: the bytes
+    # depend on the value of the zero nudge
+    ({"n": 12, "a": 2.0, "p": 0.0, "q": 0.0,
+      "figure": {"window": [-3.0, 3.0, -3.0, 3.0], "samples": 256}},
+     "6cfdc0509cfca27441b536541c4fc9f13fc3dd4ccc3e8fa35818fd53919faff5"),
 ]
 
 

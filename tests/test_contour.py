@@ -5,7 +5,7 @@ import pytest
 
 from dhym import contour
 from dhym.charges import Geometry, charge_report
-from dhym.contour import Window, extract_level_set, marching_squares
+from dhym.contour import ContourSet, Window, extract_level_set, marching_squares
 from dhym.rays import ray_set
 
 from conftest import random_geometry
@@ -16,6 +16,11 @@ def grid_field(fn, lo, hi, m=101):
     ys = np.linspace(lo, hi, m)
     vals = fn(xs[:, None], ys[None, :])
     return vals, xs, ys
+
+
+def polylines(values, xs, ys):
+    """marching_squares' chains as the polylines of a ContourSet."""
+    return ContourSet(*marching_squares(values, xs, ys), cell_diag=0.0).polylines
 
 
 def polar_component_count(rep, window, samples=20000):
@@ -43,7 +48,7 @@ def polar_component_count(rep, window, samples=20000):
 
 def test_circle_single_loop():
     vals, xs, ys = grid_field(lambda x, y: x ** 2 + y ** 2 - 1.0, -2.0, 2.0)
-    polys = marching_squares(vals, xs, ys)
+    polys = polylines(vals, xs, ys)
     assert len(polys) == 1
     loop = polys[0]
     assert np.allclose(loop[0], loop[-1])
@@ -53,7 +58,7 @@ def test_circle_single_loop():
 
 def test_line_single_chain():
     vals, xs, ys = grid_field(lambda x, y: y - x + 0.2, -2.0, 2.0)
-    polys = marching_squares(vals, xs, ys)
+    polys = polylines(vals, xs, ys)
     assert len(polys) == 1
     chain = polys[0]
     assert np.max(np.abs(chain[:, 1] - chain[:, 0] + 0.2)) < 1e-9
@@ -61,7 +66,7 @@ def test_line_single_chain():
 
 def test_hyperbola_two_branches():
     vals, xs, ys = grid_field(lambda x, y: x * y - 0.5, -2.0, 2.0)
-    polys = marching_squares(vals, xs, ys)
+    polys = polylines(vals, xs, ys)
     assert len(polys) == 2
 
 
@@ -69,7 +74,7 @@ def test_saddle_cells_do_not_connect_across_center():
     # x*y has a saddle at the origin; the four zero rays must pair into
     # two chains consistent with the center sign, never into one blob
     vals, xs, ys = grid_field(lambda x, y: x * y + 1e-3, -1.0, 1.0, m=11)
-    polys = marching_squares(vals, xs, ys)
+    polys = polylines(vals, xs, ys)
     assert len(polys) == 2
 
 
@@ -181,7 +186,7 @@ def test_stitch_random_sign_patterns(seed):
         return {(i - 1, j), (i, j)}
 
     seen = []
-    for poly in marching_squares(vals, xs, ys):
+    for poly in polylines(vals, xs, ys):
         edges = [_vertex_edge(x, y) for x, y in poly.tolist()]
         if np.array_equal(poly[0], poly[-1]):
             edges = edges[:-1]  # a loop repeats its start
@@ -243,7 +248,7 @@ def _reference_marching_squares(values, xs, ys):
 
 
 def _assert_same_polylines(values, xs, ys):
-    got = marching_squares(values, xs, ys)
+    got = polylines(values, xs, ys)
     want = _reference_marching_squares(values, xs, ys)
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -281,19 +286,22 @@ def test_stitcher_matches_reference_on_level_sets(rng, monkeypatch):
 
     original = contour.marching_squares
     monkeypatch.setattr(contour, "marching_squares", recording)
-    while len(grids) < 50:
+    for _ in range(50):
         g = random_geometry(rng)
         rep = charge_report(g)
         w = 1.3 * max(g.a, abs(g.p), abs(g.q), 1.0)
         extract_level_set(rep, Window(-w, w, -w, w), 128)
+    # every extraction goes through the module's marching_squares
+    assert len(grids) == 50
     for values, xs, ys in grids:
         _assert_same_polylines(values, xs, ys)
 
 
 def test_stitcher_empty_and_single_saddle():
     xs, ys = np.arange(5.0), np.arange(4.0)
-    assert marching_squares(np.ones((5, 4)), xs, ys) == []
-    assert marching_squares(-np.ones((5, 4)), xs, ys) == []
+    for sign in (1.0, -1.0):
+        points, chains = marching_squares(sign * np.ones((5, 4)), xs, ys)
+        assert points.shape == (0, 2) and chains == []
     xs = ys = np.arange(2.0)
     for corner in (2.0, 0.5):  # center positive, then negative
         vals = np.array([[1.0, -1.0], [-1.0, corner]])

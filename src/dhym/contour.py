@@ -15,6 +15,7 @@ it is used, so importing dhym.cli does not load it.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from typing import NamedTuple
 
@@ -155,18 +156,20 @@ def marching_squares(values: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> tupl
     t = np.clip(v0 / (v0 - v1), 0.0, 1.0)
     points = np.column_stack([xs[i0] + t * (xs[i1] - xs[i0]),
                               ys[j0] + t * (ys[j1] - ys[j0])])
-    return points, _stitch(node[head ^ 1].tolist(), nb1.tolist())
+    return points, _stitch(node[head ^ 1].tolist(), nb1.tolist(),
+                           np.flatnonzero(nb1 < 0).tolist())
 
 
-def _stitch(nb0: list, nb1: list) -> list:
+def _stitch(nb0: list, nb1: list, open_ends: list) -> list:
     """Node chains of a graph whose node v has neighbours nb0[v], nb1[v]
-    (-1 at an open end).  Open chains come first, each walked from its
+    (-1 at an open end); open_ends lists the nodes with nb1 < 0 in
+    ascending order.  Open chains come first, each walked from its
     lower-numbered end; then loops, each walked from its lowest node towards
     nb0 and closed by repeating the start.
     """
     seen = bytearray(len(nb0))
     chains = []
-    for start in [v for v, b in enumerate(nb1) if b < 0] + list(range(len(nb0))):
+    for start in itertools.chain(open_ends, range(len(nb0))):
         if seen[start]:
             continue
         chain, prev, cur = [], -1, start
@@ -197,6 +200,8 @@ def extract_level_set(rep: ChargeReport, window: Window,
     zx.real = xs[:, None]
     zx.imag = ys[None, :]
     with np.errstate(over="ignore", invalid="ignore"):
+        # kept: binary powering with numpy's complex multiply changes Phi's
+        # bits (n = 4, 6, 8..12 on 257^2), split real/imag products are slower
         zx **= n
         np.multiply(np.exp(-1j * th), zx, out=zx)
         values = zx.imag - rep.c

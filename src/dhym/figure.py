@@ -1,12 +1,16 @@
 """Deterministic SVG rendering of level sets, rays, and traced solutions.
 
 Output is plain SVG 1.1 text with coordinates rounded to 1e-3 pixels, so
-identical inputs produce byte-identical documents.  numpy is imported
-where it is used, so importing dhym.cli does not load it.
+identical inputs produce byte-identical documents.  Every coordinate of a
+figure (ray ends, contour nodes, the traced curve and the endpoints) is
+mapped to pixels and formatted once, in one array pass whose text is what
+Python's ``"%.3f"`` prints; Python's own formatting decides every tie.
+numpy is imported where it is used, so importing dhym.cli does not load it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .charges import ChargeReport
@@ -19,30 +23,61 @@ _W = 640
 _H = 640
 
 
-def _pairs(flat) -> list:
-    """"x,y" strings of the pixel pairs in flat = (x0, y0, x1, y1, ...),
-    three decimals per number and -0.000 written as 0.000."""
-    # with three decimals per number, a match is always a whole coordinate
-    text = "%.3f,%.3f " * (len(flat) // 2) % tuple(flat)
-    return text.replace("-0.000", "0.000").split()
+def _fixed(v: float) -> str:
+    """v with three decimals, -0.000 written as 0.000."""
+    s = "%.3f" % v
+    return "0.000" if s == "-0.000" else s
 
 
-class _Mapper:
-    def __init__(self, window: Window):
-        self.window = window
-        self.sx = _W / (window.xmax - window.xmin)
-        self.sy = _H / (window.ymax - window.ymin)
-
-    def __call__(self, x, y):
-        """Pixel coordinates of scalars or arrays of window coordinates."""
-        return ((x - self.window.xmin) * self.sx,
-                _H - (y - self.window.ymin) * self.sy)
-
-
-def _pixels(mapper: _Mapper, x, y) -> list:
-    """Formatted pixel pairs of the window coordinate arrays x and y."""
+@functools.cache
+def _digit_words():
+    """uint32 tables of 4-byte text groups, NUL where a digit is blank:
+    the thousands-and-up group of the integer part; its units-to-hundreds
+    group and the point, unpadded then (offset 1000) zero-padded behind a
+    higher group; the decimals and the comma after an x, then (offset
+    1000) the space after a y; and the minus sign."""
     import numpy as np
-    return _pairs(np.column_stack(mapper(x, y)).ravel().tolist())
+
+    def words(groups):
+        return np.frombuffer("".join(groups).encode("ascii"), dtype=np.uint32)
+
+    high = words(str(i).rjust(4, "\0") if i else "\0" * 4 for i in range(10000))
+    units = words([str(i).rjust(3, "\0") + "." for i in range(1000)]
+                  + [f"{i:03}." for i in range(1000)])
+    decimals = words([f"{i:03}," for i in range(1000)]
+                     + [f"{i:03} " for i in range(1000)])
+    return high, units, decimals, words("-\0\0\0")[0]
+
+
+def _fixed_pairs(flat) -> list:
+    """"x,y" strings of the float64 pixel pairs flat = [x0, y0, x1, ...],
+    each number as _fixed prints it.
+
+    k = rint(1000 v) is what "%.3f" rounds to unless 1000 v is within an
+    ulp of a half-integer, |k| >= 1e10 or v is not finite; a pair holding
+    such a value is printed by _fixed.
+    """
+    import numpy as np
+    high, units, decimals, minus = _digit_words()
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = flat * 1000.0
+        k = np.rint(y)
+        doubt = ~(np.abs(k) < 1e10)
+        doubt |= np.abs(y - np.floor(y) - 0.5) <= np.spacing(np.abs(y))
+    k[doubt] = 0.0  # keeps the cast finite and the table indices in range
+    k = k.astype(np.int64)
+    hi, rest = np.divmod(np.abs(k), 1000000)
+    lo, dec = np.divmod(rest, 1000)
+    dec[1::2] += 1000  # a y closes its pair with a space
+    words = np.empty((len(k), 4), dtype=np.uint32)
+    words[:, 0] = np.where(k < 0, minus, 0)  # k == 0 drops the sign of -0.000
+    words[:, 1] = high[hi]
+    words[:, 2] = units[lo + 1000 * (hi > 0)]
+    words[:, 3] = decimals[dec]
+    pairs = words.tobytes().translate(None, b"\0").decode("ascii").split()
+    for p in np.unique(np.flatnonzero(doubt) >> 1).tolist():
+        pairs[p] = f"{_fixed(flat[2 * p])},{_fixed(flat[2 * p + 1])}"
+    return pairs
 
 
 def _polyline(pairs, cls: str, style: str) -> str:
@@ -72,43 +107,56 @@ def _clip_ray(phi: float, window: Window):
 def render_figure(rep: ChargeReport, spec: FigureSpec,
                   curve: SolutionCurve | None = None) -> str:
     """Level-set figure: rays, contour polylines, solution, endpoint markers."""
+    import numpy as np
     g, th, window = rep.g, rep.angle(), spec.window
-    mapper = _Mapper(window)
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{_W}" height="{_H}" viewBox="0 0 {_W} {_H}">',
-        f'<rect width="{_W}" height="{_H}" fill="white"/>',
-    ]
 
     # dotted rays of the top fan (the zero level of Phi), then dashed rays
     # of the next fan down (the vertical-tangent locus)
+    rays, ray_ends = [], []
     for name, k, color, dash in (("top", g.n, "#888888", "2,4"),
                                  ("vertical", g.n - 1, "#bb4444", "8,4")):
         style = f"stroke:{color};stroke-width:1;stroke-dasharray:{dash}"
         for phi_ang in ray_set(k, th, g.n):
             seg = _clip_ray(phi_ang, window)
             if seg:
-                (x0, y0), (x1, y1) = seg
-                parts.append(_polyline(_pairs(mapper(x0, y0) + mapper(x1, y1)),
-                                       f"ray-{name}", style))
-
-    # every crossing is mapped and formatted once; a loop's closing node
-    # reuses its start's string
+                rays.append((f"ray-{name}", style))
+                ray_ends.extend(seg)
     contours = extract_level_set(rep, window, spec.samples)
-    nodes = _pixels(mapper, *contours.points.T)
-    for chain in contours.chains:
-        parts.append(_polyline(map(nodes.__getitem__, chain), "level",
-                               "stroke:#3465a4;stroke-width:1.5"))
 
+    # every coordinate is mapped and formatted once, contour nodes first so
+    # that a chain's node rows index their strings
+    blocks = [contours.points, np.reshape(ray_ends, (-1, 2))]
     if curve is not None:
-        parts.append(_polyline(_pixels(mapper, curve.x, curve.f), "solution",
-                               "stroke:#2a7d2a;stroke-width:2.5"))
+        blocks.append(np.column_stack((curve.x, curve.f)))
+    blocks.append([(1.0, g.q), (g.a, g.p)])
+    x, y = np.concatenate(blocks).T
+    sx = _W / (window.xmax - window.xmin)
+    sy = _H / (window.ymax - window.ymin)
+    # a window narrower than 640 / DBL_MAX maps to inf or nan, printed as such
+    with np.errstate(over="ignore", invalid="ignore"):
+        pixels = np.column_stack(((x - window.xmin) * sx,
+                                  _H - (y - window.ymin) * sy))
+    pairs = _fixed_pairs(pixels.ravel())
+    m = len(contours.points)
 
-    for x, y in ((1.0, g.q), (g.a, g.p)):
-        cx, cy = _pairs(mapper(x, y))[0].split(",")
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{_W}" height="{_H}" viewBox="0 0 {_W} {_H}">',
+        f'<rect width="{_W}" height="{_H}" fill="white"/>',
+    ]
+    for i, (cls, style) in enumerate(rays):
+        parts.append(_polyline(pairs[m + 2 * i:m + 2 * i + 2], cls, style))
+    # a loop's closing node reuses its start's string
+    for chain in contours.chains:
+        parts.append(_polyline(map(pairs.__getitem__, chain), "level",
+                               "stroke:#3465a4;stroke-width:1.5"))
+    if curve is not None:
+        parts.append(_polyline(pairs[m + len(ray_ends):-2], "solution",
+                               "stroke:#2a7d2a;stroke-width:2.5"))
+    for pair in pairs[-2:]:
+        cx, cy = pair.split(",")
         parts.append(f'<circle class="endpoint" cx="{cx}" cy="{cy}" r="4" '
                      f'fill="#cc4400"/>')
-
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -294,6 +294,11 @@ PINNED_FIGURES = [
     ({"n": 12, "a": 2.0, "p": 0.0, "q": 0.0,
       "figure": {"window": [-3.0, 3.0, -3.0, 3.0], "samples": 256}},
      "6cfdc0509cfca27441b536541c4fc9f13fc3dd4ccc3e8fa35818fd53919faff5"),
+    # 64 px per unit puts both endpoints on exact ties of "%.3f": the
+    # circles print cy="319.938" (319.9375) and cx="448.062" (448.0625)
+    ({"n": 3, "a": 2.0009765625, "p": 0.0009765625, "q": 0.0009765625,
+      "figure": {"window": [-5, 5, -5, 5], "samples": 64}},
+     "97bd6078662b79b061daa186dc10da3a3e9872f20405b6d9f3c210d63c27ef53"),
 ]
 
 

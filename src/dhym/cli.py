@@ -17,10 +17,11 @@ from .charges import (DegenerateGeometryError, Geometry, central_charges,
                       charge_report, degeneracy_check)
 from .config import ConfigError, RunConfig, load_config
 from .figure import render_figure
-from .levelcurve import (TraceError, graphical_existence, same_component,
-                         trace_solution, verify_solution)
-from .lifting import LiftedAngle, OriginHit, cxy_path_lift
-from .stability import Existence, existence_verdict, supercritical_check
+from .levelcurve import (TraceError, same_component, trace_solution,
+                         verify_solution)
+from .lifting import LiftedAngle, OriginHit, cxy_path_lift, sector_lift
+from .stability import (Existence, divisor_angle_bounds, existence_verdict,
+                        stability_verdict, supercritical_check)
 
 EXIT_EXISTS = 0
 EXIT_NOT_EXISTS = 1
@@ -50,16 +51,16 @@ def analysis_report(g: Geometry) -> dict:
         },
     }
     verdict = existence_verdict(rep)
-    margin, divisor = verdict.divisor or (None, None)
     out["existence"] = {"value": verdict.value.value,
                         "route": verdict.route.value,
-                        "reason": verdict.reason,
-                        "divisor_margin": margin, "divisor": divisor}
+                        "reason": verdict.reason, "margin": verdict.margin,
+                        "divisor_margin": None, "divisor": None}
     if rep.degenerate:
         out["charge"]["degenerate_m"] = degeneracy_check(rep)
         return out
 
-    stab, lift = verdict.stability, verdict.lift
+    # certificates, printed beside the verdict; none of them decides it
+    stab, lift = stability_verdict(rep), sector_lift(rep)
     out["stability"] = {
         "overall": stab.overall.value,
         "per_k": {str(k): {"sign_H": pk.sign_h.value.value,
@@ -80,6 +81,8 @@ def analysis_report(g: Geometry) -> dict:
                        "winding": lift.winding, "lifted": lift.lifted,
                        "margin": lift.margin,
                        "supercritical": supercritical_check(lift, g.n)}
+        (out["existence"]["divisor_margin"],
+         out["existence"]["divisor"]) = divisor_angle_bounds(rep, lift)
     else:
         out["lift"] = {"defined": False, "reason": lift.reason,
                        "detail": lift.detail}
@@ -87,8 +90,6 @@ def analysis_report(g: Geometry) -> dict:
     out["same_component"] = {"status": sc.status,
                              "rays_between": sc.rays_between,
                              "same_ray": sc.same_ray}
-    ge = graphical_existence(rep, sc)
-    out["graphical_existence"] = {"yes": ge.yes, "reason": ge.reason}
     return out
 
 
@@ -220,16 +221,17 @@ def _linspace(start: float, stop: float, num: int) -> list:
 
 def _sweep_row(g: Geometry) -> str:
     nan = float("nan")
-    verdict = existence_verdict(charge_report(g))
-    stab, lift = verdict.stability, verdict.lift
-    if stab is None:  # degenerate
+    rep = charge_report(g)
+    verdict = existence_verdict(rep)
+    if rep.degenerate:
         return _SWEEP_ROW % (g.p, g.q, "degenerate", verdict.value.value,
                              verdict.route.value, "false", nan, nan, nan)
+    stab, lift = stability_verdict(rep), sector_lift(rep)
     stab_margin = min(min(pk.sign_h.margin, pk.sign_e.margin)
                       for pk in stab.per_k.values())
     lift_defined = isinstance(lift, LiftedAngle)
     lift_margin = lift.margin if lift_defined else nan
-    div_margin = verdict.divisor[0] if verdict.divisor else nan
+    div_margin = divisor_angle_bounds(rep, lift)[0] if lift_defined else nan
     return _SWEEP_ROW % (g.p, g.q, stab.overall.value, verdict.value.value,
                          verdict.route.value, "true" if lift_defined else "false",
                          stab_margin, lift_margin, div_margin)

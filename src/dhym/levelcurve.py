@@ -2,28 +2,29 @@
 boundary-value solver.
 
 Both endpoints (1, q) and (a, p) always share the level value c, so a
-solution is a graphical arc of the level curve over [1, a].  In polar form
-that arc is explicit, r(phi) = (c / sin(n phi - theta_hat))^(1/n) for phi
-between arg z1 and arg z2, so nothing is integrated: every node of the
-output grid is solved at once, seeded from the arc sampled in phi and
-polished by Newton steps in y on Phi = c.  The trace only solves;
-verify_solution is the one place that measures a curve (its level, the
-ODE residual, the pointwise angle and the endpoint error).
-Every layer reads theta_hat and c from the angle record
-(charges.charge_report) and recomputes neither.  Only the array functions
-import numpy, so the verdicts run without loading it.
+solution is a graphical arc of the level curve over [1, a], and
+graphical_existence decides whether one exists.  In polar form the arc is
+explicit, r(phi) = (c / sin(n phi - theta_hat))^(1/n) for phi between
+arg z1 and arg z2, so nothing is integrated: every node of the output grid
+is solved at once, seeded from the arc sampled in phi and polished by
+Newton steps in y on Phi = c.  The trace only solves; verify_solution is
+the one place that measures a curve (its level, the ODE residual, the
+pointwise angle and the endpoint error).  Every layer reads theta_hat and
+c from the angle record (charges.charge_report) and recomputes neither.
+Only the array functions import numpy, so the verdicts run without it.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from enum import Enum
 from typing import NamedTuple
 
 from .charges import ChargeReport
 from .rays import Sign, ray_index, rays_between, sector_of
-from .tolerances import (CURVE_SAMPLES, EPS_ZERO, TOL_ANGLE, TOL_ENDPOINT,
-                         TOL_LEVEL)
+from .tolerances import (CURVE_SAMPLES, EPS_ANGLE, EPS_ZERO, TOL_ANGLE,
+                         TOL_ENDPOINT, TOL_LEVEL)
 
 
 class TraceError(RuntimeError):
@@ -45,9 +46,27 @@ class SameComponentResult(NamedTuple):
     same_ray: bool | None = None
 
 
-class GraphicalResult(NamedTuple):
-    yes: bool
-    reason: str = ""
+class Existence(Enum):
+    EXISTS = "exists"
+    NOT_EXISTS = "not_exists"
+    INCONCLUSIVE = "inconclusive"
+
+
+class Route(Enum):
+    GRAPHICAL = "graphical"
+    DEGENERATE = "degenerate"
+
+
+# why a verdict is not EXISTS, one token each; the reason is "" exactly
+# when the verdict is EXISTS
+REASONS = ("sector_gap", "divisor_bound_fails", "deadband", "degenerate")
+
+
+class ExistenceVerdict(NamedTuple):
+    value: Existence
+    route: Route
+    reason: str  # "" or one of REASONS
+    margin: float | None  # radians, as graphical_existence; None if degenerate
 
 
 class SolutionCurve(NamedTuple):
@@ -84,6 +103,13 @@ def level_context(rep: ChargeReport) -> None:
                          f"{rep.c!r} vs {c_far!r}")
 
 
+def _on_zero_level(rep: ChargeReport) -> bool:
+    """c = 0 to EPS_ZERO of min(|z1|, |z2|)**n, which bounds |c|; against
+    the max the test would misfire whenever |z2| >> |z1|."""
+    g = rep.g
+    return abs(rep.c) <= EPS_ZERO * min(abs(g.z1), abs(g.z2)) ** g.n
+
+
 def same_component(rep: ChargeReport) -> SameComponentResult:
     """Do the two endpoints sit on the same component of the level set?
 
@@ -91,14 +117,10 @@ def same_component(rep: ChargeReport) -> SameComponentResult:
     the same ray.  Otherwise components occupy alternating sectors, so the
     endpoints agree iff no top-level ray lies strictly between them.
     """
-    g, n, th = rep.g, rep.g.n, rep.angle()
-    # |c| is bounded by min(|z1|, |z2|)**n, so the zero test must use that
-    # scale; against the max it would misfire whenever |z2| >> |z1|
-    zero_scale = min(abs(g.z1), abs(g.z2)) ** n
-    if abs(rep.c) <= EPS_ZERO * zero_scale:
-        v1 = sector_of(rep.psi1, n, th, n)
-        v2 = sector_of(rep.psi2, n, th, n)
-        on_rays = v1.value is Sign.ON_RAY and v2.value is Sign.ON_RAY
+    n, th = rep.g.n, rep.angle()
+    if _on_zero_level(rep):
+        on_rays = all(sector_of(psi, n, th, n).value is Sign.ON_RAY
+                      for psi in (rep.psi1, rep.psi2))
         same_ray = (on_rays and ray_index(rep.psi1, n, th, n)
                     == ray_index(rep.psi2, n, th, n))
         return SameComponentResult("on_zero_level", same_ray=same_ray)
@@ -108,27 +130,30 @@ def same_component(rep: ChargeReport) -> SameComponentResult:
     return SameComponentResult("different", rays_between=nb)
 
 
-def graphical_existence(rep: ChargeReport,
-                        sc: SameComponentResult) -> GraphicalResult:
-    """Can the endpoints be joined by a graphical arc (no vertical slope)?
-
-    ``sc`` is same_component of the record."""
-    if sc.status == "different":
-        return GraphicalResult(False, f"endpoints on different components "
-                                      f"({sc.rays_between} rays between)")
-    if sc.status == "on_zero_level" and not sc.same_ray:
-        return GraphicalResult(False, "zero level set: endpoints on different rays")
-    if sc.status == "on_zero_level":
-        # linear solution along a common ray; a ray never has vertical slope
-        return GraphicalResult(True)
-    n, th = rep.g.n, rep.angle()
-    if rays_between(rep.psi1, rep.psi2, n - 1, th, n) > 0:
-        return GraphicalResult(False, "vertical-tangent ray between endpoints")
-    for name, psi in (("(1,q)", rep.psi1), ("(a,p)", rep.psi2)):
-        if sector_of(psi, n - 1, th, n).value is Sign.ON_RAY:
-            return GraphicalResult(False, f"endpoint {name} on a "
-                                          f"vertical-tangent ray (inconclusive)")
-    return GraphicalResult(True)
+def graphical_existence(rep: ChargeReport) -> ExistenceVerdict:
+    """The existence decision, in the order existence_verdict proves: a
+    gap >= pi/n + EPS_ANGLE is NOT_EXISTS ("sector_gap"); a gap within
+    EPS_ANGLE of pi/n, or an endpoint within it of a level-(n-1) ray, is
+    "deadband"; a level-(n-1) ray between the endpoints is NOT_EXISTS
+    ("divisor_bound_fails"); else EXISTS, but on the zero level only with
+    both endpoints on one top-fan ray.  The margin is gap - pi/n, or the
+    least of |gap - pi/n| and the endpoints' level-(n-1) sector margins."""
+    n, th, psi1, psi2 = rep.g.n, rep.angle(), rep.psi1, rep.psi2
+    excess = abs(psi2 - psi1) - math.pi / n
+    if excess >= EPS_ANGLE:
+        return ExistenceVerdict(Existence.NOT_EXISTS, Route.GRAPHICAL,
+                                "sector_gap", excess)
+    margin = min(abs(excess), sector_of(psi1, n - 1, th, n).margin,
+                 sector_of(psi2, n - 1, th, n).margin)
+    if margin <= EPS_ANGLE:
+        value, reason = Existence.INCONCLUSIVE, "deadband"
+    elif rays_between(psi1, psi2, n - 1, th, n) > 0:
+        value, reason = Existence.NOT_EXISTS, "divisor_bound_fails"
+    elif _on_zero_level(rep) and not same_component(rep).same_ray:
+        value, reason = Existence.INCONCLUSIVE, "deadband"
+    else:
+        value, reason = Existence.EXISTS, ""
+    return ExistenceVerdict(value, Route.GRAPHICAL, reason, margin)
 
 
 def _level_terms(x: np.ndarray, y: np.ndarray, rep: ChargeReport):
@@ -185,20 +210,21 @@ def trace_solution(rep: ChargeReport) -> SolutionCurve:
     |z_j|)^n) at each node z_j, the bound verify_solution checks, and one
     step more then takes each node to full precision.  The slope is the
     exact level-set slope -Phi_x / Phi_y at the final nodes.  The curve is
-    its samples alone; verify_solution measures it.  level_context first
-    checks that both endpoints share the record's c.
+    its samples alone; verify_solution measures it.  It runs level_context
+    first, then raises GraphicalPreconditionError unless graphical_existence
+    says EXISTS.
     """
     import numpy as np
     g = rep.g
     level_context(rep)
-    sc = same_component(rep)
-    ge = graphical_existence(rep, sc)
-    if not ge.yes:
-        raise GraphicalPreconditionError(ge.reason)
+    verdict = graphical_existence(rep)
+    if verdict.value is not Existence.EXISTS:
+        raise GraphicalPreconditionError(
+            f"existence is {verdict.value.value} ({verdict.reason})")
     xs = np.linspace(1.0, g.a, CURVE_SAMPLES)
     # an overflow leaves NaN or inf terms, which the polish reports by name
     with np.errstate(over="ignore", invalid="ignore"):
-        if sc.status == "on_zero_level":
+        if _on_zero_level(rep):
             y = g.q * xs  # the common ray; exact when c is exactly zero
         else:
             y = _arc_seed(rep, xs)

@@ -1,14 +1,13 @@
-"""Stability verdicts and the existence decision.
+"""Stability and the lifted-angle certificate, and the existence decision.
 
 Per-dimension stability asks that Im(i^(n-k) e^(-i theta_hat) z^k) keep
-one sign over both generators z1 = 1+iq, z2 = a+ip; one-signedness for
-every k in 1..n-1 suffices for a solution (the sign may differ across k).
-The necessary-and-sufficient route instead checks that the average angle
-lifts and that both divisor angles (n-1)*arg(z) fall within pi/2 of the
-lifted angle.  existence_verdict is the one existence decision: it runs
-both routes once and returns them with the verdict.  The volume-path lift
-decides nothing and is not read here.  Every function here reads the
-instance's angle record (charges.charge_report) and recomputes none of it.
+one sign over both generators z1 = 1+iq, z2 = a+ip, for every k in
+1..n-1; the paper proves it sufficient.  The lifted-angle form
+(Collins-Jacob-Yau) asks that both divisor angles (n-1)*arg(z) fall within
+pi/2 of the sector lift.  Neither decides: analyze and sweep print both
+as certificates, and existence_verdict, proved in its docstring, is
+levelcurve.graphical_existence.  Everything here reads the angle record
+(charges.charge_report) and recomputes none of it.
 """
 
 from __future__ import annotations
@@ -18,9 +17,10 @@ from enum import Enum
 from typing import NamedTuple
 
 from .charges import ChargeReport
-from .lifting import LiftedAngle, LiftUndefined, sector_lift
+from .levelcurve import (Existence, ExistenceVerdict, Route,
+                         graphical_existence)
+from .lifting import LiftedAngle
 from .rays import SectorVerdict, Sign, sector_of
-from .tolerances import EPS_ANGLE
 
 
 class KVerdict(Enum):
@@ -45,36 +45,6 @@ class PerK(NamedTuple):
 class StabilityReport(NamedTuple):
     per_k: dict[int, PerK]
     overall: Overall
-
-
-class Existence(Enum):
-    EXISTS = "exists"
-    NOT_EXISTS = "not_exists"
-    INCONCLUSIVE = "inconclusive"
-
-
-class Route(Enum):
-    THEOREM_SUFFICIENT = "stability_sufficient"
-    THEOREM_BICONDITIONAL = "lift_and_divisor_bounds"
-    DEGENERATE = "degenerate"
-
-
-# why a verdict is not EXISTS, one token each; the reason is "" exactly
-# when the verdict is EXISTS
-REASONS = ("divisor_bound_fails", "degenerate", "lift_undefined",
-           "divisor_bound_marginal", "stable_but_lift_undefined",
-           "stable_but_divisor_fails")
-
-
-class ExistenceVerdict(NamedTuple):
-    value: Existence
-    route: Route
-    reason: str  # "" or one of REASONS
-    # what the verdict was decided from; None for a degenerate record, and
-    # divisor is divisor_angle_bounds of the lift, None when it is undefined
-    stability: StabilityReport | None = None
-    lift: LiftedAngle | LiftUndefined | None = None
-    divisor: tuple[float, str] | None = None
 
 
 def _combine(sh: SectorVerdict, se: SectorVerdict) -> KVerdict:
@@ -122,41 +92,42 @@ def divisor_angle_bounds(rep: ChargeReport,
 
 
 def existence_verdict(rep: ChargeReport) -> ExistenceVerdict:
-    """The existence decision for the record.
+    """INCONCLUSIVE ("degenerate") when zeta vanishes, else
+    levelcurve.graphical_existence.  Why its steps hold, with th =
+    theta_hat, Phi = Im(e^(-i th) z^n), psi_j = arg z_j, gap = |psi2 - psi1|:
 
-    The lift route is authoritative: existence iff the sector lift is
-    defined and both divisor bounds hold.  When the lift is undefined we
-    report inconclusive rather than non-existence, since a different path
-    could in principle still define a lift.  Stability is used as an
-    independent certificate when the divisor bound is marginal; where it
-    contradicts the lift route the verdict is inconclusive.
-
-    The verdict carries the stability report, the sector lift and the
-    divisor bound it was decided from; a degenerate record gets none of
-    them, and only ``rep`` is read.
+    - dHYM solutions are unique in their class (Jacob-Yau, Math. Ann.
+      2017).  The U(n) fixing the blown-up point preserves omega and
+      [alpha], so a solution is U(n)-invariant, of Calabi form.  The ODE's
+      residual is x^(1-n) (Phi_x + f' Phi_y) / n, so a solution is an
+      x-monotone arc of Phi = c from z1 to z2, and without one none exists.
+    - Top fan.  Phi = 0 on the level-n rays, pi/n apart; an arc from z1 to
+      z2 in x > 0 meets every ray strictly between psi1 and psi2.  A gap of
+      pi/n or more holds one in its closure.  One at an end makes c = 0, and
+      on Phi = 0 an arc keeps to one ray, so gap = 0: no arc ("sector_gap").
+      For c != 0, sin(n psi_j - th) has the sign of c at both ends, so an
+      even number of rays lies between; below pi/n at most one fits, so
+      none does, and both ends lie on the one component r(phi) = (c /
+      sin(n phi - th))^(1/n).  Parity decides, so the top fan needs no
+      on-ray deadband: when |z2| >> |z1| the far end sits within 1e-10 rad
+      of a top ray although c != 0.
+    - Vertical tangents.  Phi_y = n |z|^(n-1) cos((n-1) phi - th) vanishes
+      exactly on the level-(n-1) rays, changing sign.  One between the ends
+      turns the arc back in x ("divisor_bound_fails").  With none the arc
+      is a graph (on c = 0, the common ray), with Phi_y > 0: |zeta| =
+      e^(-i th) zeta is the integral over [1, a] of n |u|^2 / Re u dx, with
+      u = e^(-i th) z^(n-1).
+    - The certificate.  The sector lift is L = n psi2 + A, with A =
+      Arg(1 - rho e^(id)), d = n (psi1 - psi2) and |d| < pi.  A positive
+      combination of 1 and -e^(id) puts A between 0 and d - pi sign(d), so
+      (n-1) psi2 - L = -psi2 - A and (n-1) psi1 - L = -psi1 + (d - A) lie
+      in (-3 pi/2, 3 pi/2).  As L = th mod 2 pi, the divisor bound
+      |(n-1) psi_j - L| < pi/2 holds exactly when Phi_y(z_j) > 0.  A gap
+      below pi/n < pi/(n-1) holds at most one level-(n-1) ray, so both
+      bounds hold exactly when none lies between: the divisor margin has
+      the verdict's sign.
     """
     if rep.degenerate:
         return ExistenceVerdict(Existence.INCONCLUSIVE, Route.DEGENERATE,
-                                "degenerate")
-    stab, lift = stability_verdict(rep), sector_lift(rep)
-    stable = stab.overall is Overall.STABLE
-    if isinstance(lift, LiftUndefined):
-        # stability guarantees the sector condition; a stable record here
-        # has its gap inside the angular deadband
-        return ExistenceVerdict(
-            Existence.INCONCLUSIVE, Route.THEOREM_BICONDITIONAL,
-            "stable_but_lift_undefined" if stable else "lift_undefined",
-            stab, lift)
-    divisor = divisor_angle_bounds(rep, lift)
-    route = Route.THEOREM_BICONDITIONAL
-    if divisor[0] > EPS_ANGLE:
-        value, reason = Existence.EXISTS, ""
-    elif divisor[0] < -EPS_ANGLE:
-        value, reason = ((Existence.INCONCLUSIVE, "stable_but_divisor_fails")
-                         if stable else
-                         (Existence.NOT_EXISTS, "divisor_bound_fails"))
-    elif stable:  # a marginal divisor bound, |margin| <= EPS_ANGLE
-        value, reason, route = Existence.EXISTS, "", Route.THEOREM_SUFFICIENT
-    else:
-        value, reason = Existence.INCONCLUSIVE, "divisor_bound_marginal"
-    return ExistenceVerdict(value, route, reason, stab, lift, divisor)
+                                "degenerate", None)
+    return graphical_existence(rep)

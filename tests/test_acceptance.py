@@ -16,6 +16,7 @@ from dhym.contour import Window, extract_level_set
 from dhym.figure import render_figure
 from dhym.config import FigureSpec
 from dhym.levelcurve import (
+    Existence,
     graphical_existence,
     level_context,
     same_component,
@@ -100,7 +101,7 @@ def test_criterion_3_stability_sufficiency(rng):
     for _ in range(1000):
         g = sample_stable(rng)
         rec = charge_report(g)
-        if not graphical_existence(rec, same_component(rec)).yes:
+        if graphical_existence(rec).value is not Existence.EXISTS:
             failures += 1
             continue
         try:
@@ -140,7 +141,7 @@ def test_criterion_4_biconditional(rng):
             margins.append(abs(margin))
             predicted = margin > EPS_ANGLE
         actual = False
-        if graphical_existence(rec, same_component(rec)).yes:
+        if graphical_existence(rec).value is Existence.EXISTS:
             try:
                 check = verify_solution(trace_solution(rec), rec)
                 actual = (check.endpoint_error

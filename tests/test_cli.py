@@ -114,7 +114,7 @@ def test_analyze_exists(tmp_path):
     assert res.returncode == 0
     doc = json.loads(res.stdout)
     assert doc["existence"]["value"] == "exists"
-    assert doc["existence"]["route"] == "lift_and_divisor_bounds"
+    assert doc["existence"]["route"] == "graphical"
     assert doc["existence"]["reason"] == ""
     assert doc["stability"]["overall"] == "stable"
     assert doc["charge"]["theta_hat"] == pytest.approx(math.pi / 2)
@@ -128,14 +128,18 @@ def test_analyze_not_exists(tmp_path):
 
 
 def test_analyze_lift_undefined(tmp_path):
+    # the sector lift is undefined because the gap exceeds pi/n, which
+    # decides the instance by the gap rule
     path = write_config(tmp_path, geometry_doc(scaled_example()))
     res = run_cli(["analyze", "--config", path])
-    assert res.returncode == 2
+    assert res.returncode == 1
     doc = json.loads(res.stdout)
-    assert doc["existence"]["value"] == "inconclusive"
-    assert doc["existence"]["reason"] == "lift_undefined"
+    assert doc["existence"]["value"] == "not_exists"
+    assert doc["existence"]["reason"] == "sector_gap"
+    assert doc["existence"]["margin"] == pytest.approx(1.53, abs=0.01)
     assert doc["existence"]["divisor"] is None
     assert doc["lift"]["defined"] is False
+    assert doc["same_component"]["status"] == "different"
 
 
 def test_analyze_degenerate_cites_witness(tmp_path):
@@ -198,10 +202,21 @@ def test_solve_near_vertical_tangent(tmp_path):
 
 
 def test_solve_refuses_inconclusive(tmp_path):
-    path = write_config(tmp_path, geometry_doc(scaled_example()))
-    res = run_cli(["solve", "--config", path, "--out",
-                   str(tmp_path / "no.csv")])
-    assert res.returncode == 2
+    # a gap of pi/4 to the ulp sits in the deadband; the gap of
+    # scaled_example() is 1.53 wider than pi/3
+    psi = 0.1
+    deadband = {"n": 4, "a": 2.0, "p": 2.0 * math.tan(psi + math.pi / 4),
+                "q": math.tan(psi)}
+    for doc, code, reason in ((deadband, 2, "deadband"),
+                              (geometry_doc(scaled_example()), 1,
+                               "sector_gap")):
+        out = tmp_path / "no.csv"
+        res = run_cli(["solve", "--config", write_config(tmp_path, doc),
+                       "--out", str(out)])
+        assert res.returncode == code
+        assert res.stderr.startswith("no solve attempted")
+        assert f"via graphical ({reason})" in res.stderr
+        assert res.stdout == "" and not out.exists()
 
 
 def test_sweep_grid(tmp_path):
@@ -321,34 +336,36 @@ EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 
 # sha256 of stdout followed by the solve CSV (if any), recorded before the
 # analysis and the CSV writer were rewritten; the bytes must not drift.  The
-# analyze digests were recorded when the existence block's free-form notes
-# gave way to reason, divisor_margin and divisor
+# analyze and sweep digests were recorded when existence became one
+# graphical decision: the route reads "graphical", the existence block
+# holds its margin, the graphical_existence block is gone, and the sector
+# gaps of LIFT_UNDEFINED and ORIGIN_HIT decide not_exists
 PINNED_OUTPUTS = [
     ("analyze", STABLE, 0,
-     "e7abfc28e7027585507e795baa3a97b0c33473460bfa0a131e232618fe115e25"),
-    ("analyze", LIFT_UNDEFINED, 2,
-     "a62882c4749eedcad3eb436dd3cdc6a528035df9fd06234aff43e8880016d010"),
-    ("analyze", ORIGIN_HIT, 2,
-     "7ac89b9e758838cb86f0dcdb6b60dc83166ee59e16e63a764b06ff20b9cc4b9e"),
+     "af3bacaf9902d7b152dccff3d9be9d6e89c9bbffe402725f27c059e7e03cf355"),
+    ("analyze", LIFT_UNDEFINED, 1,
+     "610277df46af3dad20cc479f4b136b5871796b8e8cfaaa4185a7d6ddaddd18fc"),
+    ("analyze", ORIGIN_HIT, 1,
+     "79b8e8dcd44ff79551762faa7e102a80202282dbfaeb5abb3c059fd22e373447"),
     ("analyze", DEGENERATE, 2,
-     "77680811d1f410c286c709dd6a577311a065b3359355882ee8f97bdf6f8c6233"),
+     "aeb7b4f23530898570ac3ec0b7895b8e124f8d8cbf6df063907597cb199d6359"),
     ("solve", STABLE, 0,
      "80c51845d5b106c6770b30bf5db485cbf8ce437058eaf59a1a36a0adf5525872"),
     ("solve", STEEP, 0,
      "dce0a20f8f378657f4bbb6fe092f2066ad9ee3284b0cc4c38d0b6220e0932b52"),
-    ("solve", LIFT_UNDEFINED, 2, EMPTY),
-    ("solve", ORIGIN_HIT, 2, EMPTY),
+    ("solve", LIFT_UNDEFINED, 1, EMPTY),
+    ("solve", ORIGIN_HIT, 1, EMPTY),
     ("solve", DEGENERATE, 2, EMPTY),
     # corners: the origin hit (first row) and the degenerate point (last)
     ("sweep", {**ORIGIN_HIT, "sweep": {
         "p_range": [ORIGIN_HIT["p"], DEGENERATE["p"]], "q_range": [4.0, 2.0],
         "p_count": 3, "q_count": 3}}, 0,
-     "281d8c2f58a63c77b8a02676bf5a7f860cdf9f6857c6e94604c82c10adeb5bb9"),
+     "c28a770869fad75b011be3ec858758414700078ff5fd851af57d54308a6a70b1"),
     # stable, unstable, not_exists and lift-undefined rows
     ("sweep", {**STABLE, "sweep": {
         "p_range": [-2.0, 2.0], "q_range": [-1.0, 3.0],
         "p_count": 4, "q_count": 5}}, 0,
-     "231e3038a4513fba44a25355b61ab4f6c236c2a7e319aadd5afae82b0891aeb8"),
+     "39c3711be009907e60f69a17ef76e76891c8e66065905cff2734e9b89542e68c"),
 ]
 
 
@@ -422,16 +439,17 @@ def test_existence_block_is_typed():
         text = cli._json(cli.analysis_report(charges.Geometry(**doc)))
         report = json.loads(text, parse_constant=_reject_constant)
         block = report["existence"]
-        assert set(block) == {"value", "route", "reason", "divisor_margin",
-                              "divisor"}, doc
+        assert set(block) == {"value", "route", "reason", "margin",
+                              "divisor_margin", "divisor"}, doc
         assert (block["reason"] == "") == (block["value"] == "exists"), doc
-        assert block["reason"] in ("", *stability.REASONS), doc
+        assert block["reason"] in ("", *levelcurve.REASONS), doc
+        assert (block["margin"] is None) == (block["route"] == "degenerate")
         lifted = report.get("lift", {}).get("defined", False)
         assert (block["divisor"] is None) == (not lifted), doc
         assert (block["divisor_margin"] is None) == (not lifted), doc
         assert block["divisor"] in (None, "H", "E"), doc
         reasons.add(block["reason"])
-    assert {"", "degenerate", "lift_undefined",
+    assert {"", "degenerate", "sector_gap",
             "divisor_bound_fails"} <= reasons
 
 
@@ -515,10 +533,10 @@ def test_volume_path_lifted_by_analyze_only(tmp_path, capsys, monkeypatch):
     # sector lift is undefined; analyze lifts it once for its own report
     calls = _count_calls(monkeypatch, lifting, "cxy_path_lift")
     verdict = stability.existence_verdict(charges.charge_report(scaled_example()))
-    assert verdict.value is stability.Existence.INCONCLUSIVE
-    assert verdict.reason == "lift_undefined" and calls == []
+    assert verdict.value is stability.Existence.NOT_EXISTS
+    assert verdict.reason == "sector_gap" and calls == []
     assert cli.main(["analyze", "--config",
-                     write_config(tmp_path, ORIGIN_HIT)]) == 2
+                     write_config(tmp_path, ORIGIN_HIT)]) == 1
     report = json.loads(capsys.readouterr().out)
     assert len(calls) == 1
     assert report["volume_path"]["defined"] is False
@@ -544,9 +562,63 @@ def test_solve_skips_volume_path(tmp_path, capsys, monkeypatch):
     calls = _count_calls(monkeypatch, lifting, "cxy_path_lift")
     path = write_config(tmp_path, LIFT_UNDEFINED)
     assert cli.main(["solve", "--config", path,
-                     "--out", str(tmp_path / "no.csv")]) == 2
-    assert "via lift_and_divisor_bounds" in capsys.readouterr().err
+                     "--out", str(tmp_path / "no.csv")]) == 1
+    assert "via graphical (sector_gap)" in capsys.readouterr().err
     assert calls == []
+
+
+def test_certificates_computed_by_analyze_and_sweep_only(tmp_path, capsys,
+                                                        monkeypatch):
+    # stability, the sector lift and the divisor bound decide nothing:
+    # existence_verdict, solve and figure never compute them, and analyze
+    # and sweep compute each once per instance for the blocks they print
+    counts = {name: _count_calls(monkeypatch, module, name)
+              for module, name in ((stability, "stability_verdict"),
+                                   (lifting, "sector_lift"),
+                                   (stability, "divisor_angle_bounds"))}
+    doc = {**STABLE, "figure": {"window": [-4, 4, -4, 4], "samples": 64},
+           "sweep": {"p_range": [-2.0, 2.0], "q_range": [-1.0, 3.0],
+                     "p_count": 2, "q_count": 2}}
+    path = write_config(tmp_path, doc)
+    for g in (charges.Geometry(**STABLE), scaled_example()):
+        stability.existence_verdict(charges.charge_report(g))
+    assert [len(c) for c in counts.values()] == [0, 0, 0]
+    # the sweep grid has two rows whose sector lift is undefined, and a
+    # divisor bound only where it is defined
+    for command, expect in (("solve", [0, 0, 0]), ("figure", [0, 0, 0]),
+                            ("analyze", [1, 1, 1]), ("sweep", [4, 4, 2])):
+        assert cli.main([command, "--config", path,
+                         "--out", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        assert [len(c) for c in counts.values()] == expect, command
+        for c in counts.values():
+            c.clear()
+
+
+def test_zero_level_vertical_tangent_is_inconclusive(tmp_path, capsys):
+    # c is zero to EPS_ZERO and both arguments round to -pi/2, yet p / a is
+    # about -3.1e49 while q is about -9.0e134, so the endpoints are not on
+    # one ray; both lie on the level-1 ray at -pi/2, margin 0.0, so the
+    # deadband decides and nothing is traced
+    doc = {"n": 2, "a": 3.233796133252511e+100, "p": -1e+150,
+           "q": -8.984439347343544e+134}
+    rep = charges.charge_report(charges.Geometry(**doc))
+    assert rep.psi1 == rep.psi2 == -math.pi / 2
+    path = write_config(tmp_path, {**doc, "figure": {
+        "window": [-2e150, 2e150, -2e150, 2e150], "samples": 64}})
+    assert cli.main(["analyze", "--config", path]) == 2
+    block = json.loads(capsys.readouterr().out)["existence"]
+    assert (block["value"], block["reason"], block["margin"]) == (
+        "inconclusive", "deadband", 0.0)
+    out = tmp_path / "solution.csv"
+    assert cli.main(["solve", "--config", path, "--out", str(out)]) == 2
+    res = capsys.readouterr()
+    assert res.err == ("no solve attempted: existence is inconclusive via "
+                       "graphical (deadband)\n")
+    assert res.out == "" and not out.exists()
+    assert cli.main(["figure", "--config", path]) == 0
+    root = ET.fromstring(capsys.readouterr().out)
+    assert not any(el.get("class") == "solution" for el in root.iter())
 
 
 # imports dhym, then runs each command of argv[2:] in-process on the
@@ -761,8 +833,9 @@ def _reject_constant(token):
     # an anomaly that names the overflow, not a NaN summary
     ("solve", {"n": 200, "a": 8.239982867972993, "p": -33.74574160476608,
                "q": -4.095265545167276}, 3),
-    # the lifted angle is exactly -n pi/2, so the verdict is inconclusive
-    # and no trace is attempted; the figure still draws without a warning
+    # both endpoints lie on the level-1 ray at -pi/2, so the verdict is
+    # the deadband and no trace is attempted; the figure still draws
+    # without a warning
     ("figure", {"n": 2, "a": 3.233796133252511e+100, "p": -1e+150,
                 "q": -8.984439347343544e+134,
                 "figure": {"window": [-2e150, 2e150, -2e150, 2e150],

@@ -9,8 +9,8 @@ from dhym.config import FigureSpec
 from dhym.contour import Window, extract_level_set
 from dhym.figure import render_figure
 from dhym.levelcurve import (
+    Existence,
     GraphicalPreconditionError,
-    SameComponentResult,
     TraceError,
     graphical_existence,
     level_context,
@@ -32,8 +32,7 @@ from conftest import (
 
 
 def _graphical(g):
-    rep = charge_report(g)
-    return graphical_existence(rep, same_component(rep))
+    return graphical_existence(charge_report(g))
 
 
 def test_phi_examples():
@@ -100,7 +99,7 @@ def test_level_set_layers_raise_on_degenerate_record():
     window = Window(-3.0, 3.0, -3.0, 3.0)
     for call in (lambda: level_context(rep),
                  lambda: same_component(rep),
-                 lambda: graphical_existence(rep, SameComponentResult("same")),
+                 lambda: graphical_existence(rep),
                  lambda: trace_solution(rep),
                  lambda: verify_solution(curve, rep),
                  lambda: extract_level_set(rep, window, 64),
@@ -136,23 +135,39 @@ def test_same_component_separated_sectors():
 def test_graphical_existence_stable(rng):
     for _ in range(100):
         g = sample_stable(rng)
-        assert _graphical(g).yes
+        assert _graphical(g).value is Existence.EXISTS
 
 
 def test_graphical_existence_zero_level_linear():
-    assert _graphical(Geometry(2, 2.0, 2.0, 1.0)).yes
+    assert _graphical(Geometry(2, 2.0, 2.0, 1.0)).value is Existence.EXISTS
 
 
 def test_graphical_existence_blocked_by_vertical_tangent():
-    g = Geometry(12, 2.0, 2 * math.tan(1.0), math.tan(-1.0))
-    res = _graphical(g)
-    assert not res.yes
-    assert res.reason
+    # the gap 0.98 is below pi/2, and the level-1 ray between the
+    # endpoints turns the arc back in x
+    res = _graphical(Geometry(2, 2.0, -3.0, 0.0))
+    assert res.value is Existence.NOT_EXISTS
+    assert res.reason == "divisor_bound_fails"
+    # a gap wider than pi/n is decided before any ray count
+    res = _graphical(Geometry(12, 2.0, 2 * math.tan(1.0), math.tan(-1.0)))
+    assert res.value is Existence.NOT_EXISTS and res.reason == "sector_gap"
+
+
+def test_graphical_existence_zero_level_needs_one_ray():
+    # a record whose c reads zero while its endpoints lie off the top fan
+    # is a deadband: on the zero level the trace seeds the common ray, and
+    # there is none
+    rep = charge_report(Geometry(4, 3.0, 1.0, 0.3))
+    assert _graphical(rep.g).value is Existence.EXISTS
+    res = graphical_existence(rep._replace(c=0.0))
+    assert res.value is Existence.INCONCLUSIVE and res.reason == "deadband"
+    assert res.margin > 0.1
 
 
 def test_trace_requires_graphical_yes():
     g = Geometry(12, 2.0, 2 * math.tan(1.0), math.tan(-1.0))
-    with pytest.raises(GraphicalPreconditionError):
+    with pytest.raises(GraphicalPreconditionError,
+                       match=r"not_exists \(sector_gap\)"):
         trace_solution(charge_report(g))
 
 

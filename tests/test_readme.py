@@ -28,13 +28,13 @@ def test_readme_lists_every_tolerance():
 
 def test_readme_lists_every_reason():
     # the table under "## The existence block" names each reason token
-    from dhym.stability import REASONS
+    from dhym.levelcurve import REASONS
     section = (README.read_text().split("## The existence block", 1)[1]
                .split("\n## ", 1)[0])
     tokens = re.findall(r"^\| `([a-z_]+)` \| `(?:not_exists|inconclusive)` \|",
                         section, re.M)
     assert sorted(tokens) == sorted(REASONS)
-    assert len(set(REASONS)) == len(REASONS) == 6
+    assert len(set(REASONS)) == len(REASONS) == 4
 
 
 def test_readme_lists_every_config_key():

@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
 from dhym.charges import Geometry, charge_report
+from dhym.levelcurve import same_component
 from dhym.lifting import LiftedAngle, LiftUndefined, sector_lift
-from dhym.rays import Sign
+from dhym.rays import Sign, rays_between
 from dhym.stability import (
     Existence,
     KVerdict,
@@ -43,7 +45,7 @@ def test_stability_verdict_boundary_example():
     assert rep.per_k[1].verdict is KVerdict.INCONCLUSIVE
     v = existence_verdict(charge_report(Geometry(3, 2.0, 0.0, 0.0)))
     assert v.value is Existence.EXISTS
-    assert v.route is Route.THEOREM_BICONDITIONAL
+    assert v.route is Route.GRAPHICAL
 
 
 def test_collinear_classes_are_stable(rng):
@@ -98,30 +100,39 @@ def test_divisor_angle_bounds_examples():
 
 
 def test_existence_exists_both_routes():
-    v = existence_verdict(charge_report(Geometry(2, 2.0, 2.0, 1.0)))
+    rep = charge_report(Geometry(2, 2.0, 2.0, 1.0))
+    v = existence_verdict(rep)
     assert v.value is Existence.EXISTS
-    assert v.reason == "" and v.divisor[0] > EPS_ANGLE
-    assert v.stability.overall is Overall.STABLE
+    assert v.reason == "" and v.margin > EPS_ANGLE
+    assert divisor_angle_bounds(rep, sector_lift(rep))[0] > EPS_ANGLE
+    assert stability_verdict(rep).overall is Overall.STABLE
 
 
 def test_existence_not_exists():
     v = existence_verdict(charge_report(Geometry(2, 2.0, -3.0, 0.0)))
     assert v.value is Existence.NOT_EXISTS
-    assert v.route is Route.THEOREM_BICONDITIONAL
+    assert v.route is Route.GRAPHICAL
+    assert v.reason == "divisor_bound_fails" and v.margin > EPS_ANGLE
 
 
 def test_existence_degenerate():
     v = existence_verdict(charge_report(degenerate_example()))
     assert v.value is Existence.INCONCLUSIVE
     assert v.route is Route.DEGENERATE
-    assert v.reason == "degenerate" and v.stability is v.divisor is None
+    assert v.reason == "degenerate" and v.margin is None
 
 
-def test_existence_inconclusive_when_no_path_lifts():
-    v = existence_verdict(charge_report(scaled_example()))
-    assert v.value is Existence.INCONCLUSIVE
-    assert v.reason == "lift_undefined" and v.divisor is None
-    assert isinstance(v.lift, LiftUndefined)
+def test_existence_not_exists_when_no_path_lifts():
+    # neither lift is defined (criterion 5), and the gap 2.58 exceeds
+    # pi/3 by 1.53: two top-fan rays lie between the endpoints
+    rep = charge_report(scaled_example())
+    v = existence_verdict(rep)
+    assert v.value is Existence.NOT_EXISTS and v.route is Route.GRAPHICAL
+    assert v.reason == "sector_gap"
+    assert v.margin == abs(rep.psi2 - rep.psi1) - math.pi / 3
+    assert v.margin == pytest.approx(1.53, abs=0.01)
+    assert isinstance(sector_lift(rep), LiftUndefined)
+    assert same_component(rep) == ("different", 2, None)
 
 
 def test_stable_implies_exists(rng):
@@ -134,3 +145,62 @@ def test_stable_implies_exists(rng):
 def test_stability_verdict_rejects_degenerate():
     with pytest.raises(Exception):
         stability_verdict(charge_report(degenerate_example()))
+
+
+def test_certificates_agree_with_verdict_off_knife_edges():
+    # away from the deadbands the divisor bound's sign is the verdict, and
+    # a stable record exists; existence_verdict's docstring proves both
+    rng = np.random.default_rng(21)
+    divisor_checked = stable_checked = 0
+    for _ in range(2000):
+        rep = charge_report(random_geometry(rng, n_hi=16))
+        v = existence_verdict(rep)
+        lift = sector_lift(rep)
+        if isinstance(lift, LiftedAngle):
+            margin, _ = divisor_angle_bounds(rep, lift)
+            if abs(margin) >= 10 * EPS_ANGLE:
+                divisor_checked += 1
+                assert (margin > 0) == (v.value is Existence.EXISTS), rep.g
+        stab = stability_verdict(rep)
+        if stab.overall is Overall.STABLE and all(
+                min(pk.sign_h.margin, pk.sign_e.margin) >= 10 * EPS_ANGLE
+                for pk in stab.per_k.values()):
+            stable_checked += 1
+            assert v.value is Existence.EXISTS, rep.g
+    assert divisor_checked > 300 and stable_checked > 50
+
+
+@pytest.mark.parametrize("steps,decided", [
+    (0.0, False), (0.5, False), (-0.5, False), (0.9, False), (-0.9, False),
+    (100.0, True), (-100.0, True)])
+def test_gap_deadband(steps, decided):
+    # endpoints built with gap = pi/n + delta, delta = steps * EPS_ANGLE:
+    # within EPS_ANGLE of pi/n the verdict is a deadband; outside it, the
+    # gap rule decides above pi/n and the level-(n-1) ray count below it
+    delta = steps * EPS_ANGLE
+    rng = np.random.default_rng(22)
+    for _ in range(50):
+        n = int(rng.integers(2, 17))
+        psi1 = float(rng.uniform(-1.2, 1.2 - math.pi / n))
+        a = float(rng.uniform(1.5, 10.0))
+        rep = charge_report(Geometry(n, a, a * math.tan(psi1 + math.pi / n
+                                                        + delta),
+                                     math.tan(psi1)))
+        gap = rep.psi2 - rep.psi1
+        assert abs(gap - math.pi / n - delta) <= 1e-14
+        v = existence_verdict(rep)
+        if not decided:
+            assert v.value is Existence.INCONCLUSIVE, rep.g
+            assert v.reason == "deadband" and v.margin <= EPS_ANGLE
+        elif delta > 0:
+            assert v.value is Existence.NOT_EXISTS, rep.g
+            assert v.reason == "sector_gap"
+            assert v.margin == pytest.approx(delta, rel=1e-5)
+        else:
+            # the endpoints sit near the two top-fan rays that bound their
+            # sector, so the one level-(n-1) ray inside it (the fans
+            # interleave) lies between them
+            assert rays_between(rep.psi1, rep.psi2, n - 1, rep.theta_hat,
+                                n) == 1
+            assert v.value is Existence.NOT_EXISTS, rep.g
+            assert v.reason == "divisor_bound_fails" and v.margin > EPS_ANGLE

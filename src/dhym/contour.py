@@ -8,8 +8,9 @@ each node to its (at most two) neighbours in index arrays; Python only
 walks those arrays into chains of node indices, so chains stitch together
 exactly and each connected component of the level set inside the window
 becomes one chain (open or a loop).  A ContourSet holds the node table and
-the chains; its polylines are derived from them.  numpy is imported where
-it is used, so importing dhym.cli does not load it.
+the chains; its polylines are derived from them.  The queries that locate a
+point on a component live with the tests, which alone ask them.  numpy is
+imported where it is used, so importing dhym.cli does not load it.
 """
 
 from __future__ import annotations
@@ -68,41 +69,12 @@ class Window(NamedTuple):
 class ContourSet(NamedTuple):
     points: np.ndarray  # (m, 2) crossings, one row per crossed grid edge
     chains: list  # row indices of each polyline; a loop repeats its start
-    cell_diag: float
+    cell_diag: float  # the grid cell's diagonal, the oracle's resolution
 
     @property
     def polylines(self) -> list:
         """One (m, 2) float array per chain, loops closed."""
         return [self.points[chain] for chain in self.chains]
-
-    def component_near(self, point) -> int | None:
-        """Index of the nearest polyline within 2 cell diagonals, else None."""
-        import numpy as np
-        p = np.asarray(point, dtype=float)
-        best, best_d = None, 2.0 * self.cell_diag
-        for idx, chain in enumerate(self.chains):
-            d = _point_polyline_distance(p, self.points[chain])
-            if d <= best_d:
-                best, best_d = idx, d
-        return best
-
-    def same_component(self, p1, p2) -> bool | None:
-        """True/False when both points locate on a polyline, else None."""
-        c1, c2 = (self.component_near(p) for p in (p1, p2))
-        return None if c1 is None or c2 is None else c1 == c2
-
-
-def _point_polyline_distance(p: np.ndarray, poly: np.ndarray) -> float:
-    import numpy as np
-    a, b = poly[:-1], poly[1:]  # a polyline has at least two vertices
-    ab = b - a
-    ap = p[None, :] - a
-    denom = np.einsum("ij,ij->i", ab, ab)
-    t = np.clip(np.divide(np.einsum("ij,ij->i", ap, ab), denom,
-                          out=np.zeros_like(denom), where=denom > 0), 0.0, 1.0)
-    proj = a + t[:, None] * ab
-    d = np.hypot(proj[:, 0] - p[0], proj[:, 1] - p[1])
-    return float(d.min())
 
 
 def marching_squares(values: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> tuple:

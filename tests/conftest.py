@@ -91,6 +91,37 @@ def phi_gradient(x: float, y: float, n: int,
     return w.imag, w.real
 
 
+def _point_polyline_distance(p: np.ndarray, poly: np.ndarray) -> float:
+    a, b = poly[:-1], poly[1:]  # a polyline has at least two vertices
+    ab = b - a
+    ap = p[None, :] - a
+    denom = np.einsum("ij,ij->i", ab, ab)
+    t = np.clip(np.divide(np.einsum("ij,ij->i", ap, ab), denom,
+                          out=np.zeros_like(denom), where=denom > 0), 0.0, 1.0)
+    proj = a + t[:, None] * ab
+    d = np.hypot(proj[:, 0] - p[0], proj[:, 1] - p[1])
+    return float(d.min())
+
+
+def component_near(cs, point) -> int | None:
+    """Index of the contour set's polyline nearest the point, within 2 cell
+    diagonals, else None."""
+    p = np.asarray(point, dtype=float)
+    best, best_d = None, 2.0 * cs.cell_diag
+    for idx, chain in enumerate(cs.chains):
+        d = _point_polyline_distance(p, cs.points[chain])
+        if d <= best_d:
+            best, best_d = idx, d
+    return best
+
+
+def oracle_same_component(cs, p1, p2) -> bool | None:
+    """True/False when both points locate on a polyline of the contour set,
+    else None: the marching-squares answer to same_component."""
+    c1, c2 = (component_near(cs, p) for p in (p1, p2))
+    return None if c1 is None or c2 is None else c1 == c2
+
+
 @dataclass(frozen=True)
 class AlternationResult:
     ok: bool

@@ -40,6 +40,7 @@ from conftest import (
     collinear_geometry,
     degenerate_example,
     lift_exists,
+    oracle_same_component,
     phi,
     random_geometry,
     sample_stable,
@@ -218,7 +219,7 @@ def test_criterion_8_oracle_equivalence(rng):
             res.status == "on_zero_level" and bool(res.same_ray))
         m = 1.3 * max(g.a, abs(g.p), abs(g.q), 1.0)
         cs = extract_level_set(rec, Window(-m, m, -m, m), 128)
-        oracle = cs.same_component((1.0, g.q), (g.a, g.p))
+        oracle = oracle_same_component(cs, (1.0, g.q), (g.a, g.p))
         if oracle is not None and oracle == analytic:
             agree += 1
         else:

@@ -1,5 +1,9 @@
 """Command-line front end: analyze, solve, sweep, and figure.
 
+analyze prints its JSON report in one pass from fixed templates, byte for
+byte what json.dumps(report, indent=2, sort_keys=True) prints for the
+report as a dict; the solve summary goes through the one-pass writer _json.
+
 Exit codes: 0 a solution exists, 1 no solution, 2 inconclusive or
 degenerate, 3 internal anomaly (a yes-verdict whose trace fails or does
 not verify, or arithmetic overflow), 64 usage and configuration errors.
@@ -13,12 +17,12 @@ import math
 import sys
 from json.encoder import encode_basestring_ascii as _json_str
 
-from .charges import (DegenerateGeometryError, Geometry, central_charges,
-                      charge_report, degeneracy_check)
+from .charges import (ChargeReport, DegenerateGeometryError, Geometry,
+                      central_charges, charge_report, degeneracy_check)
 from .config import ConfigError, RunConfig, load_config
 from .figure import render_figure
-from .levelcurve import (TraceError, same_component, trace_solution,
-                         verify_solution)
+from .levelcurve import (ExistenceVerdict, TraceError, same_component,
+                         trace_solution, verify_solution)
 from .lifting import LiftedAngle, OriginHit, cxy_path_lift, sector_lift
 from .stability import (Existence, divisor_angle_bounds, existence_verdict,
                         stability_verdict, supercritical_check)
@@ -36,67 +40,159 @@ _SOLVE_ROW = ",".join(["%.17g"] * 5) + "\n"
 _SWEEP_ROW = "%.17g,%.17g,%s,%s,%s,%s,%.17g,%.17g,%.17g"
 
 
-def analysis_report(g: Geometry) -> dict:
-    """All verdicts for one instance as a JSON-serializable dict."""
-    rep = charge_report(g)
-    out: dict = {
-        "geometry": {"n": g.n, "a": g.a, "p": g.p, "q": g.q},
-        "charge": {
-            "zeta": [rep.zeta.real, rep.zeta.imag],
-            "theta_hat": rep.theta_hat,
-            "r_x": rep.r_x,
-            "degenerate": rep.degenerate,
-            "charges": {key: [z.real, z.imag]
-                        for key, z in central_charges(rep).items()},
-        },
+# The analyze report's text: one template per block, and one per row of its
+# two O(n) blocks (charges and per_k), in the layout of json.dumps(report,
+# indent=2, sort_keys=True) with blocks and keys in sorted order.  Tokens of
+# a closed set (enum values, reasons, methods, statuses, charge keys) print
+# as they are and every other leaf through _json, but for the rows'
+# numbers, which "%s" prints as repr does.  Those are finite: zeta is
+# checked, |z|^k <= rep.scale for k < n, and a stability margin is at most
+# pi/2.
+_CHARGE = """\
+  "charge": {
+    "charges": {
+%s
+    },
+    "degenerate": %s,
+%s    "r_x": %s,
+    "theta_hat": %s,
+    "zeta": [
+      %s,
+      %s
+    ]
+  }"""
+_CHARGE_ROW = """\
+      "%s": [
+        %s,
+        %s
+      ]"""
+_DEGENERATE_M = '    "degenerate_m": %s,\n'
+_EXISTENCE = """\
+  "existence": {
+    "divisor": %s,
+    "divisor_margin": %s,
+    "margin": %s,
+    "reason": "%s",
+    "route": "%s",
+    "value": "%s"
+  }"""
+_GEOMETRY = """\
+  "geometry": {
+    "a": %s,
+    "n": %s,
+    "p": %s,
+    "q": %s
+  }"""
+_LIFT = """\
+  "lift": {
+    "defined": true,
+    "lifted": %s,
+    "margin": %s,
+    "method": "%s",
+    "supercritical": %s,
+    "winding": %s
+  }"""
+_LIFT_UNDEFINED = """\
+  "lift": {
+    "defined": false,
+    "detail": %s,
+    "reason": "%s"
+  }"""
+_SAME_COMPONENT = """\
+  "same_component": {
+    "rays_between": %s,
+    "same_ray": %s,
+    "status": "%s"
+  }"""
+_STABILITY = """\
+  "stability": {
+    "overall": "%s",
+    "per_k": {
+%s
     }
-    verdict = existence_verdict(rep)
-    out["existence"] = {"value": verdict.value.value,
-                        "route": verdict.route.value,
-                        "reason": verdict.reason, "margin": verdict.margin,
-                        "divisor_margin": None, "divisor": None}
-    if rep.degenerate:
-        out["charge"]["degenerate_m"] = degeneracy_check(rep)
-        return out
+  }"""
+_PER_K_ROW = """\
+      "%s": {
+        "margin_E": %s,
+        "margin_H": %s,
+        "sign_E": "%s",
+        "sign_H": "%s",
+        "verdict": "%s"
+      }"""
+_VOLUME_PATH = """\
+  "volume_path": {
+    "defined": true,
+    "lifted": %s,
+    "winding": %s
+  }"""
+_ORIGIN_HIT = """\
+  "volume_path": {
+    "defined": false,
+    "origin_hit_t": %s
+  }"""
 
-    # certificates, printed beside the verdict; none of them decides it
-    stab, lift = stability_verdict(rep), sector_lift(rep)
-    out["stability"] = {
-        "overall": stab.overall.value,
-        "per_k": {str(k): {"sign_H": pk.sign_h.value.value,
-                           "sign_E": pk.sign_e.value.value,
-                           "margin_H": pk.sign_h.margin,
-                           "margin_E": pk.sign_e.margin,
-                           "verdict": pk.verdict.value}
-                  for k, pk in sorted(stab.per_k.items())},
-    }
-    cxy = cxy_path_lift(rep)
-    if isinstance(cxy, OriginHit):
-        out["volume_path"] = {"defined": False, "origin_hit_t": cxy.t_star}
+
+def analysis_report(rep: ChargeReport, verdict: ExistenceVerdict) -> str:
+    """The analyze report of one instance as JSON text without the final
+    newline, printed in one pass from the records the layers return; no
+    dict is built.  The text is what json.dumps(report, indent=2,
+    sort_keys=True) prints for the same report.
+
+    The verdict is printed, not decided, here.  A non-degenerate record
+    also gets its certificates, each computed once and in this order:
+    stability, the sector lift, the volume path, the divisor bound and the
+    components.
+    """
+    g = rep.g
+    charges = ",\n".join([_CHARGE_ROW % (key, z.real, z.imag) for key, z
+                          in sorted(central_charges(rep).items())])
+    degenerate_m, divisor_margin, divisor, certificates = "", None, None, []
+    if rep.degenerate:
+        degenerate_m = _DEGENERATE_M % _json(degeneracy_check(rep))
     else:
-        out["volume_path"] = {"defined": True, "winding": cxy.winding,
-                              "lifted": cxy.lifted}
-    if isinstance(lift, LiftedAngle):
-        out["lift"] = {"defined": True, "method": lift.method,
-                       "winding": lift.winding, "lifted": lift.lifted,
-                       "margin": lift.margin,
-                       "supercritical": supercritical_check(lift, g.n)}
-        (out["existence"]["divisor_margin"],
-         out["existence"]["divisor"]) = divisor_angle_bounds(rep, lift)
-    else:
-        out["lift"] = {"defined": False, "reason": lift.reason,
-                       "detail": lift.detail}
-    sc = same_component(rep)
-    out["same_component"] = {"status": sc.status,
-                             "rays_between": sc.rays_between,
-                             "same_ray": sc.same_ray}
-    return out
+        # certificates, printed beside the verdict; none of them decides it
+        stab, lift = stability_verdict(rep), sector_lift(rep)
+        cxy = cxy_path_lift(rep)
+        if isinstance(lift, LiftedAngle):
+            lift_block = _LIFT % (_json(lift.lifted), _json(lift.margin),
+                                  lift.method,
+                                  _json(supercritical_check(lift, g.n)),
+                                  _json(lift.winding))
+            divisor_margin, divisor = divisor_angle_bounds(rep, lift)
+        else:
+            lift_block = _LIFT_UNDEFINED % (_json(lift.detail), lift.reason)
+        sc = same_component(rep)
+        # the keys of per_k sort as strings: "10" before "2"
+        per_k = ",\n".join([
+            _PER_K_ROW % (k, pk.sign_e.margin, pk.sign_h.margin,
+                          pk.sign_e.value.value, pk.sign_h.value.value,
+                          pk.verdict.value)
+            for k, pk in sorted([(str(k), pk)
+                                 for k, pk in stab.per_k.items()])])
+        certificates = [
+            lift_block,
+            _SAME_COMPONENT % (_json(sc.rays_between), _json(sc.same_ray),
+                               sc.status),
+            _STABILITY % (stab.overall.value, per_k),
+            _ORIGIN_HIT % _json(cxy.t_star) if isinstance(cxy, OriginHit)
+            else _VOLUME_PATH % (_json(cxy.lifted), _json(cxy.winding))]
+    return "{\n%s\n}" % ",\n".join([
+        _CHARGE % (charges, _json(rep.degenerate), degenerate_m,
+                   _json(rep.r_x), _json(rep.theta_hat),
+                   _json(rep.zeta.real), _json(rep.zeta.imag)),
+        _EXISTENCE % (_json(divisor), _json(divisor_margin),
+                      _json(verdict.margin), verdict.reason,
+                      verdict.route.value, verdict.value.value),
+        _GEOMETRY % (_json(g.a), _json(g.n), _json(g.p), _json(g.q)),
+        *certificates])
 
 
 def _json(o, nl: str = "\n") -> str:
     """json.dumps(o, indent=2, sort_keys=True) of plain dicts, lists and
     scalars, in one pass: with an indent the json module runs its
-    pure-Python encoder, which costs more than building the report."""
+    pure-Python encoder.  It writes the solve summary, and the analyze
+    report's scalar leaves outside its rows, so None, bools, strings and
+    non-finite floats print there as the json module prints them."""
     t = type(o)
     if t is float:
         if math.isfinite(o):
@@ -135,9 +231,11 @@ def _write_out(text: str, out_path: str | None, stdout, tee=False) -> None:
 
 
 def run_analyze(cfg: RunConfig, out_path: str | None, stdout) -> int:
-    report = analysis_report(cfg.geometry)
-    _write_out(_json(report) + "\n", out_path, stdout, tee=True)
-    return _EXIT_FOR[Existence(report["existence"]["value"])]
+    rep = charge_report(cfg.geometry)
+    verdict = existence_verdict(rep)
+    _write_out(analysis_report(rep, verdict) + "\n", out_path, stdout,
+               tee=True)
+    return _EXIT_FOR[verdict.value]
 
 
 # the exponents E = floor(log10 |v|) the array path of _solve_rows prints:

@@ -69,7 +69,6 @@ class Window(NamedTuple):
 class ContourSet(NamedTuple):
     points: np.ndarray  # (m, 2) crossings, one row per crossed grid edge
     chains: list  # row indices of each polyline; a loop repeats its start
-    cell_diag: float  # the grid cell's diagonal, the oracle's resolution
 
     @property
     def polylines(self) -> list:
@@ -183,7 +182,4 @@ def extract_level_set(rep: ChargeReport, window: Window,
         raise OverflowError(f"Phi overflows float64 on the window for n={n}")
     # nudge exact zeros off the grid so every crossing is a sign change
     values[values == 0.0] = 1e-300 + 1e-15 * peak
-    points, chains = marching_squares(values, xs, ys)
-    dx = (window.xmax - window.xmin) / samples
-    dy = (window.ymax - window.ymin) / samples
-    return ContourSet(points, chains, math.hypot(dx, dy))
+    return ContourSet(*marching_squares(values, xs, ys))

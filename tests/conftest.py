@@ -103,11 +103,18 @@ def _point_polyline_distance(p: np.ndarray, poly: np.ndarray) -> float:
     return float(d.min())
 
 
-def component_near(cs, point) -> int | None:
+def cell_diag(window, samples: int) -> float:
+    """The diagonal of a grid cell of extract_level_set(rep, window,
+    samples), the contour oracle's resolution."""
+    return math.hypot((window.xmax - window.xmin) / samples,
+                      (window.ymax - window.ymin) / samples)
+
+
+def component_near(cs, point, diag: float) -> int | None:
     """Index of the contour set's polyline nearest the point, within 2 cell
-    diagonals, else None."""
+    diagonals diag, else None."""
     p = np.asarray(point, dtype=float)
-    best, best_d = None, 2.0 * cs.cell_diag
+    best, best_d = None, 2.0 * diag
     for idx, chain in enumerate(cs.chains):
         d = _point_polyline_distance(p, cs.points[chain])
         if d <= best_d:
@@ -115,10 +122,11 @@ def component_near(cs, point) -> int | None:
     return best
 
 
-def oracle_same_component(cs, p1, p2) -> bool | None:
-    """True/False when both points locate on a polyline of the contour set,
-    else None: the marching-squares answer to same_component."""
-    c1, c2 = (component_near(cs, p) for p in (p1, p2))
+def oracle_same_component(cs, p1, p2, diag: float) -> bool | None:
+    """True/False when both points locate on a polyline of the contour set
+    with cell diagonal diag, else None: the marching-squares answer to
+    same_component."""
+    c1, c2 = (component_near(cs, p, diag) for p in (p1, p2))
     return None if c1 is None or c2 is None else c1 == c2
 
 

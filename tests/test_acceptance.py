@@ -36,6 +36,7 @@ from dhym.stability import divisor_angle_bounds
 from dhym.tolerances import EPS_ANGLE, TOL_ENDPOINT
 
 from conftest import (
+    cell_diag,
     check_alternation,
     collinear_geometry,
     degenerate_example,
@@ -218,8 +219,10 @@ def test_criterion_8_oracle_equivalence(rng):
         analytic = res.status == "same" or (
             res.status == "on_zero_level" and bool(res.same_ray))
         m = 1.3 * max(g.a, abs(g.p), abs(g.q), 1.0)
-        cs = extract_level_set(rec, Window(-m, m, -m, m), 128)
-        oracle = oracle_same_component(cs, (1.0, g.q), (g.a, g.p))
+        w = Window(-m, m, -m, m)
+        cs = extract_level_set(rec, w, 128)
+        diag = cell_diag(w, 128)
+        oracle = oracle_same_component(cs, (1.0, g.q), (g.a, g.p), diag)
         if oracle is not None and oracle == analytic:
             agree += 1
         else:
@@ -230,7 +233,7 @@ def test_criterion_8_oracle_equivalence(rng):
             for z in (g.z1, g.z2):
                 arg = math.atan2(z.imag, z.real)
                 gap = min(abs(arg - phi_r) for phi_r in rays)
-                if gap * abs(z) <= 2.0 * cs.cell_diag:
+                if gap * abs(z) <= 2.0 * diag:
                     near = True
             knife_edge_only = knife_edge_only and near
     dt = time.perf_counter() - t0

@@ -399,16 +399,22 @@ def _stdlib_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
+def _analysis_text(g) -> str:
+    rep = charges.charge_report(g)
+    return cli.analysis_report(rep, stability.existence_verdict(rep))
+
+
 def test_json_writer_matches_stdlib(tmp_path, monkeypatch, capsys):
-    # the stdlib encoder is the oracle for cli._json, byte for byte
-    reports = [cli.analysis_report(charges.Geometry(**doc))
-               for command, doc, _, _ in PINNED_OUTPUTS if command == "analyze"]
+    # the stdlib encoder is the oracle for the analyze report and for
+    # cli._json, byte for byte
+    texts = [_analysis_text(charges.Geometry(**doc))
+             for command, doc, _, _ in PINNED_OUTPUTS if command == "analyze"]
     rng = np.random.default_rng(31)
     pool = [random_geometry(rng, n_hi=40) for _ in range(300)]
     assert {g.n for g in pool} == set(range(2, 41))
-    reports += [cli.analysis_report(g) for g in pool]
-    for report in reports:
-        assert cli._json(report) == _stdlib_json(report)
+    texts += [_analysis_text(g) for g in pool]
+    for text in texts:
+        assert text == _stdlib_json(json.loads(text))
     # solve prints its summary through the writer: the text must be what
     # the stdlib prints for the values it holds
     monkeypatch.chdir(tmp_path)
@@ -436,7 +442,7 @@ def test_existence_block_is_typed():
     docs += [geometry_doc(random_geometry(rng)) for _ in range(300)]
     reasons = set()
     for doc in docs:
-        text = cli._json(cli.analysis_report(charges.Geometry(**doc)))
+        text = _analysis_text(charges.Geometry(**doc))
         report = json.loads(text, parse_constant=_reject_constant)
         block = report["existence"]
         assert set(block) == {"value", "route", "reason", "margin",
@@ -451,6 +457,64 @@ def test_existence_block_is_typed():
         reasons.add(block["reason"])
     assert {"", "degenerate", "sector_gap",
             "divisor_bound_fails"} <= reasons
+
+
+# one instance of each layout variant of the analyze report: the block, key
+# and value that show the variant
+ZERO_LEVEL_SAME_RAY = {"n": 2, "a": 2.0, "p": 2.0, "q": 1.0}
+ZERO_LEVEL_TWO_RAYS = {"n": 3, "a": 3.0, "p": 0.0, "q": 1.7320508075688772}
+LIFT_OUT_OF_RANGE = {"n": 2, "a": 3.233796133252511e+100, "p": -1e+150,
+                     "q": -8.984439347343544e+134}
+REPORT_VARIANTS = [
+    (DEGENERATE, "charge", "degenerate", True),
+    (STABLE, "lift", "defined", True),
+    (LIFT_UNDEFINED, "lift", "reason", "sector condition fails"),
+    (LIFT_OUT_OF_RANGE, "lift", "reason", "lift out of range"),
+    (STABLE, "volume_path", "defined", True),
+    (ORIGIN_HIT, "volume_path", "defined", False),
+    (ZERO_LEVEL_SAME_RAY, "same_component", "same_ray", True),
+    (ZERO_LEVEL_TWO_RAYS, "same_component", "same_ray", False),
+    (STABLE, "same_component", "same_ray", None),
+    (ZERO_LEVEL_SAME_RAY, "existence", "divisor", "H"),
+    (STABLE, "existence", "divisor", "E"),
+]
+
+
+def test_analysis_report_is_canonical():
+    # the report is printed from its layout, not by a JSON encoder: its
+    # text must be strict JSON and exactly what the stdlib prints for it
+    docs = [doc for command, doc, _, _ in PINNED_OUTPUTS
+            if command == "analyze"]
+    rng = np.random.default_rng(23)
+    docs += [geometry_doc(random_geometry(rng, n_hi=40)) for _ in range(300)]
+    # magnitudes from 1e-8 to 1e6
+    for _ in range(300):
+        mag = (10.0 ** rng.uniform(-8, 6, size=3)).tolist()
+        sign = rng.choice([-1.0, 1.0], size=2).tolist()
+        docs.append({"n": int(rng.integers(2, 41)), "a": 1.0 + mag[0],
+                     "p": sign[0] * mag[1], "q": sign[1] * mag[2]})
+    for doc, block, key, value in REPORT_VARIANTS:
+        text = _analysis_text(charges.Geometry(**doc))
+        assert json.loads(text)[block][key] == value, (doc, block, key)
+        docs.append(doc)
+    for doc in docs:
+        text = _analysis_text(charges.Geometry(**doc))
+        report = json.loads(text, parse_constant=_reject_constant)
+        assert text == _stdlib_json(report), doc
+
+
+def test_analysis_report_non_finite_values(monkeypatch):
+    # a non-finite float outside the rows prints as json.dumps prints it
+    rep = charges.charge_report(charges.Geometry(**STABLE))
+    monkeypatch.setattr(cli, "cxy_path_lift",
+                        lambda rep: lifting.OriginHit(t_star=math.nan))
+    monkeypatch.setattr(cli, "sector_lift", lambda rep: lifting.LiftedAngle(
+        winding=0, lifted=math.inf, method="sector_path", margin=-math.inf))
+    text = cli.analysis_report(rep, stability.existence_verdict(rep))
+    report = json.loads(text)
+    assert text == _stdlib_json(report)
+    assert '"origin_hit_t": NaN' in text
+    assert '"lifted": Infinity' in text and '"margin": -Infinity' in text
 
 
 def test_json_writer_edge_values():

@@ -8,7 +8,8 @@ from dhym.charges import Geometry, charge_report
 from dhym.contour import ContourSet, Window, extract_level_set, marching_squares
 from dhym.rays import ray_set
 
-from conftest import component_near, oracle_same_component, random_geometry
+from conftest import (cell_diag, component_near, oracle_same_component,
+                      random_geometry)
 
 
 def grid_field(fn, lo, hi, m=101):
@@ -20,7 +21,7 @@ def grid_field(fn, lo, hi, m=101):
 
 def polylines(values, xs, ys):
     """marching_squares' chains as the polylines of a ContourSet."""
-    return ContourSet(*marching_squares(values, xs, ys), cell_diag=0.0).polylines
+    return ContourSet(*marching_squares(values, xs, ys)).polylines
 
 
 def polar_component_count(rep, window, samples=20000):
@@ -88,9 +89,11 @@ def test_extract_level_set_min_grid():
 def test_component_membership_queries():
     g = Geometry(2, 2.0, 2.0, 1.0)
     rep = charge_report(g)
-    cs = extract_level_set(rep, Window(-3, 3, -3, 3), 128)
-    assert oracle_same_component(cs, (1.0, g.q), (g.a, g.p)) is True
-    assert component_near(cs, (100.0, 100.0)) is None
+    w = Window(-3, 3, -3, 3)
+    cs = extract_level_set(rep, w, 128)
+    diag = cell_diag(w, 128)
+    assert oracle_same_component(cs, (1.0, g.q), (g.a, g.p), diag) is True
+    assert component_near(cs, (100.0, 100.0), diag) is None
 
 
 def test_zero_level_contours_are_straight_rays():
@@ -144,7 +147,7 @@ def test_window_counts_random_instances(rng):
         cs = extract_level_set(rep, w, 192)
         # components clipping only a sliver thinner than a couple of grid
         # cells may be missed, so bracket with shrunk and grown windows
-        pad = 2.0 * cs.cell_diag
+        pad = 2.0 * cell_diag(w, 192)
         lo = polar_component_count(
             rep, Window(w.xmin + pad, w.xmax - pad, w.ymin + pad, w.ymax - pad))
         hi = polar_component_count(

@@ -127,9 +127,13 @@ def central_charges(rep: ChargeReport) -> dict[str, complex]:
     -i^(-k) z1^k for the others."""
     g = rep.g
     out = {"X": -_INV_I[g.n % 4] * rep.zeta}
+    # z**k as cpow forms it, with |z| and arg z taken once; a > 1, so
+    # neither endpoint is 0
+    r1, r2 = abs(g.z1), abs(g.z2)
     for k in range(1, g.n):
-        out[f"H:dim{k}"] = -_INV_I[k % 4] * cpow(g.z2, k)
-        out[f"E:dim{k}"] = -_INV_I[k % 4] * cpow(g.z1, k)
+        i_k = -_INV_I[k % 4]
+        out[f"H:dim{k}"] = i_k * (r2 ** k * cmath.exp(1j * k * rep.psi2))
+        out[f"E:dim{k}"] = i_k * (r1 ** k * cmath.exp(1j * k * rep.psi1))
     return out
 
 

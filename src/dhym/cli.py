@@ -1,8 +1,9 @@
 """Command-line front end: analyze, solve, sweep, and figure.
 
-analyze prints its JSON report in one pass from fixed templates, byte for
-byte what json.dumps(report, indent=2, sort_keys=True) prints for the
-report as a dict; the solve summary goes through the one-pass writer _json.
+The analyze report and the solve summary print as json.dumps(..., indent=2,
+sort_keys=True) prints them.  Their layout is derived from json.dumps once,
+at import (_layout), and each op fills it with one % per block; _json
+writes the scalars.
 
 Exit codes: 0 a solution exists, 1 no solution, 2 inconclusive or
 degenerate, 3 internal anomaly (a yes-verdict whose trace fails or does
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import math
 import sys
 from json.encoder import encode_basestring_ascii as _json_str
@@ -40,96 +42,59 @@ _SOLVE_ROW = ",".join(["%.17g"] * 5) + "\n"
 _SWEEP_ROW = "%.17g,%.17g,%s,%s,%s,%s,%.17g,%.17g,%.17g"
 
 
-# The analyze report's text: one template per block, and one per row of its
-# two O(n) blocks (charges and per_k), in the layout of json.dumps(report,
-# indent=2, sort_keys=True) with blocks and keys in sorted order.  Tokens of
-# a closed set (enum values, reasons, methods, statuses, charge keys) print
-# as they are and every other leaf through _json, but for the rows'
-# numbers, which "%s" prints as repr does.  Those are finite: zeta is
+# The leaves of a _layout skeleton: a value slot prints %s and takes JSON
+# text, a token slot prints "%s" and takes a token of a closed set as it is,
+# and the rows slot {_ROWS: None} gives its line to the joined rows of an
+# O(n) block.
+_VALUE, _TOKEN, _ROWS = "<value>", "%s", "<rows>"
+
+
+def _layout(skeleton, depth: int = 1) -> str:
+    """The %-template of json.dumps(skeleton, indent=2, sort_keys=True): at
+    depth 0 the whole text, else the members inside its braces, indented as
+    json.dumps indents members at that depth.  Called at import only."""
+    lines = json.dumps(skeleton, indent=2, sort_keys=True).split("\n")
+    if depth:
+        lines = ["  " * (depth - 1) + line for line in lines[1:-1]]
+    return "\n".join(["%s" if f'"{_ROWS}"' in line else line
+                      for line in lines]).replace(f'"{_VALUE}"', "%s")
+
+
+# The analyze report's layout, one template per block and variant and one
+# per row of its two O(n) blocks (charges and per_k).  Each skeleton lists
+# its keys in sorted order, the order of the % arguments.  The rows'
+# numbers print through "%s", which is repr; they are finite: zeta is
 # checked, |z|^k <= rep.scale for k < n, and a stability margin is at most
 # pi/2.
-_CHARGE = """\
-  "charge": {
-    "charges": {
-%s
-    },
-    "degenerate": %s,
-%s    "r_x": %s,
-    "theta_hat": %s,
-    "zeta": [
-      %s,
-      %s
-    ]
-  }"""
-_CHARGE_ROW = """\
-      "%s": [
-        %s,
-        %s
-      ]"""
-_DEGENERATE_M = '    "degenerate_m": %s,\n'
-_EXISTENCE = """\
-  "existence": {
-    "divisor": %s,
-    "divisor_margin": %s,
-    "margin": %s,
-    "reason": "%s",
-    "route": "%s",
-    "value": "%s"
-  }"""
-_GEOMETRY = """\
-  "geometry": {
-    "a": %s,
-    "n": %s,
-    "p": %s,
-    "q": %s
-  }"""
-_LIFT = """\
-  "lift": {
-    "defined": true,
-    "lifted": %s,
-    "margin": %s,
-    "method": "%s",
-    "supercritical": %s,
-    "winding": %s
-  }"""
-_LIFT_UNDEFINED = """\
-  "lift": {
-    "defined": false,
-    "detail": %s,
-    "reason": "%s"
-  }"""
-_SAME_COMPONENT = """\
-  "same_component": {
-    "rays_between": %s,
-    "same_ray": %s,
-    "status": "%s"
-  }"""
-_STABILITY = """\
-  "stability": {
-    "overall": "%s",
-    "per_k": {
-%s
-    }
-  }"""
-_PER_K_ROW = """\
-      "%s": {
-        "margin_E": %s,
-        "margin_H": %s,
-        "sign_E": "%s",
-        "sign_H": "%s",
-        "verdict": "%s"
-      }"""
-_VOLUME_PATH = """\
-  "volume_path": {
-    "defined": true,
-    "lifted": %s,
-    "winding": %s
-  }"""
-_ORIGIN_HIT = """\
-  "volume_path": {
-    "defined": false,
-    "origin_hit_t": %s
-  }"""
+_CHARGE, _CHARGE_DEGENERATE = [_layout({"charge": {
+    "charges": {_ROWS: None}, "degenerate": _VALUE, **degenerate_m,
+    "r_x": _VALUE, "theta_hat": _VALUE, "zeta": [_VALUE, _VALUE]}})
+    for degenerate_m in ({}, {"degenerate_m": _VALUE})]
+_CHARGE_ROW = _layout({_TOKEN: [_VALUE, _VALUE]}, depth=3)
+_EXISTENCE = _layout({"existence": {
+    "divisor": _VALUE, "divisor_margin": _VALUE, "margin": _VALUE,
+    "reason": _TOKEN, "route": _TOKEN, "value": _TOKEN}})
+_GEOMETRY = _layout({"geometry": dict.fromkeys("anpq", _VALUE)})
+_LIFT = _layout({"lift": {
+    "defined": True, "lifted": _VALUE, "margin": _VALUE, "method": _TOKEN,
+    "supercritical": _VALUE, "winding": _VALUE}})
+_LIFT_UNDEFINED = _layout({"lift": {
+    "defined": False, "detail": _VALUE, "reason": _TOKEN}})
+_SAME_COMPONENT = _layout({"same_component": {
+    "rays_between": _VALUE, "same_ray": _VALUE, "status": _TOKEN}})
+_STABILITY = _layout({"stability": {"overall": _TOKEN,
+                                    "per_k": {_ROWS: None}}})
+_PER_K_ROW = _layout({_TOKEN: {
+    "margin_E": _VALUE, "margin_H": _VALUE, "sign_E": _TOKEN,
+    "sign_H": _TOKEN, "verdict": _TOKEN}}, depth=3)
+_VOLUME_PATH = _layout({"volume_path": {
+    "defined": True, "lifted": _VALUE, "winding": _VALUE}})
+_ORIGIN_HIT = _layout({"volume_path": {
+    "defined": False, "origin_hit_t": _VALUE}})
+_REPORT = _layout({_ROWS: None}, depth=0)  # the blocks are its rows
+_SUMMARY = _layout(dict.fromkeys(  # the solve summary
+    ["c", "csv", "endpoint_error", "residual_l2", "residual_max", "samples",
+     "theta_mean", "theta_oscillation", "verified"], _VALUE), depth=0)
 
 
 def analysis_report(rep: ChargeReport, verdict: ExistenceVerdict) -> str:
@@ -146,9 +111,9 @@ def analysis_report(rep: ChargeReport, verdict: ExistenceVerdict) -> str:
     g = rep.g
     charges = ",\n".join([_CHARGE_ROW % (key, z.real, z.imag) for key, z
                           in sorted(central_charges(rep).items())])
-    degenerate_m, divisor_margin, divisor, certificates = "", None, None, []
+    degenerate_m, divisor_margin, divisor, certificates = (), None, None, []
     if rep.degenerate:
-        degenerate_m = _DEGENERATE_M % _json(degeneracy_check(rep))
+        degenerate_m = (_json(degeneracy_check(rep)),)
     else:
         # certificates, printed beside the verdict; none of them decides it
         stab, lift = stability_verdict(rep), sector_lift(rep)
@@ -176,10 +141,10 @@ def analysis_report(rep: ChargeReport, verdict: ExistenceVerdict) -> str:
             _STABILITY % (stab.overall.value, per_k),
             _ORIGIN_HIT % _json(cxy.t_star) if isinstance(cxy, OriginHit)
             else _VOLUME_PATH % (_json(cxy.lifted), _json(cxy.winding))]
-    return "{\n%s\n}" % ",\n".join([
-        _CHARGE % (charges, _json(rep.degenerate), degenerate_m,
-                   _json(rep.r_x), _json(rep.theta_hat),
-                   _json(rep.zeta.real), _json(rep.zeta.imag)),
+    return _REPORT % ",\n".join([
+        (_CHARGE_DEGENERATE if rep.degenerate else _CHARGE) % (
+            charges, _json(rep.degenerate), *degenerate_m, _json(rep.r_x),
+            _json(rep.theta_hat), _json(rep.zeta.real), _json(rep.zeta.imag)),
         _EXISTENCE % (_json(divisor), _json(divisor_margin),
                       _json(verdict.margin), verdict.reason,
                       verdict.route.value, verdict.value.value),
@@ -187,12 +152,10 @@ def analysis_report(rep: ChargeReport, verdict: ExistenceVerdict) -> str:
         *certificates])
 
 
-def _json(o, nl: str = "\n") -> str:
-    """json.dumps(o, indent=2, sort_keys=True) of plain dicts, lists and
-    scalars, in one pass: with an indent the json module runs its
-    pure-Python encoder.  It writes the solve summary, and the analyze
-    report's scalar leaves outside its rows, so None, bools, strings and
-    non-finite floats print there as the json module prints them."""
+def _json(o) -> str:
+    """json.dumps(o) of one scalar: None, a bool, an int, a str or a float,
+    non-finite floats as NaN, Infinity and -Infinity.  Anything else, a
+    numpy scalar, a record or a container, raises TypeError."""
     t = type(o)
     if t is float:
         if math.isfinite(o):
@@ -200,18 +163,6 @@ def _json(o, nl: str = "\n") -> str:
         return "NaN" if o != o else "Infinity" if o > 0 else "-Infinity"
     if t is str:
         return _json_str(o)
-    inner = nl + "  "
-    if t is dict:
-        if not o:
-            return "{}"
-        return "{" + inner + ("," + inner).join(
-            [_json_str(k) + ": " + _json(o[k], inner) for k in sorted(o)]
-        ) + nl + "}"
-    if t is list:
-        if not o:
-            return "[]"
-        return "[" + inner + ("," + inner).join(
-            [_json(v, inner) for v in o]) + nl + "]"
     if t is bool:
         return "true" if o else "false"
     if t is int:
@@ -447,18 +398,11 @@ def run_solve(cfg: RunConfig, out_path: str | None, stdout, stderr) -> int:
         return _EXIT_FOR[verdict.value]
     target = out_path or "solution.csv"
     _write_out(_solve_rows(curve, check), target, stdout)
-    summary = {
-        "samples": len(curve.x),
-        "csv": target,
-        "c": rep.c,
-        "endpoint_error": check.endpoint_error,
-        "residual_max": check.residual_max,
-        "residual_l2": check.residual_l2,
-        "theta_mean": check.theta_mean,
-        "theta_oscillation": check.theta_oscillation,
-        "verified": check.passed,
-    }
-    stdout.write(_json(summary) + "\n")
+    stdout.write(_SUMMARY % (
+        _json(rep.c), _json(target), _json(check.endpoint_error),
+        _json(check.residual_l2), _json(check.residual_max),
+        _json(len(curve.x)), _json(check.theta_mean),
+        _json(check.theta_oscillation), _json(check.passed)) + "\n")
     _require_verified(check)
     return EXIT_EXISTS
 

@@ -518,18 +518,138 @@ def test_analysis_report_non_finite_values(monkeypatch):
 
 
 def test_json_writer_edge_values():
+    # _json writes scalars only, each as the stdlib prints it; the layouts
+    # around them are derived from json.dumps
     text = "\u00e9\n\"\\\x00\u2028\U0001f600"
     values = [-0.0, 5e-324, 1e308, -1e308, math.nan, math.inf, -math.inf,
-              0.1, 0, -7, 10 ** 30, True, False, None, "", text, {}, [],
-              {"b": {}, "a": [], "": [[], {}, [[]], {"x": {}}]},
-              [[1.5, "t"], {text: [-0.0, {"\u00e9": math.nan}]}]]
-    for value in values + [values]:
+              0.1, 0, -7, 10 ** 30, True, False, None, "", text]
+    for value in values:
         assert cli._json(value) == _stdlib_json(value)
-    # a record or a numpy scalar in a report is a bug, not a list or a float
+    # a record, a numpy scalar or a container in a report is a bug, not a
+    # list, a float or a block
     for bad in (np.float64(1.0), np.bool_(True), {1, 2}, b"x", (1.5,),
-                charges.Geometry(2, 2.0, 1.0, 1.0)):
+                charges.Geometry(2, 2.0, 1.0, 1.0), {}, [],
+                {"b": {}, "a": [], "": [[], {}, [[]], {"x": {}}]},
+                [[1.5, "t"], {text: [-0.0, {"\u00e9": math.nan}]}], values):
         with pytest.raises(TypeError):
-            cli._json({"k": [bad]})
+            cli._json(bad)
+
+
+
+def _leaves(obj, path=()):
+    """(path, type name, repr) of every scalar: a float matches only the
+    same float, and NaN matches NaN."""
+    if isinstance(obj, dict):
+        return [leaf for key, v in obj.items()
+                for leaf in _leaves(v, path + (key,))]
+    if isinstance(obj, list):
+        return [leaf for i, v in enumerate(obj)
+                for leaf in _leaves(v, path + (i,))]
+    return [(path, type(obj).__name__, repr(obj))]
+
+
+def _layer_report(g) -> dict:
+    """The analyze report as a dict, built from the layers' own records."""
+    rep = charges.charge_report(g)
+    verdict = stability.existence_verdict(rep)
+    report = {
+        "charge": {"charges": {key: [z.real, z.imag] for key, z
+                               in charges.central_charges(rep).items()},
+                   "degenerate": rep.degenerate, "r_x": rep.r_x,
+                   "theta_hat": rep.theta_hat,
+                   "zeta": [rep.zeta.real, rep.zeta.imag]},
+        "existence": {"value": verdict.value.value,
+                      "route": verdict.route.value, "reason": verdict.reason,
+                      "margin": verdict.margin, "divisor": None,
+                      "divisor_margin": None},
+        "geometry": g._asdict(),
+    }
+    if rep.degenerate:
+        report["charge"]["degenerate_m"] = charges.degeneracy_check(rep)
+        return report
+    lift = lifting.sector_lift(rep)
+    if isinstance(lift, lifting.LiftedAngle):
+        report["lift"] = {
+            "defined": True, "lifted": lift.lifted, "margin": lift.margin,
+            "method": lift.method, "winding": lift.winding,
+            "supercritical": stability.supercritical_check(lift, g.n)}
+        margin, divisor = stability.divisor_angle_bounds(rep, lift)
+        report["existence"].update(divisor=divisor, divisor_margin=margin)
+    else:
+        report["lift"] = {"defined": False, "reason": lift.reason,
+                          "detail": lift.detail}
+    report["same_component"] = levelcurve.same_component(rep)._asdict()
+    stab = stability.stability_verdict(rep)
+    report["stability"] = {"overall": stab.overall.value, "per_k": {
+        str(k): {"margin_E": pk.sign_e.margin, "margin_H": pk.sign_h.margin,
+                 "sign_E": pk.sign_e.value.value,
+                 "sign_H": pk.sign_h.value.value,
+                 "verdict": pk.verdict.value}
+        for k, pk in stab.per_k.items()}}
+    cxy = lifting.cxy_path_lift(rep)
+    report["volume_path"] = (
+        {"defined": False, "origin_hit_t": cxy.t_star}
+        if isinstance(cxy, lifting.OriginHit)
+        else {"defined": True, "lifted": cxy.lifted, "winding": cxy.winding})
+    return report
+
+
+def test_report_leaves_hold_layer_values(tmp_path, capsys):
+    # every leaf the analyze report and the solve summary print is the
+    # value its layer returns, in its key: two swapped arguments of a
+    # layout would print canonical JSON and still fail here
+    rng = np.random.default_rng(37)
+    pool = [random_geometry(rng, n_hi=40) for _ in range(300)]
+    pool += [charges.Geometry(**doc) for doc, _, _, _ in REPORT_VARIANTS]
+    for g in pool:
+        report = json.loads(_analysis_text(g))
+        assert sorted(_leaves(report)) == sorted(_leaves(_layer_report(g))), g
+    for doc in (STABLE, STEEP):
+        csv_path = str(tmp_path / "s.csv")
+        assert cli.main(["solve", "--config", write_config(tmp_path, doc),
+                         "--out", csv_path]) == 0
+        rep = charges.charge_report(charges.Geometry(**doc))
+        curve = levelcurve.trace_solution(rep)
+        check = levelcurve.verify_solution(curve, rep)
+        expected = {"samples": len(curve.x), "csv": csv_path, "c": rep.c,
+                    "verified": check.passed}
+        expected.update({key: getattr(check, key) for key in (
+            "endpoint_error", "residual_max", "residual_l2", "theta_mean",
+            "theta_oscillation")})
+        summary = json.loads(capsys.readouterr().out)
+        assert sorted(_leaves(summary)) == sorted(_leaves(expected)), doc
+
+
+def test_solve_summary_non_finite_values(tmp_path, capsys, monkeypatch):
+    # non-finite figures print as json.dumps prints them, and the curve
+    # they describe is not verified
+    def non_finite(curve, rep):
+        return levelcurve.verify_solution(curve, rep)._replace(
+            residual_max=math.inf, residual_l2=math.nan,
+            theta_oscillation=-math.inf, passed=False)
+
+    monkeypatch.setattr(cli, "verify_solution", non_finite)
+    assert cli.main(["solve", "--config", write_config(tmp_path, STABLE),
+                     "--out", str(tmp_path / "s.csv")]) == 3
+    out = capsys.readouterr().out
+    assert out == _stdlib_json(json.loads(out)) + "\n"
+    assert "Infinity" in out and "NaN" in out
+
+
+def test_ops_call_no_json_encoder(tmp_path, capsys, monkeypatch):
+    # the layouts are derived from json.dumps at import, never during an op
+    ops = [(command, write_config(tmp_path, doc, f"{i}.json"), code)
+           for i, (command, doc, code, _) in enumerate(PINNED_OUTPUTS)
+           if command in ("analyze", "solve")]
+    calls = []
+    monkeypatch.setattr(json, "dumps", lambda *args, **kw: calls.append(0))
+    monkeypatch.setattr(json.JSONEncoder, "encode",
+                        lambda self, o: calls.append(0))
+    for command, path, code in ops:
+        assert cli.main([command, "--config", path,
+                         "--out", str(tmp_path / "out")]) == code
+    capsys.readouterr()
+    assert len(ops) == 9 and calls == []
 
 
 def test_main_reuses_parser(tmp_path, capsys):

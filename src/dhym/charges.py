@@ -140,7 +140,8 @@ def central_charges(rep: ChargeReport) -> dict[str, complex]:
 def degeneracy_check(rep: ChargeReport) -> int | None:
     """The witnessing integer m of a degenerate record, else None.
 
-    Degeneracy means |z2| = |z1| together with an argument gap of 2*pi*m/n.
+    Degeneracy means |z2| = |z1| together with an argument gap of 2*pi*m/n;
+    m = 0 means z2 ~ z1, the only degenerate record with a gap below pi/n.
     """
     if not rep.degenerate:
         return None

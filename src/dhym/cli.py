@@ -5,9 +5,10 @@ sort_keys=True) prints them.  Their layout is derived from json.dumps once,
 at import (_layout), and each op fills it with one % per block; _json
 writes the scalars.
 
-Exit codes: 0 a solution exists, 1 no solution, 2 inconclusive or
-degenerate, 3 internal anomaly (a yes-verdict whose trace fails or does
-not verify, or arithmetic overflow), 64 usage and configuration errors.
+Exit codes: 0 a solution exists, 1 no solution, 2 inconclusive (degenerate
+only with a gap below pi/n) or a figure of a degenerate record, 3 anomaly (a
+yes-verdict whose trace fails or does not verify, or overflow), 64 usage or
+configuration error.
 """
 
 from __future__ import annotations
@@ -377,7 +378,7 @@ def _solution(rep):
     if verdict.value is not Existence.EXISTS:
         return verdict, None, None
     try:
-        curve = trace_solution(rep)
+        curve = trace_solution(rep, verdict)
     except TraceError as exc:
         raise TraceError(f"trace failed despite yes-verdict: {exc}") from exc
     return verdict, curve, verify_solution(curve, rep)

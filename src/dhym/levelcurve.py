@@ -1,17 +1,14 @@
-"""Level curves of Phi(x, y) = Im(e^(-i theta_hat) (x+iy)^n) and the
-boundary-value solver.
+"""Level curves of Phi(x, y) = Im(e^(-i theta_hat) (x+iy)^n), the
+existence decision and the boundary-value solver.
 
 Both endpoints (1, q) and (a, p) always share the level value c, so a
 solution is a graphical arc of the level curve over [1, a], and
 graphical_existence decides whether one exists.  In polar form the arc is
 explicit, r(phi) = (c / sin(n phi - theta_hat))^(1/n) for phi between
-arg z1 and arg z2, so nothing is integrated: every node of the output grid
-is solved at once, seeded from the arc sampled in phi and polished by
-Newton steps in y on Phi = c.  The trace only solves; verify_solution is
-the one place that measures a curve (its level, the ODE residual, the
-pointwise angle and the endpoint error).  Every layer reads theta_hat and
-c from the angle record (charges.charge_report) and recomputes neither.
-Only the array functions import numpy, so the verdicts run without it.
+arg z1 and arg z2, so trace_solution integrates nothing, and
+verify_solution is the one place that measures a curve.  Every layer
+reads theta_hat and c from the angle record (charges.charge_report);
+only the array functions import numpy, so the verdicts run without it.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ class TraceError(RuntimeError):
 
 
 class GraphicalPreconditionError(TraceError):
-    """trace_solution called on an instance without a graphical arc."""
+    """trace_solution given a verdict other than EXISTS."""
 
 
 # Newton steps in y allowed to bring every node onto its level target, the
@@ -89,12 +86,9 @@ class VerificationReport(NamedTuple):
 
 
 def level_context(rep: ChargeReport) -> None:
-    """Check that (1, q) and (a, p) share the level value rep.c.
-
-    charge_report takes c from the end nearer the origin; this computes the
-    far end's value and raises TraceError when the two differ by more than
-    EPS_ZERO * scale.
-    """
+    """Check that (1, q) and (a, p) share the level value rep.c: the far
+    end's value, computed here (charge_report takes c from the nearer end),
+    must agree with it to EPS_ZERO * scale, else TraceError."""
     g, th = rep.g, rep.angle()  # raises DegenerateGeometryError
     far = g.z2 if abs(g.z1) <= abs(g.z2) else g.z1
     c_far = (cmath.exp(-1j * th) * far ** g.n).imag
@@ -112,11 +106,10 @@ def _on_zero_level(rep: ChargeReport) -> bool:
 
 def same_component(rep: ChargeReport) -> SameComponentResult:
     """Do the two endpoints sit on the same component of the level set?
-
-    For c = 0 the level set is n rays; the endpoints match iff they sit on
-    the same ray.  Otherwise components occupy alternating sectors, so the
-    endpoints agree iff no top-level ray lies strictly between them.
-    """
+    analyze prints the answer; no verdict reads it.  For c = 0 the level set
+    is n rays; the endpoints match iff they sit on the same ray.  Otherwise
+    components occupy alternating sectors, so the endpoints agree iff no
+    top-level ray lies strictly between them."""
     n, th = rep.g.n, rep.angle()
     if _on_zero_level(rep):
         on_rays = all(sector_of(psi, n, th, n).value is Sign.ON_RAY
@@ -131,25 +124,31 @@ def same_component(rep: ChargeReport) -> SameComponentResult:
 
 
 def graphical_existence(rep: ChargeReport) -> ExistenceVerdict:
-    """The existence decision, in the order existence_verdict proves: a
-    gap >= pi/n + EPS_ANGLE is NOT_EXISTS ("sector_gap"); a gap within
-    EPS_ANGLE of pi/n, or an endpoint within it of a level-(n-1) ray, is
-    "deadband"; a level-(n-1) ray between the endpoints is NOT_EXISTS
-    ("divisor_bound_fails"); else EXISTS, but on the zero level only with
-    both endpoints on one top-fan ray.  The margin is gap - pi/n, or the
-    least of |gap - pi/n| and the endpoints' level-(n-1) sector margins."""
-    n, th, psi1, psi2 = rep.g.n, rep.angle(), rep.psi1, rep.psi2
-    excess = abs(psi2 - psi1) - math.pi / n
+    """The existence decision, in the five steps existence_verdict proves
+    (gap = |psi2 - psi1|): 1. gap - pi/n >= EPS_ANGLE is "sector_gap", read
+    off the arguments alone; 2. past it, a degenerate record (z2 ~ z1) is
+    "degenerate"; 3. a margin, the least of |gap - pi/n| and both ends'
+    level-(n-1) sector margins, within EPS_ANGLE is "deadband"; 4. unless
+    Phi_y > 0 at both ends, i.e. cos((n-1) psi_j - theta_hat) > 0, it is
+    "divisor_bound_fails"; 5. on the zero level a gap above EPS_ANGLE is
+    "deadband".  Else it is EXISTS.  The margin is gap - pi/n in step 1,
+    None in step 2 and that of step 3 after it."""
+    n, gap = rep.g.n, abs(rep.psi2 - rep.psi1)
+    excess = gap - math.pi / n
     if excess >= EPS_ANGLE:
         return ExistenceVerdict(Existence.NOT_EXISTS, Route.GRAPHICAL,
                                 "sector_gap", excess)
-    margin = min(abs(excess), sector_of(psi1, n - 1, th, n).margin,
-                 sector_of(psi2, n - 1, th, n).margin)
+    if rep.degenerate:
+        return ExistenceVerdict(Existence.INCONCLUSIVE, Route.DEGENERATE,
+                                "degenerate", None)
+    s1 = sector_of(rep.psi1, n - 1, rep.theta_hat, n)
+    s2 = sector_of(rep.psi2, n - 1, rep.theta_hat, n)
+    margin = min(abs(excess), s1.margin, s2.margin)
     if margin <= EPS_ANGLE:
         value, reason = Existence.INCONCLUSIVE, "deadband"
-    elif rays_between(psi1, psi2, n - 1, th, n) > 0:
+    elif s1.value is not Sign.POSITIVE or s2.value is not Sign.POSITIVE:
         value, reason = Existence.NOT_EXISTS, "divisor_bound_fails"
-    elif _on_zero_level(rep) and not same_component(rep).same_ray:
+    elif gap > EPS_ANGLE and _on_zero_level(rep):
         value, reason = Existence.INCONCLUSIVE, "deadband"
     else:
         value, reason = Existence.EXISTS, ""
@@ -201,7 +200,7 @@ def _ode_terms(x, f, fp, rep: ChargeReport):
     return res, (n - 1) * np.arctan2(f, x) + np.arctan(fp)
 
 
-def trace_solution(rep: ChargeReport) -> SolutionCurve:
+def trace_solution(rep: ChargeReport, verdict: ExistenceVerdict) -> SolutionCurve:
     """Solve the level curve Phi = c on x = linspace(1, a, CURVE_SAMPLES).
 
     All nodes at once, with no search: each is seeded from the closed-form
@@ -209,15 +208,13 @@ def trace_solution(rep: ChargeReport) -> SolutionCurve:
     on every node bring |Phi - c| within TOL_LEVEL * min(scale, max(1,
     |z_j|)^n) at each node z_j, the bound verify_solution checks, and one
     step more then takes each node to full precision.  The slope is the
-    exact level-set slope -Phi_x / Phi_y at the final nodes.  The curve is
-    its samples alone; verify_solution measures it.  It runs level_context
-    first, then raises GraphicalPreconditionError unless graphical_existence
-    says EXISTS.
+    exact level-set slope -Phi_x / Phi_y at the final nodes.  It decides
+    nothing: after level_context it raises GraphicalPreconditionError
+    unless the caller's verdict, existence_verdict(rep), is EXISTS.
     """
     import numpy as np
     g = rep.g
     level_context(rep)
-    verdict = graphical_existence(rep)
     if verdict.value is not Existence.EXISTS:
         raise GraphicalPreconditionError(
             f"existence is {verdict.value.value} ({verdict.reason})")

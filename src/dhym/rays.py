@@ -4,8 +4,8 @@ For a level k the ray set collects the angles phi in [-pi/2, pi/2) with
 sin((n-k)*pi/2 - theta_hat + k*phi) = 0; these are the directions where
 Im(i^(n-k) e^(-i theta_hat) z^k) changes sign.  Adjacent rays bound
 alternating positive/negative sectors, and consecutive levels interleave.
-The verdicts read signs, ray counts and ray labels off that fan angle in
-closed form; only the figure lists the rays.
+The verdict reads signs, and analyze's same_component block ray counts and
+labels, off that fan angle in closed form; only the figure lists the rays.
 """
 
 from __future__ import annotations

@@ -92,9 +92,9 @@ def divisor_angle_bounds(rep: ChargeReport,
 
 
 def existence_verdict(rep: ChargeReport) -> ExistenceVerdict:
-    """INCONCLUSIVE ("degenerate") when zeta vanishes, else
-    levelcurve.graphical_existence.  Why its steps hold, with th =
-    theta_hat, Phi = Im(e^(-i th) z^n), psi_j = arg z_j, gap = |psi2 - psi1|:
+    """levelcurve.graphical_existence, whose five steps hold for these
+    reasons, with th = theta_hat, Phi = Im(e^(-i th) z^n), psi_j = arg z_j
+    and gap = |psi2 - psi1|:
 
     - dHYM solutions are unique in their class (Jacob-Yau, Math. Ann.
       2017).  The U(n) fixing the blown-up point preserves omega and
@@ -111,23 +111,23 @@ def existence_verdict(rep: ChargeReport) -> ExistenceVerdict:
       sin(n phi - th))^(1/n).  Parity decides, so the top fan needs no
       on-ray deadband: when |z2| >> |z1| the far end sits within 1e-10 rad
       of a top ray although c != 0.
+    - Degeneracy.  zeta = 0 gives z2 = w z1 with w^n = 1, w != 1 as a > 1,
+      and both arguments lie in (-pi/2, pi/2), so gap = 2 pi |m| / n with m
+      != 0: "sector_gap", with an excess of at least pi/n.  Only a record
+      degenerate in floats, with z2 ~ z1, gets past the gap ("degenerate").
     - Vertical tangents.  Phi_y = n |z|^(n-1) cos((n-1) phi - th) vanishes
       exactly on the level-(n-1) rays, changing sign.  One between the ends
       turns the arc back in x ("divisor_bound_fails").  With none the arc
       is a graph (on c = 0, the common ray), with Phi_y > 0: |zeta| =
       e^(-i th) zeta is the integral over [1, a] of n |u|^2 / Re u dx, with
-      u = e^(-i th) z^(n-1).
+      u = e^(-i th) z^(n-1).  Below pi/n < pi/(n-1) at most one such ray
+      fits between the ends, so two signs decide: Phi_y > 0 at both.
     - The certificate.  The sector lift is L = n psi2 + A, with A =
       Arg(1 - rho e^(id)), d = n (psi1 - psi2) and |d| < pi.  A positive
       combination of 1 and -e^(id) puts A between 0 and d - pi sign(d), so
       (n-1) psi2 - L = -psi2 - A and (n-1) psi1 - L = -psi1 + (d - A) lie
       in (-3 pi/2, 3 pi/2).  As L = th mod 2 pi, the divisor bound
-      |(n-1) psi_j - L| < pi/2 holds exactly when Phi_y(z_j) > 0.  A gap
-      below pi/n < pi/(n-1) holds at most one level-(n-1) ray, so both
-      bounds hold exactly when none lies between: the divisor margin has
-      the verdict's sign.
+      |(n-1) psi_j - L| < pi/2 holds exactly when Phi_y(z_j) > 0, so the
+      divisor margin has the verdict's sign.
     """
-    if rep.degenerate:
-        return ExistenceVerdict(Existence.INCONCLUSIVE, Route.DEGENERATE,
-                                "degenerate", None)
     return graphical_existence(rep)

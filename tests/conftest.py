@@ -61,6 +61,13 @@ def degenerate_example() -> Geometry:
     return Geometry(3, r * math.cos(theta), -r * math.sin(theta), 2.0)
 
 
+def float_degenerate_example(n: int) -> Geometry:
+    """z1 = 1 + 1e12 i and z2 = 2 + 1e12 i: |z1| and |z2| round to the same
+    double, so zeta vanishes in floats, with a gap of 1e-12 (z2 ~ z1)."""
+    q = 1e12
+    return Geometry(n, 2.0, math.sqrt(1.0 + q * q - 4.0), q)
+
+
 def scaled_example() -> Geometry:
     """The degenerate instance with both classes doubled."""
     g = degenerate_example()

@@ -103,11 +103,12 @@ def test_criterion_3_stability_sufficiency(rng):
     for _ in range(1000):
         g = sample_stable(rng)
         rec = charge_report(g)
-        if graphical_existence(rec).value is not Existence.EXISTS:
+        verdict = graphical_existence(rec)
+        if verdict.value is not Existence.EXISTS:
             failures += 1
             continue
         try:
-            curve = trace_solution(rec)
+            curve = trace_solution(rec, verdict)
         except TraceError:
             failures += 1
             continue
@@ -143,9 +144,10 @@ def test_criterion_4_biconditional(rng):
             margins.append(abs(margin))
             predicted = margin > EPS_ANGLE
         actual = False
-        if graphical_existence(rec).value is Existence.EXISTS:
+        verdict = graphical_existence(rec)
+        if verdict.value is Existence.EXISTS:
             try:
-                check = verify_solution(trace_solution(rec), rec)
+                check = verify_solution(trace_solution(rec, verdict), rec)
                 actual = (check.endpoint_error
                           <= TOL_ENDPOINT * max(1.0, abs(g.p)))
             except TraceError:
@@ -194,7 +196,7 @@ def test_criterion_7_exact_solution_recovery(rng):
         lam = float(rng.uniform(-2.0, 2.0))
         g = collinear_geometry(n, a, lam)
         rec = charge_report(g)
-        curve = trace_solution(rec)
+        curve = trace_solution(rec, graphical_existence(rec))
         dev = float(np.max(np.abs(curve.f - lam * curve.x)))
         worst_f = max(worst_f, dev / max(1.0, abs(lam) * a))
         target = n * math.atan(lam)

@@ -1,12 +1,16 @@
+import cmath
 import csv
 import hashlib
+import io
 import json
 import math
+import random
 import re
 import struct
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,8 +19,8 @@ import pytest
 from dhym import charges, cli, levelcurve, lifting, stability
 from dhym.config import ConfigError, load_config
 
-from conftest import (degenerate_example, random_geometry, sample_stable,
-                      scaled_example)
+from conftest import (degenerate_example, float_degenerate_example,
+                      random_geometry, sample_stable, scaled_example)
 
 
 def run_cli(args, stdin_text=None):
@@ -143,11 +147,15 @@ def test_analyze_lift_undefined(tmp_path):
 
 
 def test_analyze_degenerate_cites_witness(tmp_path):
+    # the gap 2 pi/3 decides the exactly degenerate record; the charge block
+    # still cites the witness m of z2 = e^(2 pi i m / 3) z1
     path = write_config(tmp_path, geometry_doc(degenerate_example()))
     res = run_cli(["analyze", "--config", path])
-    assert res.returncode == 2
+    assert res.returncode == 1
     doc = json.loads(res.stdout)
-    assert doc["existence"]["route"] == "degenerate"
+    assert doc["existence"]["value"] == "not_exists"
+    assert doc["existence"]["route"] == "graphical"
+    assert doc["existence"]["reason"] == "sector_gap"
     assert doc["charge"]["degenerate"] is True
     assert doc["charge"]["degenerate_m"] == 1
 
@@ -339,7 +347,10 @@ EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 # analyze and sweep digests were recorded when existence became one
 # graphical decision: the route reads "graphical", the existence block
 # holds its margin, the graphical_existence block is gone, and the sector
-# gaps of LIFT_UNDEFINED and ORIGIN_HIT decide not_exists
+# gaps of LIFT_UNDEFINED and ORIGIN_HIT decide not_exists.  The DEGENERATE
+# analyze and sweep-corner digests were re-pinned when the gap rule came
+# before degeneracy: the exactly degenerate record's gap 2 pi/3 decides
+# not_exists via graphical (sector_gap), exit 1
 PINNED_OUTPUTS = [
     ("analyze", STABLE, 0,
      "af3bacaf9902d7b152dccff3d9be9d6e89c9bbffe402725f27c059e7e03cf355"),
@@ -347,20 +358,20 @@ PINNED_OUTPUTS = [
      "610277df46af3dad20cc479f4b136b5871796b8e8cfaaa4185a7d6ddaddd18fc"),
     ("analyze", ORIGIN_HIT, 1,
      "79b8e8dcd44ff79551762faa7e102a80202282dbfaeb5abb3c059fd22e373447"),
-    ("analyze", DEGENERATE, 2,
-     "aeb7b4f23530898570ac3ec0b7895b8e124f8d8cbf6df063907597cb199d6359"),
+    ("analyze", DEGENERATE, 1,
+     "8219c0b759892f7d7f71c9316d0f382fdd03b641454c207a1687a526694bac77"),
     ("solve", STABLE, 0,
      "80c51845d5b106c6770b30bf5db485cbf8ce437058eaf59a1a36a0adf5525872"),
     ("solve", STEEP, 0,
      "dce0a20f8f378657f4bbb6fe092f2066ad9ee3284b0cc4c38d0b6220e0932b52"),
     ("solve", LIFT_UNDEFINED, 1, EMPTY),
     ("solve", ORIGIN_HIT, 1, EMPTY),
-    ("solve", DEGENERATE, 2, EMPTY),
+    ("solve", DEGENERATE, 1, EMPTY),
     # corners: the origin hit (first row) and the degenerate point (last)
     ("sweep", {**ORIGIN_HIT, "sweep": {
         "p_range": [ORIGIN_HIT["p"], DEGENERATE["p"]], "q_range": [4.0, 2.0],
         "p_count": 3, "q_count": 3}}, 0,
-     "c28a770869fad75b011be3ec858758414700078ff5fd851af57d54308a6a70b1"),
+     "b7e515b7c01c841488808a62a32b799e3f7ed40319ecb57642ecc16804ac722c"),
     # stable, unstable, not_exists and lift-undefined rows
     ("sweep", {**STABLE, "sweep": {
         "p_range": [-2.0, 2.0], "q_range": [-1.0, 3.0],
@@ -440,6 +451,8 @@ def test_existence_block_is_typed():
             if command == "analyze"]
     rng = np.random.default_rng(14)
     docs += [geometry_doc(random_geometry(rng)) for _ in range(300)]
+    # degenerate in floats with a gap of 1e-12, so still "degenerate"
+    docs += [geometry_doc(float_degenerate_example(n)) for n in (2, 5)]
     reasons = set()
     for doc in docs:
         text = _analysis_text(charges.Geometry(**doc))
@@ -609,7 +622,8 @@ def test_report_leaves_hold_layer_values(tmp_path, capsys):
         assert cli.main(["solve", "--config", write_config(tmp_path, doc),
                          "--out", csv_path]) == 0
         rep = charges.charge_report(charges.Geometry(**doc))
-        curve = levelcurve.trace_solution(rep)
+        curve = levelcurve.trace_solution(
+            rep, stability.existence_verdict(rep))
         check = levelcurve.verify_solution(curve, rep)
         expected = {"samples": len(curve.x), "csv": csv_path, "c": rep.c,
                     "verified": check.passed}
@@ -652,6 +666,55 @@ def test_ops_call_no_json_encoder(tmp_path, capsys, monkeypatch):
     assert len(ops) == 9 and calls == []
 
 
+BENCH_RUN = Path(__file__).resolve().parents[1] / "bench" / "run.py"
+
+
+def _bench_run() -> dict:
+    """The globals of bench/run.py, read and run without writing bytecode
+    beside it; its samplers and checks use no dhym code, and importing it
+    runs nothing."""
+    module = {"__name__": "bench_run", "__file__": str(BENCH_RUN)}
+    exec(compile(BENCH_RUN.read_text(), str(BENCH_RUN), "exec"), module)
+    return module
+
+
+def test_analyze_verdict_matches_oracle(capsys, monkeypatch):
+    # dhym analyze on the benchmark's own pool against an oracle that uses
+    # no dhym code: the gap against pi/n, then the signs of
+    # cos((n-1) psi_j - arg zeta) at both ends; a record within the
+    # benchmark's STABLE_MARGIN of either edge is skipped
+    bench = _bench_run()
+    zeta, edge = bench["_zeta"], bench["STABLE_MARGIN"]
+    rng = random.Random(1)
+    checked, seen = 0, set()
+    for i in range(3000):
+        n, a, p, q = bench["random_instance"](rng, i)
+        theta = cmath.phase(zeta(n, a, p, q))
+        psi1, psi2 = math.atan2(q, 1.0), math.atan2(p, a)
+        excess = abs(psi2 - psi1) - math.pi / n
+        fans = [(n - 1) * psi - theta for psi in (psi1, psi2)]
+        # angular distance of each end from its nearest level-(n-1) ray
+        ray = min(abs(math.remainder(f - math.pi / 2, math.pi)) / (n - 1)
+                  for f in fans)
+        if abs(excess) <= edge or (excess < 0 and ray <= edge):
+            continue
+        if excess > 0:
+            want = ("not_exists", "sector_gap")
+        elif all(math.cos(f) > 0 for f in fans):
+            want = ("exists", "")
+        else:
+            want = ("not_exists", "divisor_bound_fails")
+        monkeypatch.setattr(sys, "stdin", io.StringIO(
+            json.dumps({"n": n, "a": a, "p": p, "q": q})))
+        code = cli.main(["analyze", "--config", "-"])
+        block = json.loads(capsys.readouterr().out)["existence"]
+        assert (block["value"], block["reason"]) == want, (n, a, p, q)
+        assert code == (0 if want[0] == "exists" else 1)
+        checked += 1
+        seen.add(want)
+    assert checked == 3000 and len(seen) == 3
+
+
 def test_main_reuses_parser(tmp_path, capsys):
     path = write_config(tmp_path, STABLE)
     analyze = ["analyze", "--config", path]
@@ -688,18 +751,22 @@ def _count_calls(monkeypatch, module, name) -> list:
 
 def test_angle_record_computed_once(tmp_path, capsys, monkeypatch):
     # one in-process command evaluates zeta at most once and decides
-    # existence exactly once, wherever either function is bound
+    # existence exactly once, wherever either function is bound: the trace
+    # takes the verdict and decides nothing
     zetas = _count_calls(monkeypatch, charges, "zeta")
     verdicts = _count_calls(monkeypatch, stability, "existence_verdict")
+    decisions = _count_calls(monkeypatch, levelcurve, "graphical_existence")
     path = write_config(tmp_path, STABLE)
     for command in ("analyze", "solve"):
         zetas.clear()
         verdicts.clear()
+        decisions.clear()
         assert cli.main([command, "--config", path,
                          "--out", str(tmp_path / "out")]) == 0
         capsys.readouterr()
         assert len(zetas) <= 1, (command, len(zetas))
         assert len(verdicts) == 1, (command, len(verdicts))
+        assert len(decisions) == 1, (command, len(decisions))
 
 
 def test_solve_measures_curve_once(tmp_path, capsys, monkeypatch):
@@ -856,8 +923,9 @@ def test_linspace_matches_numpy():
 
 
 def test_figure_degenerate_exits_2(tmp_path):
-    # zeta ~ 0 leaves no level curve; analyze reports the same instance as
-    # degenerate with exit 2
+    # zeta ~ 0 leaves no average angle, so no level curve to draw; analyze
+    # decides the same instance by its gap (sector_gap, exit 1), but the
+    # figure needs theta_hat and stays at exit 2
     path = write_config(tmp_path, {**DEGENERATE, "figure": {
         "window": [-3, 3, -3, 3], "samples": 64}})
     res = run_cli(["figure", "--config", path])
@@ -1061,7 +1129,7 @@ FIGURE_STABLE = {**STABLE, "figure": {"window": [0.0, 4.0, -1.0, 2.0],
 def test_trace_failure_is_an_anomaly(tmp_path, capsys, monkeypatch):
     # a yes-verdict whose trace fails exits 3 before anything is written,
     # for the figure as for solve
-    def failing(rep):
+    def failing(rep, verdict):
         raise levelcurve.TraceError("injected")
 
     monkeypatch.setattr(cli, "trace_solution", failing)
@@ -1078,8 +1146,8 @@ def test_trace_failure_is_an_anomaly(tmp_path, capsys, monkeypatch):
 def test_unverified_curve_is_an_anomaly(tmp_path, capsys, monkeypatch):
     # a traced curve that fails verification is still written, then
     # reported with exit 3
-    def offset(rep):
-        curve = levelcurve.trace_solution(rep)
+    def offset(rep, verdict):
+        curve = levelcurve.trace_solution(rep, verdict)
         return curve._replace(f=curve.f + 0.05)
 
     monkeypatch.setattr(cli, "trace_solution", offset)

@@ -90,17 +90,23 @@ def test_level_context_rejects_disagreeing_ends(rng):
         with pytest.raises(TraceError, match="disagree"):
             level_context(bad)
         with pytest.raises(TraceError, match="disagree"):
-            trace_solution(bad)
+            trace_solution(bad, graphical_existence(bad))
 
 
 def test_level_set_layers_raise_on_degenerate_record():
+    # the gap rule decides the exactly degenerate record before anything
+    # reads theta_hat; every layer that needs it raises
     rep = charge_report(degenerate_example())
-    curve = trace_solution(charge_report(Geometry(2, 2.0, 2.0, 1.0)))
+    verdict = graphical_existence(rep)
+    assert verdict.value is Existence.NOT_EXISTS
+    assert verdict.reason == "sector_gap"
+    assert verdict.margin == pytest.approx(math.pi / 3, abs=1e-12)
+    good = charge_report(Geometry(2, 2.0, 2.0, 1.0))
+    curve = trace_solution(good, graphical_existence(good))
     window = Window(-3.0, 3.0, -3.0, 3.0)
     for call in (lambda: level_context(rep),
                  lambda: same_component(rep),
-                 lambda: graphical_existence(rep),
-                 lambda: trace_solution(rep),
+                 lambda: trace_solution(rep, verdict),
                  lambda: verify_solution(curve, rep),
                  lambda: extract_level_set(rep, window, 64),
                  lambda: render_figure(rep, FigureSpec(window=window,
@@ -165,16 +171,16 @@ def test_graphical_existence_zero_level_needs_one_ray():
 
 
 def test_trace_requires_graphical_yes():
-    g = Geometry(12, 2.0, 2 * math.tan(1.0), math.tan(-1.0))
+    rep = charge_report(Geometry(12, 2.0, 2 * math.tan(1.0), math.tan(-1.0)))
     with pytest.raises(GraphicalPreconditionError,
                        match=r"not_exists \(sector_gap\)"):
-        trace_solution(charge_report(g))
+        trace_solution(rep, graphical_existence(rep))
 
 
 def test_trace_linear_solution():
     g = Geometry(2, 2.0, 2.0, 1.0)
     rep = charge_report(g)
-    curve = trace_solution(rep)
+    curve = trace_solution(rep, graphical_existence(rep))
     assert np.max(np.abs(curve.f - curve.x)) <= 1e-8
     assert curve.x[0] == 1.0 and curve.x[-1] == 2.0
     assert curve.f[0] == g.q
@@ -186,7 +192,7 @@ def test_trace_linear_solution():
 def test_trace_zero_solution():
     g = Geometry(3, 2.0, 0.0, 0.0)
     rep = charge_report(g)
-    curve = trace_solution(rep)
+    curve = trace_solution(rep, graphical_existence(rep))
     assert np.max(np.abs(curve.f)) == 0.0
     rep = verify_solution(curve, rep)
     assert rep.passed
@@ -199,7 +205,8 @@ def test_trace_collinear_recovers_scaled_line(rng):
         a = float(rng.uniform(1.1, 8.0))
         lam = float(rng.uniform(-2.0, 2.0))
         g = collinear_geometry(n, a, lam)
-        curve = trace_solution(charge_report(g))
+        rep = charge_report(g)
+        curve = trace_solution(rep, graphical_existence(rep))
         assert np.max(np.abs(curve.f - lam * curve.x)) <= 1e-8 * max(
             1.0, abs(lam) * a)
 
@@ -209,7 +216,7 @@ def test_trace_stable_instances(rng):
     for _ in range(100):
         g = sample_stable(rng)
         rep = charge_report(g)
-        curve = trace_solution(rep)
+        curve = trace_solution(rep, graphical_existence(rep))
         assert curve.x.shape == (257,)
         assert np.all(np.diff(curve.x) > 0)
         rep = verify_solution(curve, rep)
@@ -230,7 +237,7 @@ def test_trace_n2_nodes_are_exact_roots(rng):
     # that stops at the level tolerance does not reach
     for _ in range(200):
         rep = charge_report(sample_stable(rng, n_lo=2, n_hi=2))
-        curve = trace_solution(rep)
+        curve = trace_solution(rep, graphical_existence(rep))
         x, s, co = curve.x, math.sin(rep.theta_hat), math.cos(rep.theta_hat)
         # the square root takes the sign of x cos(th), so the sum in t and
         # thus neither root formula cancels
@@ -247,7 +254,8 @@ def test_pointwise_angle_matches_average_angle(rng):
     for _ in range(50):
         g = sample_stable(rng)
         rep = charge_report(g)
-        check = verify_solution(trace_solution(rep), rep)
+        curve = trace_solution(rep, graphical_existence(rep))
+        check = verify_solution(curve, rep)
         th, _ = theta_hat(g)
         off = math.remainder(float(check.theta_pointwise[0]) - th, math.tau)
         assert abs(off) <= 1e-6
@@ -256,7 +264,7 @@ def test_pointwise_angle_matches_average_angle(rng):
 def test_verify_rejects_perturbed_curve(rng):
     g = Geometry(2, 2.0, 2.0, 1.0)
     rep = charge_report(g)
-    curve = trace_solution(rep)
+    curve = trace_solution(rep, graphical_existence(rep))
     noisy = curve._replace(
         f=curve.f + 1e-2 * rng.standard_normal(curve.f.shape))
     rep = verify_solution(noisy, rep)
@@ -269,7 +277,7 @@ def test_verify_rejects_off_level_samples(rng):
     # pointwise angle consistent, so only the level of (x, f) shows the noise
     g = Geometry(2, 2.0, 2.0, 1.0)
     rep = charge_report(g)
-    curve = trace_solution(rep)
+    curve = trace_solution(rep, graphical_existence(rep))
     f = curve.f.copy()
     f[1:-1] *= 1.0 + 0.05 * rng.standard_normal(len(f) - 2)
     fp = np.array([-gx / gy for gx, gy in
@@ -286,7 +294,7 @@ def test_verify_bounds_each_node_by_its_own_scale():
     g = Geometry(12, 9.182629479592398, -13.541372513311577,
                  -1.3384071406011395)
     rep = charge_report(g)
-    curve = trace_solution(rep)
+    curve = trace_solution(rep, graphical_existence(rep))
     assert verify_solution(curve, rep).passed
     f, fp = curve.f.copy(), curve.f_prime.copy()
     for j in range(1, 20):
@@ -308,7 +316,7 @@ def test_verify_bounds_each_residual_by_its_own_scale():
     g = Geometry(12, 9.182629479592398, -13.541372513311577,
                  -1.3384071406011395)
     rep = charge_report(g)
-    curve = trace_solution(rep)
+    curve = trace_solution(rep, graphical_existence(rep))
     assert verify_solution(curve, rep).residual_ratio <= TOL_ENDPOINT
     for nodes in (slice(1, 20), slice(-20, -1)):
         fp = curve.f_prime.copy()

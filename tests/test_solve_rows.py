@@ -7,7 +7,8 @@ import pytest
 
 from dhym import cli
 from dhym.charges import charge_report
-from dhym.levelcurve import trace_solution, verify_solution
+from dhym.levelcurve import (graphical_existence, trace_solution,
+                             verify_solution)
 
 from conftest import sample_stable
 
@@ -145,7 +146,7 @@ def test_solve_rows_match_python_on_traced_curves():
     rng = np.random.default_rng(17)
     for _ in range(50):
         rep = charge_report(sample_stable(rng, n_hi=16))
-        curve = trace_solution(rep)
+        curve = trace_solution(rep, graphical_existence(rep))
         check = verify_solution(curve, rep)
         rows = np.column_stack((curve.x, curve.f, curve.f_prime,
                                 check.residual, check.theta_pointwise))

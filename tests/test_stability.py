@@ -1,9 +1,10 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
-from dhym.charges import Geometry, charge_report
+from dhym.charges import Geometry, charge_report, degeneracy_check
 from dhym.levelcurve import same_component
 from dhym.lifting import LiftedAngle, LiftUndefined, sector_lift
 from dhym.rays import Sign, rays_between
@@ -22,6 +23,7 @@ from dhym.tolerances import EPS_ANGLE
 from conftest import (
     collinear_geometry,
     degenerate_example,
+    float_degenerate_example,
     random_geometry,
     sample_stable,
     scaled_example,
@@ -116,10 +118,41 @@ def test_existence_not_exists():
 
 
 def test_existence_degenerate():
-    v = existence_verdict(charge_report(degenerate_example()))
-    assert v.value is Existence.INCONCLUSIVE
-    assert v.route is Route.DEGENERATE
-    assert v.reason == "degenerate" and v.margin is None
+    # zeta = 0 exactly puts z2 = w z1 with w^3 = 1, a gap of 2 pi/3: the gap
+    # rule decides before degeneracy, with an excess of pi/3
+    rep = charge_report(degenerate_example())
+    v = existence_verdict(rep)
+    assert rep.degenerate
+    assert v.value is Existence.NOT_EXISTS and v.route is Route.GRAPHICAL
+    assert v.reason == "sector_gap"
+    assert v.margin == pytest.approx(math.pi / 3, abs=1e-12)
+    # only a record degenerate in floats with z2 ~ z1 gets past the gap
+    for n in (2, 5):
+        rep = charge_report(float_degenerate_example(n))
+        assert rep.degenerate and degeneracy_check(rep) == 0
+        assert abs(rep.psi2 - rep.psi1) < 1e-11
+        v = existence_verdict(rep)
+        assert v.value is Existence.INCONCLUSIVE
+        assert v.route is Route.DEGENERATE
+        assert v.reason == "degenerate" and v.margin is None
+    # z2 = w z1 with w = e^(2 pi i m / n), 0 < m < n, makes zeta vanish, and
+    # the gap 2 pi min(m, n - m) / n exceeds pi/n by at least pi/n
+    rng = np.random.default_rng(27)
+    checked = 0
+    while checked < 500:
+        n = int(rng.integers(2, 17))
+        m = int(rng.integers(1, n))
+        q = float(rng.uniform(-10.0, 10.0))
+        z2 = cmath.exp(2j * math.pi * m / n) * complex(1.0, q)
+        if not z2.real > 1.0:
+            continue
+        rep = charge_report(Geometry(n, z2.real, z2.imag, q))
+        v = existence_verdict(rep)
+        assert rep.degenerate, rep.g
+        assert v.value is Existence.NOT_EXISTS, rep.g
+        assert v.route is Route.GRAPHICAL and v.reason == "sector_gap"
+        assert v.margin >= math.pi / n - 1e-9, rep.g
+        checked += 1
 
 
 def test_existence_not_exists_when_no_path_lifts():

@@ -297,31 +297,43 @@ def test_figure_determinism(tmp_path):
 # SVG writer were vectorized; the figure bytes must not drift
 PINNED_FIGURES = [
     # the n = 11 portrait of acceptance criterion 9
-    ({"n": 11, "a": 2.0, "p": 1.1, "q": 0.4,
-      "figure": {"window": [-3.0, 3.0, -3.0, 3.0], "samples": 256}},
-     "e934bd03de372cffd58882c7b04746d7b01a330c43b1cc7fa93f43b4ee82a040"),
+    pytest.param(
+        {"n": 11, "a": 2.0, "p": 1.1, "q": 0.4,
+         "figure": {"window": [-3.0, 3.0, -3.0, 3.0], "samples": 256}},
+        "e934bd03de372cffd58882c7b04746d7b01a330c43b1cc7fa93f43b4ee82a040",
+        id="figure-PORTRAIT"),
     # c = 0: the zero rays cross at the origin through saddle cells
-    ({"n": 2, "a": 2.0, "p": 2.0, "q": 1.0,
-      "figure": {"window": [-3.0, 3.0, -3.0, 3.0], "samples": 256}},
-     "d81f2894a8cc1846cf9c4b1e95d4b5b1ba843fcb3a50fb20ba93b4b1b4288898"),
+    pytest.param(
+        {"n": 2, "a": 2.0, "p": 2.0, "q": 1.0,
+         "figure": {"window": [-3.0, 3.0, -3.0, 3.0], "samples": 256}},
+        "d81f2894a8cc1846cf9c4b1e95d4b5b1ba843fcb3a50fb20ba93b4b1b4288898",
+        id="figure-ZERO_LEVEL"),
     # a non-square, off-centre window at the smallest grid
-    ({"n": 11, "a": 2.0, "p": 1.1, "q": 0.4,
-      "figure": {"window": [0.1, 3.0, -3.0, 3.0], "samples": 64}},
-     "635e348d53192f64f0060fc7a722ae2de17dffcc48eb80876c96f655797cbdd4"),
+    pytest.param(
+        {"n": 11, "a": 2.0, "p": 1.1, "q": 0.4,
+         "figure": {"window": [0.1, 3.0, -3.0, 3.0], "samples": 64}},
+        "635e348d53192f64f0060fc7a722ae2de17dffcc48eb80876c96f655797cbdd4",
+        id="figure-OFF_CENTRE"),
     # n = 12 on a fine grid, level set leaving the window on all four sides
-    ({"n": 12, "a": 2.0, "p": 1.1, "q": 0.4,
-      "figure": {"window": [-2.5, 2.5, -2.0, 3.0], "samples": 1024}},
-     "0cd3abe775c73a4d32ceddddcf117914b95d1e81f418c15a5a01694dd254098f"),
+    pytest.param(
+        {"n": 12, "a": 2.0, "p": 1.1, "q": 0.4,
+         "figure": {"window": [-2.5, 2.5, -2.0, 3.0], "samples": 1024}},
+        "0cd3abe775c73a4d32ceddddcf117914b95d1e81f418c15a5a01694dd254098f",
+        id="figure-FINE_GRID"),
     # c = 0 with 1,025 grid nodes exactly on the zero level: the bytes
     # depend on the value of the zero nudge
-    ({"n": 12, "a": 2.0, "p": 0.0, "q": 0.0,
-      "figure": {"window": [-3.0, 3.0, -3.0, 3.0], "samples": 256}},
-     "6cfdc0509cfca27441b536541c4fc9f13fc3dd4ccc3e8fa35818fd53919faff5"),
+    pytest.param(
+        {"n": 12, "a": 2.0, "p": 0.0, "q": 0.0,
+         "figure": {"window": [-3.0, 3.0, -3.0, 3.0], "samples": 256}},
+        "6cfdc0509cfca27441b536541c4fc9f13fc3dd4ccc3e8fa35818fd53919faff5",
+        id="figure-ZERO_CLASS"),
     # 64 px per unit puts both endpoints on exact ties of "%.3f": the
     # circles print cy="319.938" (319.9375) and cx="448.062" (448.0625)
-    ({"n": 3, "a": 2.0009765625, "p": 0.0009765625, "q": 0.0009765625,
-      "figure": {"window": [-5, 5, -5, 5], "samples": 64}},
-     "97bd6078662b79b061daa186dc10da3a3e9872f20405b6d9f3c210d63c27ef53"),
+    pytest.param(
+        {"n": 3, "a": 2.0009765625, "p": 0.0009765625, "q": 0.0009765625,
+         "figure": {"window": [-5, 5, -5, 5], "samples": 64}},
+        "97bd6078662b79b061daa186dc10da3a3e9872f20405b6d9f3c210d63c27ef53",
+        id="figure-PIXEL_TIES"),
 ]
 
 
@@ -380,7 +392,15 @@ PINNED_OUTPUTS = [
 ]
 
 
-@pytest.mark.parametrize("command,doc,code,digest", PINNED_OUTPUTS)
+# a pinned case's id is its command and instance name, so a re-pin keeps it
+_PINNED_NAMES = {tuple(doc[k] for k in "napq"): name for name, doc in (
+    ("STABLE", STABLE), ("STEEP", STEEP), ("LIFT_UNDEFINED", LIFT_UNDEFINED),
+    ("ORIGIN_HIT", ORIGIN_HIT), ("DEGENERATE", DEGENERATE))}
+
+
+@pytest.mark.parametrize("command,doc,code,digest", PINNED_OUTPUTS, ids=[
+    f"{command}-{_PINNED_NAMES[tuple(doc[k] for k in 'napq')]}"
+    for command, doc, _, _ in PINNED_OUTPUTS])
 def test_outputs_pinned(command, doc, code, digest, tmp_path, monkeypatch,
                         capsys):
     monkeypatch.chdir(tmp_path)  # solve writes solution.csv here

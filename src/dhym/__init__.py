@@ -9,7 +9,7 @@ from .levelcurve import (SolutionCurve, TraceError, graphical_existence,
                          verify_solution)
 from .lifting import (LiftedAngle, LiftUndefined, OriginHit, cxy_path_lift,
                       sector_lift)
-from .rays import SectorVerdict, Sign, ray_set, rays_between, sector_of
+from .rays import SectorVerdict, Sign, ray_set, sector_of
 from .stability import (Existence, ExistenceVerdict, Overall, StabilityReport,
                         divisor_angle_bounds, existence_verdict,
                         stability_verdict, supercritical_check)

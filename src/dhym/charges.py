@@ -32,10 +32,7 @@ def principal_angle(theta: float) -> float:
 
 def cpow(z: complex, k: int) -> complex:
     """z**k through polar form; avoids cancellation in repeated products."""
-    r = abs(z)
-    if r == 0.0:
-        return complex(0.0)
-    return (r ** k) * cmath.exp(1j * k * cmath.phase(z))
+    return (abs(z) ** k) * cmath.exp(1j * k * cmath.phase(z))
 
 
 # i**(-k) for k mod 4

@@ -5,10 +5,10 @@ sort_keys=True) prints them.  Their layout is derived from json.dumps once,
 at import (_layout), and each op fills it with one % per block; _json
 writes the scalars.
 
-Exit codes: 0 a solution exists, 1 no solution, 2 inconclusive (degenerate
-only with a gap below pi/n) or a figure of a degenerate record, 3 anomaly (a
-yes-verdict whose trace fails or does not verify, or overflow), 64 usage or
-configuration error.
+Exit codes: 0 a solution exists, 1 no solution, 2 inconclusive (a margin
+in the deadband, or a record degenerate in floats with a gap below pi/n)
+or a figure of a degenerate record, 3 anomaly (a yes-verdict whose trace
+fails or does not verify, or overflow), 64 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ _EXIT_FOR = {Existence.EXISTS: EXIT_EXISTS, Existence.NOT_EXISTS: EXIT_NOT_EXIST
 
 # rows of the solve and sweep CSVs, every float at full precision
 _SOLVE_ROW = ",".join(["%.17g"] * 5) + "\n"
-_SWEEP_ROW = "%.17g,%.17g,%s,%s,%s,%s,%.17g,%.17g,%.17g"
+_SWEEP_ROW = "%.17g,%.17g,%s,%s,%s,%.17g,%.17g,%.17g"
 
 
 # The leaves of a _layout skeleton: a value slot prints %s and takes JSON
@@ -73,16 +73,16 @@ _CHARGE, _CHARGE_DEGENERATE = [_layout({"charge": {
     for degenerate_m in ({}, {"degenerate_m": _VALUE})]
 _CHARGE_ROW = _layout({_TOKEN: [_VALUE, _VALUE]}, depth=3)
 _EXISTENCE = _layout({"existence": {
-    "divisor": _VALUE, "divisor_margin": _VALUE, "margin": _VALUE,
-    "reason": _TOKEN, "route": _TOKEN, "value": _TOKEN}})
+    "margin": _VALUE, "reason": _TOKEN, "value": _TOKEN}})
 _GEOMETRY = _layout({"geometry": dict.fromkeys("anpq", _VALUE)})
 _LIFT = _layout({"lift": {
-    "defined": True, "lifted": _VALUE, "margin": _VALUE, "method": _TOKEN,
+    "defined": True, "divisor": _TOKEN, "divisor_margin": _VALUE,
+    "lifted": _VALUE, "margin": _VALUE, "method": _TOKEN,
     "supercritical": _VALUE, "winding": _VALUE}})
 _LIFT_UNDEFINED = _layout({"lift": {
     "defined": False, "detail": _VALUE, "reason": _TOKEN}})
 _SAME_COMPONENT = _layout({"same_component": {
-    "rays_between": _VALUE, "same_ray": _VALUE, "status": _TOKEN}})
+    "same_ray": _VALUE, "status": _TOKEN}})
 _STABILITY = _layout({"stability": {"overall": _TOKEN,
                                     "per_k": {_ROWS: None}}})
 _PER_K_ROW = _layout({_TOKEN: {
@@ -112,7 +112,7 @@ def analysis_report(rep: ChargeReport, verdict: ExistenceVerdict) -> str:
     g = rep.g
     charges = ",\n".join([_CHARGE_ROW % (key, z.real, z.imag) for key, z
                           in sorted(central_charges(rep).items())])
-    degenerate_m, divisor_margin, divisor, certificates = (), None, None, []
+    degenerate_m, certificates = (), []
     if rep.degenerate:
         degenerate_m = (_json(degeneracy_check(rep)),)
     else:
@@ -120,11 +120,12 @@ def analysis_report(rep: ChargeReport, verdict: ExistenceVerdict) -> str:
         stab, lift = stability_verdict(rep), sector_lift(rep)
         cxy = cxy_path_lift(rep)
         if isinstance(lift, LiftedAngle):
-            lift_block = _LIFT % (_json(lift.lifted), _json(lift.margin),
+            divisor_margin, divisor = divisor_angle_bounds(rep, lift)
+            lift_block = _LIFT % (divisor, _json(divisor_margin),
+                                  _json(lift.lifted), _json(lift.margin),
                                   lift.method,
                                   _json(supercritical_check(lift, g.n)),
                                   _json(lift.winding))
-            divisor_margin, divisor = divisor_angle_bounds(rep, lift)
         else:
             lift_block = _LIFT_UNDEFINED % (_json(lift.detail), lift.reason)
         sc = same_component(rep)
@@ -137,8 +138,7 @@ def analysis_report(rep: ChargeReport, verdict: ExistenceVerdict) -> str:
                                  for k, pk in stab.per_k.items()])])
         certificates = [
             lift_block,
-            _SAME_COMPONENT % (_json(sc.rays_between), _json(sc.same_ray),
-                               sc.status),
+            _SAME_COMPONENT % (_json(sc.same_ray), sc.status),
             _STABILITY % (stab.overall.value, per_k),
             _ORIGIN_HIT % _json(cxy.t_star) if isinstance(cxy, OriginHit)
             else _VOLUME_PATH % (_json(cxy.lifted), _json(cxy.winding))]
@@ -146,9 +146,8 @@ def analysis_report(rep: ChargeReport, verdict: ExistenceVerdict) -> str:
         (_CHARGE_DEGENERATE if rep.degenerate else _CHARGE) % (
             charges, _json(rep.degenerate), *degenerate_m, _json(rep.r_x),
             _json(rep.theta_hat), _json(rep.zeta.real), _json(rep.zeta.imag)),
-        _EXISTENCE % (_json(divisor), _json(divisor_margin),
-                      _json(verdict.margin), verdict.reason,
-                      verdict.route.value, verdict.value.value),
+        _EXISTENCE % (_json(verdict.margin), verdict.reason,
+                      verdict.value.value),
         _GEOMETRY % (_json(g.a), _json(g.n), _json(g.p), _json(g.q)),
         *certificates])
 
@@ -394,8 +393,7 @@ def run_solve(cfg: RunConfig, out_path: str | None, stdout, stderr) -> int:
     verdict, curve, check = _solution(rep)
     if curve is None:
         stderr.write(f"no solve attempted: existence is "
-                     f"{verdict.value.value} via {verdict.route.value} "
-                     f"({verdict.reason})\n")
+                     f"{verdict.value.value} ({verdict.reason})\n")
         return _EXIT_FOR[verdict.value]
     target = out_path or "solution.csv"
     _write_out(_solve_rows(curve, check), target, stdout)
@@ -414,7 +412,7 @@ def run_sweep(cfg: RunConfig, out_path: str | None, stdout) -> int:
     sw, g0 = cfg.sweep, cfg.geometry
     ps = _linspace(*sw.p_range, sw.p_count)
     qs = _linspace(*sw.q_range, sw.q_count)
-    lines = ["p,q,stability,existence,route,lift_defined,"
+    lines = ["p,q,stability,existence,lift_defined,"
              "stability_margin,lift_margin,divisor_margin"]
     for p in ps:
         for q in qs:
@@ -441,7 +439,7 @@ def _sweep_row(g: Geometry) -> str:
     verdict = existence_verdict(rep)
     if rep.degenerate:
         return _SWEEP_ROW % (g.p, g.q, "degenerate", verdict.value.value,
-                             verdict.route.value, "false", nan, nan, nan)
+                             "false", nan, nan, nan)
     stab, lift = stability_verdict(rep), sector_lift(rep)
     stab_margin = min(min(pk.sign_h.margin, pk.sign_e.margin)
                       for pk in stab.per_k.values())
@@ -449,7 +447,7 @@ def _sweep_row(g: Geometry) -> str:
     lift_margin = lift.margin if lift_defined else nan
     div_margin = divisor_angle_bounds(rep, lift)[0] if lift_defined else nan
     return _SWEEP_ROW % (g.p, g.q, stab.overall.value, verdict.value.value,
-                         verdict.route.value, "true" if lift_defined else "false",
+                         "true" if lift_defined else "false",
                          stab_margin, lift_margin, div_margin)
 
 

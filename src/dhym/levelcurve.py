@@ -19,7 +19,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .charges import ChargeReport
-from .rays import Sign, ray_index, rays_between, sector_of
+from .rays import Sign, sector_of
 from .tolerances import (CURVE_SAMPLES, EPS_ANGLE, EPS_ZERO, TOL_ANGLE,
                          TOL_ENDPOINT, TOL_LEVEL)
 
@@ -39,19 +39,13 @@ _NEWTON_STEPS = 16
 
 class SameComponentResult(NamedTuple):
     status: str  # "same" | "different" | "on_zero_level"
-    rays_between: int = 0  # a deadband count, as rays.rays_between
-    same_ray: bool | None = None
+    same_ray: bool | None = None  # on the zero level only
 
 
 class Existence(Enum):
     EXISTS = "exists"
     NOT_EXISTS = "not_exists"
     INCONCLUSIVE = "inconclusive"
-
-
-class Route(Enum):
-    GRAPHICAL = "graphical"
-    DEGENERATE = "degenerate"
 
 
 # why a verdict is not EXISTS, one token each; the reason is "" exactly
@@ -61,7 +55,6 @@ REASONS = ("sector_gap", "divisor_bound_fails", "deadband", "degenerate")
 
 class ExistenceVerdict(NamedTuple):
     value: Existence
-    route: Route
     reason: str  # "" or one of REASONS
     margin: float | None  # radians, as graphical_existence; None if degenerate
 
@@ -106,21 +99,18 @@ def _on_zero_level(rep: ChargeReport) -> bool:
 
 def same_component(rep: ChargeReport) -> SameComponentResult:
     """Do the two endpoints sit on the same component of the level set?
-    analyze prints the answer; no verdict reads it.  For c = 0 the level set
-    is n rays; the endpoints match iff they sit on the same ray.  Otherwise
-    components occupy alternating sectors, so the endpoints agree iff no
-    top-level ray lies strictly between them."""
-    n, th = rep.g.n, rep.angle()
+    analyze prints the answer; no verdict reads it.  It is the top-fan rule
+    of existence_verdict, with gap = |psi2 - psi1|: for c != 0 an even
+    number of level-n rays lies between the ends, so they share a component
+    exactly when gap < pi/n.  For c = 0 the level set is the n rays, and
+    the ends share one when gap <= EPS_ANGLE.  A degenerate record raises
+    DegenerateGeometryError."""
+    rep.angle()  # raises DegenerateGeometryError
+    gap = abs(rep.psi2 - rep.psi1)
     if _on_zero_level(rep):
-        on_rays = all(sector_of(psi, n, th, n).value is Sign.ON_RAY
-                      for psi in (rep.psi1, rep.psi2))
-        same_ray = (on_rays and ray_index(rep.psi1, n, th, n)
-                    == ray_index(rep.psi2, n, th, n))
-        return SameComponentResult("on_zero_level", same_ray=same_ray)
-    nb = rays_between(rep.psi1, rep.psi2, n, th, n)
-    if nb == 0:
-        return SameComponentResult("same")
-    return SameComponentResult("different", rays_between=nb)
+        return SameComponentResult("on_zero_level", same_ray=gap <= EPS_ANGLE)
+    return SameComponentResult("same" if gap < math.pi / rep.g.n
+                               else "different")
 
 
 def graphical_existence(rep: ChargeReport) -> ExistenceVerdict:
@@ -136,11 +126,9 @@ def graphical_existence(rep: ChargeReport) -> ExistenceVerdict:
     n, gap = rep.g.n, abs(rep.psi2 - rep.psi1)
     excess = gap - math.pi / n
     if excess >= EPS_ANGLE:
-        return ExistenceVerdict(Existence.NOT_EXISTS, Route.GRAPHICAL,
-                                "sector_gap", excess)
+        return ExistenceVerdict(Existence.NOT_EXISTS, "sector_gap", excess)
     if rep.degenerate:
-        return ExistenceVerdict(Existence.INCONCLUSIVE, Route.DEGENERATE,
-                                "degenerate", None)
+        return ExistenceVerdict(Existence.INCONCLUSIVE, "degenerate", None)
     s1 = sector_of(rep.psi1, n - 1, rep.theta_hat, n)
     s2 = sector_of(rep.psi2, n - 1, rep.theta_hat, n)
     margin = min(abs(excess), s1.margin, s2.margin)
@@ -152,7 +140,7 @@ def graphical_existence(rep: ChargeReport) -> ExistenceVerdict:
         value, reason = Existence.INCONCLUSIVE, "deadband"
     else:
         value, reason = Existence.EXISTS, ""
-    return ExistenceVerdict(value, Route.GRAPHICAL, reason, margin)
+    return ExistenceVerdict(value, reason, margin)
 
 
 def _level_terms(x: np.ndarray, y: np.ndarray, rep: ChargeReport):

@@ -4,8 +4,8 @@ For a level k the ray set collects the angles phi in [-pi/2, pi/2) with
 sin((n-k)*pi/2 - theta_hat + k*phi) = 0; these are the directions where
 Im(i^(n-k) e^(-i theta_hat) z^k) changes sign.  Adjacent rays bound
 alternating positive/negative sectors, and consecutive levels interleave.
-The verdict reads signs, and analyze's same_component block ray counts and
-labels, off that fan angle in closed form; only the figure lists the rays.
+The verdict and the stability certificate read signs off that fan angle
+in closed form; only the figure lists the rays.
 """
 
 from __future__ import annotations
@@ -69,24 +69,3 @@ def sector_of(arg_z: float, k: int, theta_hat: float, n: int) -> SectorVerdict:
         return SectorVerdict(Sign.ON_RAY, margin)
     return SectorVerdict(Sign.POSITIVE if math.sin(psi) > 0 else Sign.NEGATIVE,
                          margin)
-
-
-def rays_between(arg1: float, arg2: float, k: int, theta_hat: float,
-                 n: int) -> int:
-    """Number of rays of the level strictly between two arguments, each
-    moved EPS_ANGLE inward: the integers strictly between the fan angles
-    over pi at the two moved ends.  It is a deadband count: a ray within
-    EPS_ANGLE of either argument is not counted, so it can fall short of
-    the exact count by one at each end."""
-    lo = min(arg1, arg2) + EPS_ANGLE
-    hi = max(arg1, arg2) - EPS_ANGLE
-    if lo >= hi:
-        return 0
-    return (math.ceil(_fan_angle(hi, k, theta_hat, n) / math.pi)
-            - math.floor(_fan_angle(lo, k, theta_hat, n) / math.pi) - 1)
-
-
-def ray_index(arg_z: float, k: int, theta_hat: float, n: int) -> int:
-    """Label of the ray of the level nearest arg(z): the nearest integer
-    to the fan angle over pi."""
-    return round(_fan_angle(arg_z, k, theta_hat, n) / math.pi)

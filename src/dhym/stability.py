@@ -17,8 +17,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .charges import ChargeReport
-from .levelcurve import (Existence, ExistenceVerdict, Route,
-                         graphical_existence)
+from .levelcurve import Existence, ExistenceVerdict, graphical_existence
 from .lifting import LiftedAngle
 from .rays import SectorVerdict, Sign, sector_of
 

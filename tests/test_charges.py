@@ -51,6 +51,9 @@ def test_cpow_matches_builtin():
         k = int(rng.integers(1, 16))
         ref = z ** k
         assert cpow(z, k) == pytest.approx(ref, rel=1e-12)
+    # zero, to the power zero included
+    for k in range(4):
+        assert cpow(0j, k) == 0j ** k, k
 
 
 def test_geometry_validation():

@@ -117,9 +117,9 @@ def test_analyze_exists(tmp_path):
     res = run_cli(["analyze", "--config", path])
     assert res.returncode == 0
     doc = json.loads(res.stdout)
-    assert doc["existence"]["value"] == "exists"
-    assert doc["existence"]["route"] == "graphical"
-    assert doc["existence"]["reason"] == ""
+    assert doc["existence"] == {"margin": doc["existence"]["margin"],
+                                "reason": "", "value": "exists"}
+    assert doc["lift"]["divisor"] in ("H", "E")
     assert doc["stability"]["overall"] == "stable"
     assert doc["charge"]["theta_hat"] == pytest.approx(math.pi / 2)
 
@@ -141,8 +141,9 @@ def test_analyze_lift_undefined(tmp_path):
     assert doc["existence"]["value"] == "not_exists"
     assert doc["existence"]["reason"] == "sector_gap"
     assert doc["existence"]["margin"] == pytest.approx(1.53, abs=0.01)
-    assert doc["existence"]["divisor"] is None
-    assert doc["lift"]["defined"] is False
+    assert set(doc["existence"]) == {"margin", "reason", "value"}
+    assert doc["lift"] == {"defined": False, "detail": doc["lift"]["detail"],
+                           "reason": "sector condition fails"}
     assert doc["same_component"]["status"] == "different"
 
 
@@ -154,7 +155,6 @@ def test_analyze_degenerate_cites_witness(tmp_path):
     assert res.returncode == 1
     doc = json.loads(res.stdout)
     assert doc["existence"]["value"] == "not_exists"
-    assert doc["existence"]["route"] == "graphical"
     assert doc["existence"]["reason"] == "sector_gap"
     assert doc["charge"]["degenerate"] is True
     assert doc["charge"]["degenerate_m"] == 1
@@ -215,15 +215,14 @@ def test_solve_refuses_inconclusive(tmp_path):
     psi = 0.1
     deadband = {"n": 4, "a": 2.0, "p": 2.0 * math.tan(psi + math.pi / 4),
                 "q": math.tan(psi)}
-    for doc, code, reason in ((deadband, 2, "deadband"),
-                              (geometry_doc(scaled_example()), 1,
-                               "sector_gap")):
+    for doc, code, verdict in ((deadband, 2, "inconclusive (deadband)"),
+                               (geometry_doc(scaled_example()), 1,
+                                "not_exists (sector_gap)")):
         out = tmp_path / "no.csv"
         res = run_cli(["solve", "--config", write_config(tmp_path, doc),
                        "--out", str(out)])
         assert res.returncode == code
-        assert res.stderr.startswith("no solve attempted")
-        assert f"via graphical ({reason})" in res.stderr
+        assert res.stderr == f"no solve attempted: existence is {verdict}\n"
         assert res.stdout == "" and not out.exists()
 
 
@@ -356,22 +355,21 @@ EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 
 # sha256 of stdout followed by the solve CSV (if any), recorded before the
 # analysis and the CSV writer were rewritten; the bytes must not drift.  The
-# analyze and sweep digests were recorded when existence became one
-# graphical decision: the route reads "graphical", the existence block
-# holds its margin, the graphical_existence block is gone, and the sector
-# gaps of LIFT_UNDEFINED and ORIGIN_HIT decide not_exists.  The DEGENERATE
-# analyze and sweep-corner digests were re-pinned when the gap rule came
-# before degeneracy: the exactly degenerate record's gap 2 pi/3 decides
-# not_exists via graphical (sector_gap), exit 1
+# sector gaps of LIFT_UNDEFINED and ORIGIN_HIT decide not_exists, and so
+# does the exactly degenerate record's gap 2 pi/3 (sector_gap, exit 1).
+# The analyze and sweep digests were re-pinned when each answer came to be
+# printed once: the existence block holds value, reason and margin, the
+# divisor bound sits in a defined lift, same_component prints no ray count,
+# and the sweep has no route column
 PINNED_OUTPUTS = [
     ("analyze", STABLE, 0,
-     "af3bacaf9902d7b152dccff3d9be9d6e89c9bbffe402725f27c059e7e03cf355"),
+     "7369617b0f82b3cbf8e170db89b8ebd21f479366b9c7a15b62779ef49dc449ef"),
     ("analyze", LIFT_UNDEFINED, 1,
-     "610277df46af3dad20cc479f4b136b5871796b8e8cfaaa4185a7d6ddaddd18fc"),
+     "72642b396c36387c79ed0f8abc144b2af39d9967b5f86bd1050db3a4c77f9485"),
     ("analyze", ORIGIN_HIT, 1,
-     "79b8e8dcd44ff79551762faa7e102a80202282dbfaeb5abb3c059fd22e373447"),
+     "99b2fdacb52a71c65b3199568a85d56b0345bba95e02513c8aa45aea883a3433"),
     ("analyze", DEGENERATE, 1,
-     "8219c0b759892f7d7f71c9316d0f382fdd03b641454c207a1687a526694bac77"),
+     "b801e1f3a0c586390a2683f03496f1dd77fa156098f8ec753083d2020c00841d"),
     ("solve", STABLE, 0,
      "80c51845d5b106c6770b30bf5db485cbf8ce437058eaf59a1a36a0adf5525872"),
     ("solve", STEEP, 0,
@@ -383,12 +381,12 @@ PINNED_OUTPUTS = [
     ("sweep", {**ORIGIN_HIT, "sweep": {
         "p_range": [ORIGIN_HIT["p"], DEGENERATE["p"]], "q_range": [4.0, 2.0],
         "p_count": 3, "q_count": 3}}, 0,
-     "b7e515b7c01c841488808a62a32b799e3f7ed40319ecb57642ecc16804ac722c"),
+     "23fafae08d444a4e5e884df450e18e04c859f11a925e846b3305589be9c788df"),
     # stable, unstable, not_exists and lift-undefined rows
     ("sweep", {**STABLE, "sweep": {
         "p_range": [-2.0, 2.0], "q_range": [-1.0, 3.0],
         "p_count": 4, "q_count": 5}}, 0,
-     "39c3711be009907e60f69a17ef76e76891c8e66065905cff2734e9b89542e68c"),
+     "70dac8e578513368351be95561b9979df431b7e9f22c4da3822bb8dc3c5db027"),
 ]
 
 
@@ -465,8 +463,9 @@ def _reject_constant(token):
 
 
 def test_existence_block_is_typed():
-    # the existence block holds five keys, prints as strict JSON, and gives
-    # a reason from the closed set exactly when the value is not "exists"
+    # the existence block holds three keys, prints as strict JSON, and gives
+    # a reason from the closed set exactly when the value is not "exists";
+    # the divisor bound is printed in a defined lift, and only there
     docs = [doc for command, doc, _, _ in PINNED_OUTPUTS
             if command == "analyze"]
     rng = np.random.default_rng(14)
@@ -478,15 +477,15 @@ def test_existence_block_is_typed():
         text = _analysis_text(charges.Geometry(**doc))
         report = json.loads(text, parse_constant=_reject_constant)
         block = report["existence"]
-        assert set(block) == {"value", "route", "reason", "margin",
-                              "divisor_margin", "divisor"}, doc
+        assert set(block) == {"value", "reason", "margin"}, doc
         assert (block["reason"] == "") == (block["value"] == "exists"), doc
         assert block["reason"] in ("", *levelcurve.REASONS), doc
-        assert (block["margin"] is None) == (block["route"] == "degenerate")
-        lifted = report.get("lift", {}).get("defined", False)
-        assert (block["divisor"] is None) == (not lifted), doc
-        assert (block["divisor_margin"] is None) == (not lifted), doc
-        assert block["divisor"] in (None, "H", "E"), doc
+        assert (block["margin"] is None) == (block["reason"] == "degenerate")
+        lift = report.get("lift", {})
+        lifted = lift.get("defined", False)
+        assert ("divisor" in lift) == ("divisor_margin" in lift) == lifted
+        assert lift.get("divisor") in (None, "H", "E"), doc
+        assert isinstance(lift.get("divisor_margin", 0.0), float), doc
         reasons.add(block["reason"])
     assert {"", "degenerate", "sector_gap",
             "divisor_bound_fails"} <= reasons
@@ -508,8 +507,8 @@ REPORT_VARIANTS = [
     (ZERO_LEVEL_SAME_RAY, "same_component", "same_ray", True),
     (ZERO_LEVEL_TWO_RAYS, "same_component", "same_ray", False),
     (STABLE, "same_component", "same_ray", None),
-    (ZERO_LEVEL_SAME_RAY, "existence", "divisor", "H"),
-    (STABLE, "existence", "divisor", "E"),
+    (ZERO_LEVEL_SAME_RAY, "lift", "divisor", "H"),
+    (STABLE, "lift", "divisor", "E"),
 ]
 
 
@@ -591,10 +590,8 @@ def _layer_report(g) -> dict:
                    "degenerate": rep.degenerate, "r_x": rep.r_x,
                    "theta_hat": rep.theta_hat,
                    "zeta": [rep.zeta.real, rep.zeta.imag]},
-        "existence": {"value": verdict.value.value,
-                      "route": verdict.route.value, "reason": verdict.reason,
-                      "margin": verdict.margin, "divisor": None,
-                      "divisor_margin": None},
+        "existence": {"value": verdict.value.value, "reason": verdict.reason,
+                      "margin": verdict.margin},
         "geometry": g._asdict(),
     }
     if rep.degenerate:
@@ -602,12 +599,12 @@ def _layer_report(g) -> dict:
         return report
     lift = lifting.sector_lift(rep)
     if isinstance(lift, lifting.LiftedAngle):
+        margin, divisor = stability.divisor_angle_bounds(rep, lift)
         report["lift"] = {
             "defined": True, "lifted": lift.lifted, "margin": lift.margin,
             "method": lift.method, "winding": lift.winding,
-            "supercritical": stability.supercritical_check(lift, g.n)}
-        margin, divisor = stability.divisor_angle_bounds(rep, lift)
-        report["existence"].update(divisor=divisor, divisor_margin=margin)
+            "supercritical": stability.supercritical_check(lift, g.n),
+            "divisor": divisor, "divisor_margin": margin}
     else:
         report["lift"] = {"defined": False, "reason": lift.reason,
                           "detail": lift.detail}
@@ -822,19 +819,20 @@ def test_sweep_skips_volume_path(tmp_path, capsys, monkeypatch):
         "p_count": 4, "q_count": 5}})
     assert cli.main(["sweep", "--config", path]) == 0
     rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
-    assert sum(r["lift_defined"] == "false" and r["route"] != "degenerate"
+    assert sum(r["lift_defined"] == "false" and r["stability"] != "degenerate"
                for r in rows) > 0
     assert calls == []
 
 
 def test_solve_skips_volume_path(tmp_path, capsys, monkeypatch):
-    # solve prints only the verdict, its route and its reason, so it never
-    # lifts the volume path, not even where the sector lift is undefined
+    # solve prints only the verdict and its reason, so it never lifts the
+    # volume path, not even where the sector lift is undefined
     calls = _count_calls(monkeypatch, lifting, "cxy_path_lift")
     path = write_config(tmp_path, LIFT_UNDEFINED)
     assert cli.main(["solve", "--config", path,
                      "--out", str(tmp_path / "no.csv")]) == 1
-    assert "via graphical (sector_gap)" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "no solve attempted: existence is not_exists (sector_gap)\n")
     assert calls == []
 
 
@@ -884,8 +882,8 @@ def test_zero_level_vertical_tangent_is_inconclusive(tmp_path, capsys):
     out = tmp_path / "solution.csv"
     assert cli.main(["solve", "--config", path, "--out", str(out)]) == 2
     res = capsys.readouterr()
-    assert res.err == ("no solve attempted: existence is inconclusive via "
-                       "graphical (deadband)\n")
+    assert res.err == ("no solve attempted: existence is inconclusive "
+                       "(deadband)\n")
     assert res.out == "" and not out.exists()
     assert cli.main(["figure", "--config", path]) == 0
     root = ET.fromstring(capsys.readouterr().out)

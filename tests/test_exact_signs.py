@@ -37,7 +37,7 @@ from fractions import Fraction
 import numpy as np
 
 from dhym.charges import Geometry, charge_report
-from dhym.rays import Sign, _fan_angle, ray_index, sector_of
+from dhym.rays import Sign, _fan_angle, sector_of
 
 from conftest import random_geometry
 
@@ -127,7 +127,8 @@ def _on_ray(rng):
         rep = charge_report(Geometry(n, a, p, q))
         if rep.degenerate:
             return None
-        m = ray_index(rep.psi2, k, rep.theta_hat, n)
+        # the label of the ray nearest z2: the fan angle over pi, rounded
+        m = round(_fan_angle(rep.psi2, k, rep.theta_hat, n) / math.pi)
         phi = (m * math.pi - (n - k) * math.pi / 2 + rep.theta_hat) / k
         if abs(phi) >= 1.4:
             return None

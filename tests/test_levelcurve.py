@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from dhym.levelcurve import (
     verify_solution,
 )
 from dhym.rays import ray_set
-from dhym.tolerances import TOL_ENDPOINT, TOL_LEVEL
+from dhym.tolerances import EPS_ANGLE, TOL_ENDPOINT, TOL_LEVEL
 
 from conftest import (
     collinear_geometry,
@@ -131,11 +132,43 @@ def test_same_component_stable_instances(rng):
 
 
 def test_same_component_separated_sectors():
-    # wide argument spread across many sectors of a fine ray fan
+    # wide argument spread across many sectors of a fine ray fan: the gap
+    # 2 is far above pi/12
     g = Geometry(12, 2.0, 2 * math.tan(1.0), math.tan(-1.0))
-    res = same_component(charge_report(g))
-    assert res.status == "different"
-    assert res.rays_between >= 2
+    assert same_component(charge_report(g)) == ("different", None)
+
+
+def test_same_component_is_the_top_fan_rule():
+    # off the zero level the ends share a component exactly when the verdict
+    # is not sector_gap, away from the knife edge gap = pi/n; on it they
+    # share a ray exactly when the gap is within EPS_ANGLE, which is when
+    # z2 was built on the ray of z1 and not on the top ray m pi/n from it
+    rng = np.random.default_rng(28)
+    pool = [(random_geometry(rng, n_hi=40), None) for _ in range(3000)]
+    for _ in range(300):
+        n, m = int(rng.integers(2, 41)), int(rng.integers(0, 3))
+        q = float(rng.uniform(-10.0, 10.0))
+        z2 = (float(rng.uniform(1.5, 5.0)) * cmath.exp(1j * m * math.pi / n)
+              * complex(1.0, q))
+        if z2.real > 1.0:
+            pool.append((Geometry(n, z2.real, z2.imag, q), m))
+    seen = set()
+    for g, m in pool:
+        rep = charge_report(g)
+        res = same_component(rep)
+        gap = abs(rep.psi2 - rep.psi1)
+        if res.status == "on_zero_level":
+            assert res.same_ray == (gap <= EPS_ANGLE), g
+            if m is not None:
+                assert res.same_ray == (m == 0), g
+        else:
+            assert m is None and res.same_ray is None, g
+            if abs(gap - math.pi / g.n) > EPS_ANGLE:
+                sector_gap = graphical_existence(rep).reason == "sector_gap"
+                assert (res.status == "different") == sector_gap, g
+        seen.add(res)
+    assert seen == {("same", None), ("different", None),
+                    ("on_zero_level", True), ("on_zero_level", False)}
 
 
 def test_graphical_existence_stable(rng):

@@ -3,13 +3,7 @@ import math
 
 import pytest
 
-from dhym.rays import (
-    Sign,
-    ray_index,
-    ray_set,
-    rays_between,
-    sector_of,
-)
+from dhym.rays import Sign, ray_set, sector_of
 from dhym.tolerances import EPS_ANGLE
 
 from conftest import check_alternation
@@ -116,62 +110,3 @@ def test_sector_sign_matches_direct_evaluation(rng):
             n, k, th, arg)
     assert checked > 1900
 
-
-def test_rays_between():
-    assert rays_between(math.pi / 4, math.pi / 4, 2, math.pi / 2, 2) == 0
-    assert rays_between(math.pi / 3, -math.pi / 3, 2, math.pi / 2, 2) == 2
-    assert rays_between(0.3, 0.1, 1, math.pi / 2, 2) == 0
-    # endpoint within eps_angle of a ray is not counted
-    assert rays_between(math.pi / 4 + 1e-10, 0.0, 2, math.pi / 2, 2) == 0
-
-
-def _ulps(x: float, steps: int) -> float:
-    toward = math.inf if steps > 0 else -math.inf
-    for _ in range(abs(steps)):
-        x = math.nextafter(x, toward)
-    return x
-
-
-def test_rays_between_matches_ray_set(rng):
-    # reference: the listed rays strictly inside the interval shrunk by
-    # eps_angle at both ends; endpoints sit on rays, a few ulp off them,
-    # or anywhere in the right half plane
-    eps = EPS_ANGLE
-    for _ in range(1500):
-        n = int(rng.integers(2, 65))
-        th = float(rng.uniform(-math.pi, math.pi))
-        for k in (n, n - 1, int(rng.integers(1, n + 1))):
-            angles = ray_set(k, th, n)
-            ends = []
-            for _ in range(2):
-                if rng.uniform() < 0.7:
-                    phi = angles[int(rng.integers(0, k))]
-                    ends.append(_ulps(phi, int(rng.integers(-4, 5))))
-                else:
-                    ends.append(float(rng.uniform(-math.pi / 2, math.pi / 2)))
-            if not all(-math.pi / 2 < e < math.pi / 2 for e in ends):
-                continue
-            lo, hi = min(ends), max(ends)
-            ref = sum(1 for phi in angles if lo + eps < phi < hi - eps)
-            assert rays_between(*ends, k, th, n) == ref, (ends, k, th, n)
-
-
-def test_ray_index(rng):
-    # the two rays of ray_set(2, pi/2, 2) at pi/4 and -pi/4
-    assert ray_index(math.pi / 4 + 0.01, 2, math.pi / 2, 2) == ray_index(
-        math.pi / 4 - 0.01, 2, math.pi / 2, 2)
-    assert ray_index(math.pi / 4 + 0.01, 2, math.pi / 2, 2) != ray_index(
-        -math.pi / 4 + 0.01, 2, math.pi / 2, 2)
-    # every ray of a fan gets its own label, shared by arguments near it
-    for _ in range(200):
-        n = int(rng.integers(2, 65))
-        k = int(rng.integers(1, n + 1))
-        th = float(rng.uniform(-math.pi, math.pi))
-        angles = ray_set(k, th, n)
-        labels = [ray_index(phi, k, th, n) for phi in angles]
-        assert len(set(labels)) == k
-        half = math.pi / (4 * k)
-        for phi, label in zip(angles, labels):
-            for off in (-half, half):
-                if -math.pi / 2 < phi + off < math.pi / 2:
-                    assert ray_index(phi + off, k, th, n) == label

@@ -7,12 +7,11 @@ import pytest
 from dhym.charges import Geometry, charge_report, degeneracy_check
 from dhym.levelcurve import same_component
 from dhym.lifting import LiftedAngle, LiftUndefined, sector_lift
-from dhym.rays import Sign, rays_between
+from dhym.rays import Sign, _fan_angle
 from dhym.stability import (
     Existence,
     KVerdict,
     Overall,
-    Route,
     divisor_angle_bounds,
     existence_verdict,
     stability_verdict,
@@ -47,7 +46,6 @@ def test_stability_verdict_boundary_example():
     assert rep.per_k[1].verdict is KVerdict.INCONCLUSIVE
     v = existence_verdict(charge_report(Geometry(3, 2.0, 0.0, 0.0)))
     assert v.value is Existence.EXISTS
-    assert v.route is Route.GRAPHICAL
 
 
 def test_collinear_classes_are_stable(rng):
@@ -113,7 +111,6 @@ def test_existence_exists_both_routes():
 def test_existence_not_exists():
     v = existence_verdict(charge_report(Geometry(2, 2.0, -3.0, 0.0)))
     assert v.value is Existence.NOT_EXISTS
-    assert v.route is Route.GRAPHICAL
     assert v.reason == "divisor_bound_fails" and v.margin > EPS_ANGLE
 
 
@@ -123,8 +120,7 @@ def test_existence_degenerate():
     rep = charge_report(degenerate_example())
     v = existence_verdict(rep)
     assert rep.degenerate
-    assert v.value is Existence.NOT_EXISTS and v.route is Route.GRAPHICAL
-    assert v.reason == "sector_gap"
+    assert v.value is Existence.NOT_EXISTS and v.reason == "sector_gap"
     assert v.margin == pytest.approx(math.pi / 3, abs=1e-12)
     # only a record degenerate in floats with z2 ~ z1 gets past the gap
     for n in (2, 5):
@@ -133,7 +129,6 @@ def test_existence_degenerate():
         assert abs(rep.psi2 - rep.psi1) < 1e-11
         v = existence_verdict(rep)
         assert v.value is Existence.INCONCLUSIVE
-        assert v.route is Route.DEGENERATE
         assert v.reason == "degenerate" and v.margin is None
     # z2 = w z1 with w = e^(2 pi i m / n), 0 < m < n, makes zeta vanish, and
     # the gap 2 pi min(m, n - m) / n exceeds pi/n by at least pi/n
@@ -150,7 +145,7 @@ def test_existence_degenerate():
         v = existence_verdict(rep)
         assert rep.degenerate, rep.g
         assert v.value is Existence.NOT_EXISTS, rep.g
-        assert v.route is Route.GRAPHICAL and v.reason == "sector_gap"
+        assert v.reason == "sector_gap"
         assert v.margin >= math.pi / n - 1e-9, rep.g
         checked += 1
 
@@ -160,12 +155,11 @@ def test_existence_not_exists_when_no_path_lifts():
     # pi/3 by 1.53: two top-fan rays lie between the endpoints
     rep = charge_report(scaled_example())
     v = existence_verdict(rep)
-    assert v.value is Existence.NOT_EXISTS and v.route is Route.GRAPHICAL
-    assert v.reason == "sector_gap"
+    assert v.value is Existence.NOT_EXISTS and v.reason == "sector_gap"
     assert v.margin == abs(rep.psi2 - rep.psi1) - math.pi / 3
     assert v.margin == pytest.approx(1.53, abs=0.01)
     assert isinstance(sector_lift(rep), LiftUndefined)
-    assert same_component(rep) == ("different", 2, None)
+    assert same_component(rep) == ("different", None)
 
 
 def test_stable_implies_exists(rng):
@@ -232,8 +226,10 @@ def test_gap_deadband(steps, decided):
         else:
             # the endpoints sit near the two top-fan rays that bound their
             # sector, so the one level-(n-1) ray inside it (the fans
-            # interleave) lies between them
-            assert rays_between(rep.psi1, rep.psi2, n - 1, rep.theta_hat,
-                                n) == 1
+            # interleave) lies between them: one multiple of pi strictly
+            # between the level-(n-1) fan angles of the ends
+            lo, hi = (_fan_angle(psi, n - 1, rep.theta_hat, n) / math.pi
+                      for psi in (rep.psi1, rep.psi2))
+            assert math.ceil(hi) - math.floor(lo) - 1 == 1
             assert v.value is Existence.NOT_EXISTS, rep.g
             assert v.reason == "divisor_bound_fails" and v.margin > EPS_ANGLE

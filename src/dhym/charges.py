@@ -10,6 +10,7 @@ intersection ring is hard-coded (E^n integrates to (-1)^(n-1)).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from typing import NamedTuple
 
@@ -121,17 +122,26 @@ def central_charges(rep: ChargeReport) -> dict[str, complex]:
     """Central charge of every cycle class, keyed "X" for the full space and
     "H:dimk" / "E:dimk" for the k-dimensional cycles H^(n-k) and the
     effective (-1)^(n-k-1) E^(n-k): -i^(-n) zeta for X, -i^(-k) z2^k and
-    -i^(-k) z1^k for the others."""
+    -i^(-k) z1^k for the others.  The keys come in string order, the order
+    of dhym analyze ("E:dim10" before "E:dim2", "X" last)."""
     g = rep.g
-    out = {"X": -_INV_I[g.n % 4] * rep.zeta}
     # z**k as cpow forms it, with |z| and arg z taken once; a > 1, so
     # neither endpoint is 0
     r1, r2 = abs(g.z1), abs(g.z2)
-    for k in range(1, g.n):
-        i_k = -_INV_I[k % 4]
-        out[f"H:dim{k}"] = i_k * (r2 ** k * cmath.exp(1j * k * rep.psi2))
-        out[f"E:dim{k}"] = i_k * (r1 ** k * cmath.exp(1j * k * rep.psi1))
+    keys = _charge_keys(g.n)
+    out = {e_key: i_k * (r1 ** k * cmath.exp(1j * k * rep.psi1))
+           for k, i_k, e_key, _ in keys}
+    out.update({h_key: i_k * (r2 ** k * cmath.exp(1j * k * rep.psi2))
+                for k, i_k, _, h_key in keys})
+    out["X"] = -_INV_I[g.n % 4] * rep.zeta
     return out
+
+
+@functools.lru_cache(maxsize=16)
+def _charge_keys(n: int) -> tuple:
+    """(k, -i^(-k), "E:dimk", "H:dimk") for k in 1..n-1, in string order."""
+    return tuple(sorted([(k, -_INV_I[k % 4], f"E:dim{k}", f"H:dim{k}")
+                         for k in range(1, n)], key=lambda row: row[2]))
 
 
 def degeneracy_check(rep: ChargeReport) -> int | None:

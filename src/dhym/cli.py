@@ -5,6 +5,9 @@ sort_keys=True) prints them.  Their layout is derived from json.dumps once,
 at import (_layout), and each op fills it with one % per block; _json
 writes the scalars.
 
+main reads <command> --config X [--out Y] itself; argparse, imported on
+first need, reads any other argv and prints help and usage errors.
+
 Exit codes: 0 a solution exists, 1 no solution, 2 inconclusive (a margin
 in the deadband, or a record degenerate in floats with a gap below pi/n)
 or a figure of a degenerate record, 3 anomaly (a yes-verdict whose trace
@@ -13,7 +16,6 @@ fails or does not verify, or overflow), 64 usage or configuration error.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import math
@@ -110,8 +112,8 @@ def analysis_report(rep: ChargeReport, verdict: ExistenceVerdict) -> str:
     components.
     """
     g = rep.g
-    charges = ",\n".join([_CHARGE_ROW % (key, z.real, z.imag) for key, z
-                          in sorted(central_charges(rep).items())])
+    charges = ",\n".join([_CHARGE_ROW % (key, z.real, z.imag)
+                          for key, z in central_charges(rep).items()])
     degenerate_m, certificates = (), []
     if rep.degenerate:
         degenerate_m = (_json(degeneracy_check(rep)),)
@@ -129,13 +131,12 @@ def analysis_report(rep: ChargeReport, verdict: ExistenceVerdict) -> str:
         else:
             lift_block = _LIFT_UNDEFINED % (_json(lift.detail), lift.reason)
         sc = same_component(rep)
-        # the keys of per_k sort as strings: "10" before "2"
+        # _value_ skips the enum value property, as costly as a float's repr
         per_k = ",\n".join([
             _PER_K_ROW % (k, pk.sign_e.margin, pk.sign_h.margin,
-                          pk.sign_e.value.value, pk.sign_h.value.value,
-                          pk.verdict.value)
-            for k, pk in sorted([(str(k), pk)
-                                 for k, pk in stab.per_k.items()])])
+                          pk.sign_e.value._value_, pk.sign_h.value._value_,
+                          pk.verdict._value_)
+            for k in _per_k_order(g.n) for pk in (stab.per_k[k],)])
         certificates = [
             lift_block,
             _SAME_COMPONENT % (_json(sc.same_ray), sc.status),
@@ -150,6 +151,12 @@ def analysis_report(rep: ChargeReport, verdict: ExistenceVerdict) -> str:
                       verdict.value.value),
         _GEOMETRY % (_json(g.a), _json(g.n), _json(g.p), _json(g.q)),
         *certificates])
+
+
+@functools.lru_cache(maxsize=16)
+def _per_k_order(n: int) -> tuple:
+    """1..n-1 sorted as json.dumps sorts the per_k keys: "10" before "2"."""
+    return tuple(sorted(range(1, n), key=str))
 
 
 def _json(o) -> str:
@@ -469,27 +476,42 @@ def _read_config(path: str) -> RunConfig:
         return load_config(fh.read())
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reports usage errors with EXIT_USAGE; argparse's own 2 would read as
-    an inconclusive verdict."""
+_COMMANDS = {"analyze": "all verdicts for one instance (JSON)",
+             "solve": "trace the solution curve (CSV + JSON)",
+             "sweep": "stability map over a (p, q) grid (CSV)",
+             "figure": "level-set figure (SVG)"}
 
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+def _args(argv: list) -> tuple:
+    """(command, config, out) as argparse reads argv; the documented form,
+    each value "-" or not starting with "-", is read here without it."""
+    if (len(argv) in (3, 5) and argv[0] in _COMMANDS
+            and argv[1] == "--config" and argv[3:4] in ([], ["--out"])
+            and all(type(v) is str and (v == "-" or v[:1] != "-")
+                    for v in argv[2::2])):
+        return argv[0], argv[2], argv[4] if len(argv) == 5 else None
+    ns = _parser().parse_args(argv)
+    return ns.command, ns.config, ns.out
 
 
 @functools.cache
-def _parser() -> _Parser:
-    """Built once per process: building costs far more than a parse."""
+def _parser():
+    """Built once per process, and only for an argv outside the documented
+    form: importing argparse and building it cost more than a call's work."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        # a usage error exits EXIT_USAGE: argparse's 2 reads as inconclusive
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
     parser = _Parser(
         prog="dhym",
         description="Existence tests and level-curve solver for the deformed "
                     "Hermitian-Yang-Mills equation on the blowup of P^n.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (("analyze", "all verdicts for one instance (JSON)"),
-                           ("solve", "trace the solution curve (CSV + JSON)"),
-                           ("sweep", "stability map over a (p, q) grid (CSV)"),
-                           ("figure", "level-set figure (SVG)")):
+    for name, helptext in _COMMANDS.items():
         sp = sub.add_parser(name, help=helptext)
         sp.add_argument("--config", required=True,
                         help="path to JSON config, or - for stdin")
@@ -498,16 +520,16 @@ def _parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    command, config, out = _args(sys.argv[1:] if argv is None else list(argv))
     try:
-        cfg = _read_config(args.config)
-        if args.command == "analyze":
-            return run_analyze(cfg, args.out, sys.stdout)
-        if args.command == "solve":
-            return run_solve(cfg, args.out, sys.stdout, sys.stderr)
-        if args.command == "sweep":
-            return run_sweep(cfg, args.out, sys.stdout)
-        return run_figure(cfg, args.out, sys.stdout)
+        cfg = _read_config(config)
+        if command == "analyze":
+            return run_analyze(cfg, out, sys.stdout)
+        if command == "solve":
+            return run_solve(cfg, out, sys.stdout, sys.stderr)
+        if command == "sweep":
+            return run_sweep(cfg, out, sys.stdout)
+        return run_figure(cfg, out, sys.stdout)
     # OSError: a config that cannot be read or an --out that cannot be written
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -89,7 +89,8 @@ def marching_squares(values: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> tupl
     pos = (values > 0).view(np.uint8)
     # case bit k is the sign of local corner k
     case = pos[:-1, :-1] | pos[1:, :-1] << 1 | pos[1:, 1:] << 2 | pos[:-1, 1:] << 3
-    ci, cj = np.nonzero((case != 0) & (case != 15))  # row-major cell order
+    # crossed cells in row-major order; np.nonzero of the 2-D mask is slower
+    ci, cj = np.divmod(np.flatnonzero((case != 0) & (case != 15)), ny - 1)
     center = (values[ci, cj] + values[ci + 1, cj]
               + values[ci + 1, cj + 1] + values[ci, cj + 1])
     segs = _segment_table()[2 * case[ci, cj] + (center > 0)]

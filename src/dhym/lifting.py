@@ -11,6 +11,7 @@ simultaneously (real parts fixed), which works whenever
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from typing import NamedTuple
 
@@ -44,6 +45,13 @@ def _finish_lift(rep: ChargeReport, total: float, margin: float,
                        margin=margin)
 
 
+@functools.lru_cache(maxsize=16)
+def _roots_of_unity(n: int) -> tuple:
+    # exp(2 pi i j / n), as tau j (1/n) rounds in the pinned outputs
+    return tuple([cmath.exp(complex(0.0, math.tau * j * (1.0 / n)))
+                  for j in range(n)])
+
+
 def cxy_path_lift(rep: ChargeReport) -> LiftedAngle | OriginHit:
     """Lift via the straight volume path (a+itp)^n - (1+itq)^n, t in [0,1].
 
@@ -59,10 +67,9 @@ def cxy_path_lift(rep: ChargeReport) -> LiftedAngle | OriginHit:
     The margin of a lift is the smallest slack.
     """
     g = rep.g
-    # tau j (1/n) rounds as the roots of the pinned outputs did
-    inv_n = 1.0 / g.n
-    w = [cmath.exp(complex(0.0, math.tau * j * inv_n)) for j in range(g.n)]
-    subtended = [cmath.phase((g.z2 - wj * g.z1) / (g.a - wj)) for wj in w]
+    w = _roots_of_unity(g.n)
+    z1, z2, a = g.z1, g.z2, g.a
+    subtended = [cmath.phase((z2 - wj * z1) / (a - wj)) for wj in w]
     slack = [math.pi - abs(s) for s in subtended]
     j = min(range(g.n), key=slack.__getitem__)  # the first smallest slack
     if slack[j] <= EPS_ANGLE:

@@ -750,6 +750,77 @@ def test_main_reuses_parser(tmp_path, capsys):
     assert outs == [run_cli(args).stdout for args in (analyze, solve, analyze)]
 
 
+def test_argv_forms_match_argparse(monkeypatch, capsys):
+    # main reads the documented forms itself and hands every other argv to
+    # argparse; either way a call must end as a fresh argparse parse ends:
+    # with the same (command, config, out), or the same exit and text
+    called = []
+    monkeypatch.setattr(cli, "_read_config", lambda path: path)
+    for name in cli._COMMANDS:
+        monkeypatch.setattr(cli, "run_" + name, lambda cfg, out, *streams,
+                            name=name: called.append((name, cfg, out)) or 0)
+    fresh = cli._parser.__wrapped__()  # a parser main has not used
+
+    def by_main(argv):
+        assert cli.main(argv) == 0
+        return called.pop()
+
+    def by_argparse(argv):
+        ns = fresh.parse_args(argv)
+        return ns.command, ns.config, ns.out
+
+    def outcome(parse, argv):
+        try:
+            result = parse(argv)
+        except SystemExit as exc:
+            result = exc.code
+        out, err = capsys.readouterr()
+        if not isinstance(result, tuple):  # help, or a usage error
+            helped = "-h" in (sys.argv[1:] if argv is None else argv)
+            assert (result, "usage:" in (out if result == 0 else err)) == (
+                0 if helped else 64, True), argv
+        return result, out, err
+
+    values = ["x.json", "-", "", "a=b"]  # "-" or not starting with "-"
+    dashed = ["-5", "--x", "-my file", "--"]
+    documented, other = [], [[], ["-h"], ["--config", "x.json"]]
+    for command in cli._COMMANDS:
+        documented += [[command, "--config", v] for v in values]
+        documented += [[command, "--config", v, "--out", w]
+                       for v in values for w in values]
+        other += [[command, "--config", v] for v in dashed]
+        other += [[command, "--config", v, "--out", w]
+                  for v in values[:2] for w in dashed]
+        other += [
+            [command], [command, "-h"], [command, "--config"],
+            [command, "--config", "x.json", "--out"],
+            [command, "--config=x.json"], [command, "--config=-"],
+            [command, "--config", "x.json", "--out=o"],
+            [command, "--out", "o", "--config", "x.json"],
+            [command, "--conf", "x.json"],
+            [command, "--config", "x.json", "--config", "y.json"],
+            [command, "--config", "x.json", "extra"],
+            [command, "--config", "x.json", "--out", "o", "extra"],
+            [command, "--config", "x.json", "--bogus", "o"],
+            [command, "-h", "--config", "x.json"],
+            ["--config", "x.json", command],
+            [command.upper(), "--config", "x.json"],
+            [command[:3], "--config", "x.json"]]
+
+    def parser_calls():
+        return sum(cli._parser.cache_info()[:2])  # hits and misses
+
+    for argv in documented + other:
+        want = outcome(by_argparse, argv)
+        calls = parser_calls()
+        assert outcome(by_main, argv) == want, argv
+        # main itself reads exactly the documented forms
+        assert (parser_calls() == calls) == (argv in documented), argv
+        monkeypatch.setattr(sys, "argv", ["dhym", *argv])
+        assert outcome(by_main, None) == outcome(by_argparse, None), argv
+        assert isinstance(want[0], tuple) or argv not in documented
+
+
 def _count_calls(monkeypatch, module, name) -> list:
     """Record every call of module.name, wherever dhym binds the function."""
     calls = []
@@ -892,12 +963,14 @@ def test_zero_level_vertical_tangent_is_inconclusive(tmp_path, capsys):
 
 # imports dhym, then runs each command of argv[2:] in-process on the
 # config argv[1]; prints, per step, the exit code and which of numpy,
-# dataclasses and inspect (which pulls in ast, dis and tokenize) are loaded
+# dataclasses, inspect (which pulls in ast, dis and tokenize) and argparse
+# are loaded
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
 import dhym, dhym.cli
 def heavy():
-    return [m for m in ("numpy", "dataclasses", "inspect") if m in sys.modules]
+    return [m for m in ("numpy", "dataclasses", "inspect", "argparse")
+            if m in sys.modules]
 steps = [["import", None, heavy()]]
 for command in sys.argv[2:]:
     with contextlib.redirect_stdout(io.StringIO()):
@@ -922,7 +995,8 @@ def test_verdicts_never_import_numpy(tmp_path):
     assert steps[:3] == [["import", None, []], ["analyze", 0, []],
                          ["sweep", 0, []]]
     assert [step[:2] for step in steps[3:]] == [["solve", 0], ["figure", 0]]
-    assert all("numpy" in step[2] for step in steps[3:])
+    assert all("numpy" in step[2] and "argparse" not in step[2]
+               for step in steps[3:])
 
 
 def test_linspace_matches_numpy():

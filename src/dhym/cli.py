@@ -41,7 +41,7 @@ _EXIT_FOR = {Existence.EXISTS: EXIT_EXISTS, Existence.NOT_EXISTS: EXIT_NOT_EXIST
              Existence.INCONCLUSIVE: EXIT_INCONCLUSIVE}
 
 # rows of the solve and sweep CSVs, every float at full precision
-_SOLVE_ROW = ",".join(["%.17g"] * 5) + "\n"
+_SOLVE_ROW = ",".join(["%.16e"] * 5) + "\n"
 _SWEEP_ROW = "%.17g,%.17g,%s,%s,%s,%.17g,%.17g,%.17g"
 
 
@@ -199,33 +199,26 @@ def run_analyze(cfg: RunConfig, out_path: str | None, stdout) -> int:
 # the exponents E = floor(log10 |v|) the array path of _solve_rows prints:
 # within them the Dekker splits of |v| < 1e281 and of 10^(16-E) <= 1e296
 # cannot overflow, and every term of the product stays a normal double
-_G17_EXP = 280
-# offsets into the word table of _g17_tables
-_STRIP, _UNPAD, _ZEROS, _LEAD, _POINT, _SUFFIX = (
-    10000, 20000, 30000, 30004, 30026, 30028)
+_EXP_LIMIT = 280
+# the offset of the leads in the word table of _digit_tables
+_LEAD = 10000
 
 
 @functools.cache
-def _g17_tables():
+def _digit_tables():
     """The tables of _solve_rows' array path, built on its first call.
 
-    ``powers`` has one row per E in [-_G17_EXP, _G17_EXP]: 10^(16-E) as
+    ``powers`` has one row per E in [-_EXP_LIMIT, _EXP_LIMIT]: 10^(16-E) as
     the double-double hi + lo, hi and lo each correctly rounded by Python's
     int division, then hi's Dekker halves.  ``words`` holds 4-byte text
-    groups, NUL where blank: the 4-digit groups zero-padded (offset 0), with
-    their trailing zeros blanked (_STRIP) and with their leading zeros
-    blanked (_UNPAD, all NUL for 0); 0 to 3 zeros (_ZEROS); the sign and then
-    the top integer digit, or "0." (_LEAD, 11 per sign); no point or a point
-    (_POINT); and per E and column the exponent, for the exponent form, and
-    the field's separator, as two words (_SUFFIX).  ``forms`` has one row
-    per E, the same for all E < -4 and for all E > 16: the divisor and
-    multiplier that split the 17 digits into the integer part and the
-    fraction, the lead offset, 1 where a nonzero fraction takes a point, and
-    the word offsets of the four integer groups.
+    groups, NUL where blank: the 4-digit groups zero-padded (offset 0); the
+    sign, the lead digit and the point (_LEAD, 10 per sign); and from
+    _LEAD + 20, four per E, the exponent and a comma, then the exponent and
+    a newline, each as two words.
     """
     import numpy as np
     hi, lo = [], []
-    for e in range(-_G17_EXP, _G17_EXP + 1):
+    for e in range(-_EXP_LIMIT, _EXP_LIMIT + 1):
         num, den = (10 ** (16 - e), 1) if e <= 16 else (1, 10 ** (e - 16))
         h = num / den
         h_num, h_den = h.as_integer_ratio()
@@ -235,34 +228,16 @@ def _g17_tables():
     split = hi * 134217729.0
     hi_hi = split - (split - hi)
     powers = np.column_stack((hi, hi_hi, hi - hi_hi, lo))
-    forms = []
-    for e in range(-5, 18):  # the rows of E < -4 and of E > 16 are alike
-        digits = e + 1 if 0 <= e < 17 else 1  # of the integer part
-        row = [10 ** (17 - digits), 10 ** (digits - 1),
-               _LEAD + 10 * (-5 < e < 0), int(not -5 < e < 0)]
-        # a group of the integer part keeps its leading zeros when a higher
-        # group holds digits; for 0.000ddd the third group holds the zeros
-        row += [0 if digits > 4 * k else _UNPAD for k in (4, 3, 2, 1)]
-        if -5 < e < 0:
-            row[6] = _ZEROS - e - 1
-        forms.append(row)
-    exps = np.arange(-_G17_EXP, _G17_EXP + 1)
-    forms = np.array(forms, dtype=np.int64)[np.clip(exps, -5, 17) + 5]
 
-    g = np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10
-    zero = g == 0
-    pad = (g + 48).astype(np.uint8)
-    strip = pad * ~np.logical_and.accumulate(zero[:, ::-1], axis=1)[:, ::-1]
-    unpad = pad * ~np.logical_and.accumulate(zero, axis=1)
-    suffix = [("" if -5 < e < 17 else f"e{e:+03}") + sep
-              for e in range(-_G17_EXP, _G17_EXP + 1) for sep in ",\n"]
-    small = (["0" * z for z in range(4)]
-             + [sign + top for sign in "\0-" for top in ["", *"123456789", "0."]]
-             + ["", "."] + [s[:4] for s in suffix] + [s[4:] for s in suffix])
-    small = np.frombuffer("".join(s.ljust(4, "\0") for s in small).encode(),
-                          dtype=np.uint8).reshape(-1, 4)
-    words = np.concatenate([pad, strip, unpad, small]).view(np.uint32).ravel()
-    return powers, words, forms
+    groups = np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + 48
+    small = "".join([f"{sign}{top}.".ljust(4, "\0")
+                     for sign in "\0-" for top in range(10)]
+                    + [f"e{e:+03}{sep}".ljust(8, "\0")
+                       for e in range(-_EXP_LIMIT, _EXP_LIMIT + 1)
+                       for sep in ",\n"])
+    words = np.concatenate([groups.astype(np.uint8).ravel(),
+                            np.frombuffer(small.encode(), dtype=np.uint8)])
+    return powers, words.view(np.uint32)
 
 
 def _python_row(values) -> str:
@@ -271,16 +246,18 @@ def _python_row(values) -> str:
 
 def _solve_rows(curve, check) -> str:
     """The solve CSV: a header, then x, f, f_prime, residual and theta at
-    each node, every number as Python's "%.17g" prints it.
+    each node, every number as Python's "%.16e" prints it.  The text is
+    what np.savetxt(rows, fmt="%.16e", delimiter=",", header=..., comments="")
+    writes.
 
     The numbers are printed in one array pass.  For v with E = floor(log10
     |v|), |v| 10^(16-E) is formed as an exact Dekker product with the
-    double-double 10^(16-E) of _g17_tables plus a correction, and rounded to
-    the integer D of 17 digits; the rest of the sum bounds the error of the
-    scaled value.  Each number's text is then NUL-padded 4-byte words: the
-    sign and the integer part, a point, the fraction with its trailing zeros
-    blanked, and the exponent (below 1e-4 or from 1e17 on) with the field's
-    separator; deleting the NULs gives the CSV.
+    double-double 10^(16-E) of _digit_tables plus a correction, and rounded
+    to the integer D of 17 digits; the rest of the sum bounds the error of
+    the scaled value.  Each number's text is then seven NUL-padded 4-byte
+    words: the sign, D's lead digit and the point, the other 16 digits in
+    four groups, and the exponent with the field's separator; deleting the
+    NULs gives the CSV.
 
     A row holding a doubtful number is printed by Python's own formatting,
     so Python decides every case the array path cannot: a scaled value
@@ -289,16 +266,16 @@ def _solve_rows(curve, check) -> str:
     (E one too large), an E outside the tables, zero and non-finite values.
     """
     import numpy as np
-    powers, words, forms = _g17_tables()
+    powers, words = _digit_tables()
     flat = np.column_stack((curve.x, curve.f, curve.f_prime, check.residual,
                             check.theta_pointwise)).ravel()
     n = len(flat)
     a = np.abs(flat)
     with np.errstate(divide="ignore", invalid="ignore"):
         e = np.floor(np.log10(a))
-    ok = np.abs(e) <= _G17_EXP  # False for 0, subnormals, inf and nan
+    ok = np.abs(e) <= _EXP_LIMIT  # False for 0, subnormals, inf and nan
     row = np.where(ok, e, 0.0).astype(np.intp)
-    row += _G17_EXP  # E's row in the tables
+    row += _EXP_LIMIT  # E's row in the tables
     a = np.where(ok, a, 1.0)
     hi, hi_hi, hi_lo, lo = powers.take(row, axis=0).T
     # the scaled value a 10^(16-E) is p + t: p + t_exact is the Dekker
@@ -331,41 +308,24 @@ def _solve_rows(curve, check) -> str:
     doubt |= ~ok
     d[doubt] = 10 ** 16
 
-    per = forms.take(row, axis=0)
-    div, mul, lead, point = per.T[:4]
-    # word rows: the sign and top digit, the integer part's four groups of
-    # four digits, the point, the fraction's four groups, the suffix
-    idx = np.empty((12, n), dtype=np.intp)
-    whole = d // div
-    fraction = (d - whole * div) * mul  # 16 digits, left-aligned
-    top = whole // 10 ** 16
-    whole -= top * 10 ** 16
-    np.multiply(flat < 0, 11, out=idx[0])
+    # word rows: the sign, lead digit and point, four groups of four
+    # digits, and the suffix's two words
+    idx = np.empty((7, n), dtype=np.intp)
+    top = d // 10 ** 16
+    d -= top * 10 ** 16
+    np.multiply(flat < 0, 10, out=idx[0])
     idx[0] += top
-    idx[0] += lead
-    for i, x in ((1, whole), (6, fraction)):
-        high = x // 10 ** 8
-        low = x - high * 10 ** 8  # the fraction's last 8 digits, at the end
-        np.floor_divide(high, 10 ** 4, out=idx[i])
-        np.subtract(high, idx[i] * 10 ** 4, out=idx[i + 1])
-        np.floor_divide(low, 10 ** 4, out=idx[i + 2])
-        np.subtract(low, idx[i + 2] * 10 ** 4, out=idx[i + 3])
-    idx[1:5] += per[:, 4:].T
-    np.not_equal(fraction, 0, out=idx[5])
-    idx[5] *= point
-    idx[5] += _POINT
-    # a fraction group loses its trailing zeros when no later group holds
-    # a digit
-    idx[9] += _STRIP
-    idx[8] += _STRIP * (idx[9] == _STRIP)
-    tail = low == 0
-    idx[7] += _STRIP * tail
-    tail &= idx[7] == _STRIP
-    idx[6] += _STRIP * tail
-    np.multiply(row, 2, out=idx[10])
-    idx[10] += _SUFFIX
-    idx[10].reshape(-1, 5)[:, -1] += 1  # the last column ends the line
-    np.add(idx[10], 2 * (2 * _G17_EXP + 1), out=idx[11])  # second words
+    idx[0] += _LEAD
+    high = d // 10 ** 8
+    low = d - high * 10 ** 8
+    np.floor_divide(high, 10 ** 4, out=idx[1])
+    np.subtract(high, idx[1] * 10 ** 4, out=idx[2])
+    np.floor_divide(low, 10 ** 4, out=idx[3])
+    np.subtract(low, idx[3] * 10 ** 4, out=idx[4])
+    np.multiply(row, 4, out=idx[5])
+    idx[5] += _LEAD + 20
+    idx[5].reshape(-1, 5)[:, -1] += 2  # the last column ends the line
+    np.add(idx[5], 1, out=idx[6])
     text = words.take(idx.T).tobytes().translate(None, b"\0").decode("ascii")
 
     if doubt.any():

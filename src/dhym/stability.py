@@ -60,17 +60,16 @@ def stability_verdict(rep: ChargeReport) -> StabilityReport:
     th = rep.angle()  # raises DegenerateGeometryError
     n = rep.g.n
     per_k = {}
+    overall = Overall.STABLE  # until a k is unstable or inconclusive
     for k in range(1, n):
         sh = sector_of(rep.psi2, k, th, n)
         se = sector_of(rep.psi1, k, th, n)
-        per_k[k] = PerK(sign_h=sh, sign_e=se, verdict=_combine(sh, se))
-    verdicts = {p.verdict for p in per_k.values()}
-    if verdicts <= {KVerdict.POSITIVE_STABLE, KVerdict.NEGATIVE_STABLE}:
-        overall = Overall.STABLE
-    elif KVerdict.UNSTABLE in verdicts:
-        overall = Overall.UNSTABLE
-    else:
-        overall = Overall.INCONCLUSIVE
+        verdict = _combine(sh, se)
+        per_k[k] = PerK(sign_h=sh, sign_e=se, verdict=verdict)
+        if verdict is KVerdict.UNSTABLE:
+            overall = Overall.UNSTABLE
+        elif verdict is KVerdict.INCONCLUSIVE and overall is Overall.STABLE:
+            overall = Overall.INCONCLUSIVE
     return StabilityReport(per_k=per_k, overall=overall)
 
 

@@ -1,4 +1,4 @@
-"""The solve CSV writer against Python's own "%.17g", byte for byte."""
+"""The solve CSV writer against Python's own "%.16e", byte for byte."""
 
 from types import SimpleNamespace
 
@@ -86,17 +86,17 @@ def test_formatter_matches_python_on_ties(seed, monkeypatch):
 def test_formatter_matches_python_at_powers_of_ten():
     # every power of ten the tables hold and a step past each end, two ulps
     # either way: the digits roll over to the next exponent there
-    lim = cli._G17_EXP
+    lim = cli._EXP_LIMIT
     powers = np.array([float(f"1e{k}") for k in range(-lim - 2, lim + 3)])
     assert_formats_like_python(near(np.concatenate([powers, -powers]), 2),
                                np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_formatter_matches_python_at_form_switches(seed):
-    # "%.17g" prints E = -4 and E = 16 in fixed form and E = -5 and E = 17
-    # with an exponent; values that round up to the next power of ten move
-    # across the switch
+def test_formatter_matches_python_at_decade_rollovers(seed):
+    # 1e-5, 1e-4, 1e16 and 1e17, decimal inputs just below them and
+    # uniform values in the decades around them, each +-2 ulps: where the
+    # 17 digits roll over, the exponent is one above floor(log10 |v|)
     rng = np.random.default_rng(seed)
     edges = [1e-5, 1e-4, 1e16, 1e17, 9.9999999999999999e-6, 9.99999999999999e-5,
              99999999999999999.0, 9999999999999999.0, 12345678901234567.0,
@@ -108,10 +108,23 @@ def test_formatter_matches_python_at_form_switches(seed):
     assert_formats_like_python(near(np.concatenate([edges, -edges]), 2), rng)
 
 
+def test_formatter_matches_python_at_exponent_width_edges(monkeypatch):
+    # the exponent takes three digits from 1e100 up and from 1e-100 down.
+    # The double nearest 1e99 lies below it and prints with e+98, but
+    # log10 rounds it up to 99.0: an E one too large, which Python prints
+    fallbacks = record_fallbacks(monkeypatch)
+    edges = np.array([1e99, 1e-99, 1e100, 1e-100])
+    values = assert_formats_like_python(
+        near(np.concatenate([edges, -edges]), 2), np.random.default_rng(0))
+    exponents = {("%.16e" % v).partition("e")[2] for v in values.tolist()}
+    assert {"+98", "+99", "+100", "-99", "-100", "-101"} <= exponents
+    assert 1e99 in [abs(v) for row in fallbacks for v in row]
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_formatter_matches_python_at_zero_and_range_ends(seed):
     rng = np.random.default_rng(seed)
-    lim = cli._G17_EXP
+    lim = cli._EXP_LIMIT
     edges = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
                       1.7976931348623157e308, -1.7976931348623157e308,
                       np.nan, np.inf, -np.inf, 10.0 ** -lim, 10.0 ** (lim + 1),

@@ -9,9 +9,10 @@ package.  For every root the script times fresh interpreters that run
 - ``python -m dhym.cli analyze``, ``solve`` and ``figure`` on the fixed
   configs below, with ``--config PATH`` and, for ``solve``, ``--out PATH``;
 
-and, inside a fresh interpreter that has loaded ``dhym.cli`` and numpy, the
-first call of ``cli._g17_tables()`` (the solve CSV's tables), read with
-``time.perf_counter`` in the child.
+and, inside a fresh interpreter that has loaded ``dhym.cli`` and numpy and
+traced and verified the solve config's curve untimed, the first call of
+``cli._solve_rows(curve, check)``, which writes the solve CSV and builds its
+tables, read with ``time.perf_counter`` in the child.
 
 Every measure runs ``--runs`` times per root (at least 15).  Runs alternate
 between the roots, and the order of the roots is reversed on every other
@@ -42,10 +43,14 @@ from pathlib import Path
 GEOMETRY = {"n": 5, "a": 2.0, "p": 1.1, "q": 0.4}
 FIGURE = {"window": [-3.0, 3.0, -3.0, 3.0], "samples": 256}
 
-G17_CHILD = ("import time, numpy, dhym.cli\n"
-             "t0 = time.perf_counter()\n"
-             "dhym.cli._g17_tables()\n"
-             "print(time.perf_counter() - t0)\n")
+SOLVE_ROWS_CHILD = f"""\
+import time, numpy, dhym.cli
+from dhym.charges import Geometry, charge_report
+_, curve, check = dhym.cli._solution(charge_report(Geometry(**{GEOMETRY!r})))
+t0 = time.perf_counter()
+dhym.cli._solve_rows(curve, check)
+print(time.perf_counter() - t0)
+"""
 
 
 def measures(tmp: Path) -> dict:
@@ -61,7 +66,7 @@ def measures(tmp: Path) -> dict:
         "solve": ([*cli, "solve", "--config", str(config),
                    "--out", str(tmp / "solution.csv")], False),
         "figure": ([*cli, "figure", "--config", str(config)], False),
-        "g17_tables_first_call": (["-c", G17_CHILD], True),
+        "solve_rows_first_call": (["-c", SOLVE_ROWS_CHILD], True),
     }
 
 

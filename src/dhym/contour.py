@@ -1,16 +1,17 @@
 """Marching-squares extraction of level-set polylines.
 
 This is the brute-force oracle for component questions: it never looks at
-ray combinatorics, only at signs of Phi - c on a grid.  Numpy classifies
-the cells, numbers the crossed grid edges with one stable sort of the
-segment ends, interpolates each crossing once into a node table and joins
-each node to its (at most two) neighbours in index arrays; Python only
-walks those arrays into chains of node indices, so chains stitch together
-exactly and each connected component of the level set inside the window
-becomes one chain (open or a loop).  A ContourSet holds the node table and
-the chains; its polylines are derived from them.  The queries that locate a
-point on a component live with the tests, which alone ask them.  numpy is
-imported where it is used, so importing dhym.cli does not load it.
+ray combinatorics, only at signs of Phi - c on a grid.  Numpy forms Phi by
+binary powering, classifies the cells, numbers the crossed grid edges in
+first-seen order with one scatter, interpolates each crossing once into a
+node table and joins each node to its (at most two) neighbours in index
+arrays; Python only walks those arrays into chains of node indices, so
+chains stitch together exactly and each connected component of the level
+set inside the window becomes one chain (open or a loop).  A ContourSet
+holds the node table and the chains; its polylines are derived from them.
+The queries that locate a point on a component live with the tests, which
+alone ask them.  numpy is imported where it is used, so importing dhym.cli
+does not load it.
 """
 
 from __future__ import annotations
@@ -101,25 +102,23 @@ def marching_squares(values: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> tupl
                              ci * ny + cj + 1, n_xedges + ci * (ny - 1) + cj])
     # grid edge of each segment end slot, in cell order then table order;
     # slot s ^ 1 is the other end of the same segment
-    ends = edges[np.arange(len(ci))[:, None, None], segs][segs[:, :, 0] >= 0].ravel()
-
-    # a grid edge borders two cells at most, so it fills one or two slots;
-    # the stable sort puts them side by side, the first-seen slot first
-    s = np.argsort(ends, kind="stable")
-    sorted_ends = ends[s]
-    again = sorted_ends[1:] == sorted_ends[:-1]
-    second, earlier = s[1:][again], s[:-1][again]
-    first = np.ones(len(s), dtype=bool)
-    first[second] = False
-    # nodes are numbered by first-seen slot; a second slot takes its
+    slots = (4 * np.arange(len(ci))[:, None, None] + segs)[segs[:, :, 0] >= 0].ravel()
+    ends = edges.ravel()[slots]
+    # a crossed grid edge fills one slot in each cell it borders, and a slot
+    # repeats an edge an earlier cell in row-major order has seen unless it
+    # is the edge's first: local edge 0 of cell (i, j > 0) is edge 2 of cell
+    # (i, j-1), and local edge 3 of cell (i > 0, j) is edge 1 of (i-1, j)
+    zero = np.zeros(len(ci), dtype=bool)
+    repeat = np.column_stack([cj > 0, zero, zero, ci > 0]).ravel()[slots]
+    # nodes are numbered by first-seen slot; a repeating slot takes its
     # edge's node, and each node's neighbours are its slots' partners
-    node = np.cumsum(first) - 1
-    node[second] = node[earlier]
-    head = np.flatnonzero(first)
-    nb1 = np.full(len(head), -1)
-    nb1[node[second]] = node[second ^ 1]
-
+    head, second = np.flatnonzero(~repeat), np.flatnonzero(repeat)
     nodes = ends[head]
+    node_of = np.empty(n_xedges + nx * (ny - 1), dtype=np.intp)
+    node_of[nodes] = np.arange(len(nodes))
+    nb1 = np.full(len(nodes), -1)
+    nb1[node_of[ends[second]]] = node_of[ends[second ^ 1]]
+
     is_x = nodes < n_xedges
     i0 = np.where(is_x, nodes // ny, (nodes - n_xedges) // (ny - 1))
     j0 = np.where(is_x, nodes % ny, (nodes - n_xedges) % (ny - 1))
@@ -128,7 +127,7 @@ def marching_squares(values: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> tupl
     t = np.clip(v0 / (v0 - v1), 0.0, 1.0)
     points = np.column_stack([xs[i0] + t * (xs[i1] - xs[i0]),
                               ys[j0] + t * (ys[j1] - ys[j0])])
-    return points, _stitch(node[head ^ 1].tolist(), nb1.tolist(),
+    return points, _stitch(node_of[ends[head ^ 1]].tolist(), nb1.tolist(),
                            np.flatnonzero(nb1 < 0).tolist())
 
 
@@ -139,18 +138,29 @@ def _stitch(nb0: list, nb1: list, open_ends: list) -> list:
     lower-numbered end; then loops, each walked from its lowest node towards
     nb0 and closed by repeating the start.
     """
-    seen = bytearray(len(nb0))
-    chains = []
-    for start in itertools.chain(open_ends, range(len(nb0))):
-        if seen[start]:
+    chains, tails = [], set()
+    for start in open_ends:
+        if start in tails:
             continue
         chain, prev, cur = [], -1, start
-        while cur >= 0 and not seen[cur]:
+        while cur >= 0:
             chain.append(cur)
-            seen[cur] = 1
             prev, cur = cur, nb1[cur] if nb0[cur] == prev else nb0[cur]
-        if cur == start:
-            chain.append(start)
+        tails.add(prev)
+        chains.append(chain)
+    if sum(map(len, chains)) == len(nb0):
+        return chains
+    # loops are left: each starts at its lowest node not yet walked
+    seen = set(itertools.chain.from_iterable(chains))
+    for start in range(len(nb0)):
+        if start in seen:
+            continue
+        chain, prev, cur = [], -1, start
+        while cur not in seen:
+            chain.append(cur)
+            seen.add(cur)
+            prev, cur = cur, nb1[cur] if nb0[cur] == prev else nb0[cur]
+        chain.append(start)
         chains.append(chain)
     return chains
 
@@ -172,11 +182,18 @@ def extract_level_set(rep: ChargeReport, window: Window,
     zx.real = xs[:, None]
     zx.imag = ys[None, :]
     with np.errstate(over="ignore", invalid="ignore"):
-        # kept: binary powering with numpy's complex multiply changes Phi's
-        # bits (n = 4, 6, 8..12 on 257^2), split real/imag products are slower
-        zx **= n
-        np.multiply(np.exp(-1j * th), zx, out=zx)
-        values = zx.imag - rep.c
+        # e^{-i theta_hat} z^n by binary powering, the rotation folded into
+        # the first factor; numpy's integer ** is a slower per-element loop
+        k = n
+        while not k & 1:
+            np.multiply(zx, zx, out=zx)
+            k >>= 1
+        phi = np.exp(-1j * th) * zx
+        while k := k >> 1:
+            np.multiply(zx, zx, out=zx)
+            if k & 1:
+                np.multiply(phi, zx, out=phi)
+        values = phi.imag - rep.c
         # NaN propagates through the max, so one pass checks finiteness
         peak = float(np.max(np.abs(values)))
     if not math.isfinite(peak):

@@ -1215,6 +1215,37 @@ def test_large_magnitudes_give_strict_output(command, doc, code, tmp_path):
         assert summary["verified"] is True
 
 
+def near_float_limit_figure(seed):
+    """A figure config whose grid's largest |z|^n lies within a factor 4
+    of DBL_MAX, on either side."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 13))
+    log_u = rng.uniform(-math.log(4.0), math.log(4.0))
+    # the corner modulus sqrt(2) w has (sqrt(2) w)^n = DBL_MAX / u
+    w = math.exp((math.log(sys.float_info.max) - log_u) / n) / math.sqrt(2.0)
+    a, p, q = (float(v) for v in rng.uniform([1, -10, -10], 10))
+    return {"n": n, "a": a, "p": p, "q": q,
+            "figure": {"window": [-w, w, -w, w], "samples": 64}}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_figure_near_float_limit_is_finite_or_exit_3(seed, tmp_path, capsys):
+    # binary powering overflows at other operands than numpy's integer
+    # power: a grid whose |Re(e^(-i theta_hat) z^n)| overflows while Phi
+    # stays finite draws, and only a Phi that leaves the float range
+    # exits 3; no coordinate is ever nan or inf
+    path = write_config(tmp_path, near_float_limit_figure(seed))
+    code = cli.main(["figure", "--config", path])
+    res = capsys.readouterr()
+    if code == 3:
+        assert res.out == "" and "overflow" in res.err
+        return
+    assert code == 0 and res.err == ""
+    coords = re.findall(r'(?:points|cx|cy)="([^"]*)"', res.out)
+    values = [float(v) for text in coords for v in re.split("[ ,]", text)]
+    assert values and all(math.isfinite(v) for v in values)
+
+
 FIGURE_STABLE = {**STABLE, "figure": {"window": [0.0, 4.0, -1.0, 2.0],
                                       "samples": 64}}
 

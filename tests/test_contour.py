@@ -306,7 +306,62 @@ def test_stitcher_empty_and_single_saddle():
         points, chains = marching_squares(sign * np.ones((5, 4)), xs, ys)
         assert points.shape == (0, 2) and chains == []
     xs = ys = np.arange(2.0)
-    for corner in (2.0, 0.5):  # center positive, then negative
-        vals = np.array([[1.0, -1.0], [-1.0, corner]])
-        polys = _assert_same_polylines(vals, xs, ys)
-        assert [len(p) for p in polys] == [2, 2]
+    # each diagonal pattern, with the center positive, then negative
+    for vals in ([[1.0, -1.0], [-1.0, 2.0]], [[1.0, -1.0], [-1.0, 0.5]],
+                 [[-1.0, 1.0], [1.0, -0.5]], [[-1.0, 1.0], [1.0, -2.0]]):
+        assert [len(p) for p in _assert_numbered_like_reference(
+            np.array(vals), xs, ys)] == [2, 2]
+
+
+def _assert_numbered_like_reference(values, xs, ys):
+    """marching_squares matches the reference, and its chains hold every
+    node row once (a loop repeats its start at the end)."""
+    polys = _assert_same_polylines(values, xs, ys)
+    points, chains = marching_squares(values, xs, ys)
+    rows = [v for chain in chains
+            for v in (chain[:-1] if chain[0] == chain[-1] else chain)]
+    assert sorted(rows) == list(range(len(points)))
+    return polys
+
+
+def _first_row_and_column_fields():
+    """Sign patterns crossed on grid row 0 and column 0, where a cell's
+    local edges 0 and 3 are the first to see their grid edges."""
+    rng = np.random.default_rng(7)
+    for i, j in ((0, 0), (0, 2), (3, 0), (5, 4), (0, 4), (5, 0), (2, 2)):
+        vals = -np.ones((6, 5))
+        vals[i, j] = 1.0  # one positive node: a short chain or a loop
+        yield vals
+    for rows, cols in ((slice(0, 1), slice(None)), (slice(None), slice(0, 1)),
+                       (slice(0, 2), slice(0, 2))):
+        vals = -np.ones((6, 5))
+        vals[rows, cols] = 1.0
+        yield vals
+    for _ in range(20):  # noise on row 0 and column 0 only
+        vals = -rng.uniform(0.1, 1.0, (7, 6))
+        vals[0] = rng.standard_normal(6)
+        vals[:, 0] = rng.standard_normal(7)
+        yield vals
+
+
+@pytest.mark.parametrize("vals", list(_first_row_and_column_fields()))
+def test_numbering_on_first_row_and_column(vals):
+    nx, ny = vals.shape
+    _assert_numbered_like_reference(vals, np.arange(float(nx)),
+                                    np.arange(float(ny)))
+
+
+def test_open_chains_and_loops_in_one_grid():
+    # the circle is a loop and the line y = x + 3 an open chain; a loop
+    # comes after every open chain
+    vals, xs, ys = grid_field(
+        lambda x, y: (x ** 2 + y ** 2 - 1.0) * (y - x - 3.0), -4.0, 4.0, m=81)
+    polys = _assert_numbered_like_reference(vals, xs, ys)
+    closed = [np.array_equal(p[0], p[-1]) for p in polys]
+    assert closed == [False, True]
+
+
+def test_loops_only_grid():
+    vals, xs, ys = grid_field(lambda x, y: x ** 2 + y ** 2 - 0.25, -2.0, 2.0)
+    polys = _assert_numbered_like_reference(vals, xs, ys)
+    assert len(polys) == 1 and np.array_equal(polys[0][0], polys[0][-1])

@@ -1,7 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
-from dhym import figure
+from dhym import contour, figure
+from dhym.charges import Geometry, charge_report
+from dhym.config import FigureSpec
+from dhym.contour import ContourSet, Window, marching_squares
 from dhym.figure import _fixed_pairs
 
 
@@ -63,3 +68,51 @@ def test_formatter_matches_python_on_uniform_values(seed, monkeypatch):
     # the array path prints these; none is close enough to a tie to need
     # Python's formatting
     assert fallbacks == []
+
+
+def reference_extract(rep, window, samples, grids):
+    """extract_level_set with Phi as numpy's integer power of z followed by
+    the rotation, the path binary powering replaced; appends its grid."""
+    xs = np.linspace(window.xmin, window.xmax, samples + 1)
+    ys = np.linspace(window.ymin, window.ymax, samples + 1)
+    zx = np.empty((samples + 1, samples + 1), dtype=complex)
+    zx.real = xs[:, None]
+    zx.imag = ys[None, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        zx **= rep.g.n
+        np.multiply(np.exp(-1j * rep.angle()), zx, out=zx)
+    values = zx.imag - rep.c
+    peak = float(np.max(np.abs(values)))
+    assert math.isfinite(peak)
+    values[values == 0.0] = 1e-300 + 1e-15 * peak
+    grids.append(values)
+    return ContourSet(*marching_squares(values, xs, ys))
+
+
+def test_binary_power_keeps_figure_bytes(monkeypatch):
+    # figure_pool-style instances: n cycles through 2..12, the window is
+    # 1.3 times the largest endpoint coordinate
+    rng = np.random.default_rng(31)
+    new_grids, ref_grids = [], []
+
+    def recording(values, xs, ys):
+        new_grids.append(values)
+        return marching_squares(values, xs, ys)
+
+    monkeypatch.setattr(contour, "marching_squares", recording)
+    for i in range(150):
+        n = 2 + i % 11
+        a, p, q = (float(v) for v in rng.uniform([1, -10, -10], 10))
+        rep = charge_report(Geometry(n, a, p, q))
+        w = 1.3 * max(a, abs(p), abs(q), 1.0)
+        spec = FigureSpec(Window(-w, w, -w, w), 128)
+        svg = figure.render_figure(rep, spec)
+        with monkeypatch.context() as m:
+            m.setattr(figure, "extract_level_set",
+                      lambda r, win, s: reference_extract(r, win, s, ref_grids))
+            assert figure.render_figure(rep, spec) == svg, (n, a, p, q)
+        # each path rounds O(log n) complex products of size up to
+        # max|z|^n, with max|z| the largest modulus on the grid
+        bound = 16 * n * np.finfo(float).eps * math.hypot(w, w) ** n
+        assert np.max(np.abs(new_grids[-1] - ref_grids[-1])) <= bound
+    assert len(new_grids) == len(ref_grids) == 150

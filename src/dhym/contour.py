@@ -2,16 +2,16 @@
 
 This is the brute-force oracle for component questions: it never looks at
 ray combinatorics, only at signs of Phi - c on a grid.  Numpy forms Phi by
-binary powering, classifies the cells, numbers the crossed grid edges in
-first-seen order with one scatter, interpolates each crossing once into a
-node table and joins each node to its (at most two) neighbours in index
-arrays; Python only walks those arrays into chains of node indices, so
-chains stitch together exactly and each connected component of the level
-set inside the window becomes one chain (open or a loop).  A ContourSet
-holds the node table and the chains; its polylines are derived from them.
-The queries that locate a point on a component live with the tests, which
-alone ask them.  numpy is imported where it is used, so importing dhym.cli
-does not load it.
+binary powering.  One index of the flattened grid names a node, the cell it
+is corner 0 of and its two grid edges; numpy finds the cells with one to
+three positive corners, numbers their crossed grid edges in first-seen order
+with one scatter, interpolates each crossing once and links it to its (at
+most two) neighbours in index arrays.  Python only walks those arrays into
+chains of node indices, so each connected component of the level set inside
+the window becomes one chain (open or a loop).  A ContourSet holds the node
+table and the chains and derives its polylines.  The queries that locate a
+point on a component live with the tests, which alone ask them.  numpy is
+imported where it is used, so importing dhym.cli does not load it.
 """
 
 from __future__ import annotations
@@ -87,43 +87,40 @@ def marching_squares(values: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> tupl
     """
     import numpy as np
     nx, ny = values.shape
-    pos = (values > 0).view(np.uint8)
-    # case bit k is the sign of local corner k
-    case = pos[:-1, :-1] | pos[1:, :-1] << 1 | pos[1:, 1:] << 2 | pos[:-1, 1:] << 3
-    # crossed cells in row-major order; np.nonzero of the 2-D mask is slower
-    ci, cj = np.divmod(np.flatnonzero((case != 0) & (case != 15)), ny - 1)
-    center = (values[ci, cj] + values[ci + 1, cj]
-              + values[ci + 1, cj + 1] + values[ci, cj + 1])
-    segs = _segment_table()[2 * case[ci, cj] + (center > 0)]
-    # grid edges are numbered x-edges ((i,j),(i+1,j)) first, then
-    # y-edges ((i,j),(i,j+1)); columns are the cell's local edges 0..3
-    n_xedges = (nx - 1) * ny
-    edges = np.column_stack([ci * ny + cj, n_xedges + (ci + 1) * (ny - 1) + cj,
-                             ci * ny + cj + 1, n_xedges + ci * (ny - 1) + cj])
-    # grid edge of each segment end slot, in cell order then table order;
-    # slot s ^ 1 is the other end of the same segment
-    slots = (4 * np.arange(len(ci))[:, None, None] + segs)[segs[:, :, 0] >= 0].ravel()
-    ends = edges.ravel()[slots]
-    # a crossed grid edge fills one slot in each cell it borders, and a slot
-    # repeats an edge an earlier cell in row-major order has seen unless it
-    # is the edge's first: local edge 0 of cell (i, j > 0) is edge 2 of cell
-    # (i, j-1), and local edge 3 of cell (i > 0, j) is edge 1 of (i-1, j)
-    zero = np.zeros(len(ci), dtype=bool)
-    repeat = np.column_stack([cj > 0, zero, zero, ci > 0]).ravel()[slots]
+    # one flat index f = i * ny + j names the grid node (i, j), the cell
+    # with corners f, f + ny, f + ny + 1 and f + 1 (local corners 0..3; case
+    # bit k is the sign of corner k), its x-edge to f + ny and its y-edge to
+    # f + 1, named nx * ny + f
+    vf = values.ravel()
+    pos = (vf > 0).view(np.uint8)
+    count = pos[:-ny - 1] + pos[ny:-1] + pos[ny + 1:] + pos[1:-ny]
+    count[ny - 1::ny] = 0  # at j = ny - 1, corner f + 1 is in the next row
+    f = np.flatnonzero(count & 3)  # 1 to 3 positive corners; 4 & 3 is 0
+    case = pos[f] | pos[f + ny] << 1 | pos[f + ny + 1] << 2 | pos[f + 1] << 3
+    center = vf[f] + vf[f + ny] + vf[f + ny + 1] + vf[f + 1]
+    segs = _segment_table()[2 * case + (center > 0)].ravel()
+    # the used segment end slots, four per cell in table order; the two ends
+    # of a segment stay adjacent, so slot s ^ 1 is the other end of slot s
+    slots = np.flatnonzero(segs >= 0)
+    local, cell = segs[slots], f[slots >> 2]
+    ends = cell + np.array([0, vf.size + ny, 1, vf.size], dtype=np.intp)[local]
+    # a crossed grid edge fills a slot in each cell it borders; a later slot
+    # repeats it: local edge 0 of a cell with j > 0 (edge 2 of cell f - 1) or
+    # local edge 3 of a cell with i > 0 (edge 1 of cell f - ny)
+    repeat = (local == 0) & (cell % ny != 0) | (local == 3) & (cell >= ny)
     # nodes are numbered by first-seen slot; a repeating slot takes its
     # edge's node, and each node's neighbours are its slots' partners
     head, second = np.flatnonzero(~repeat), np.flatnonzero(repeat)
     nodes = ends[head]
-    node_of = np.empty(n_xedges + nx * (ny - 1), dtype=np.intp)
+    node_of = np.empty(2 * vf.size, dtype=np.intp)
     node_of[nodes] = np.arange(len(nodes))
-    nb1 = np.full(len(nodes), -1)
+    nb1 = np.full(len(nodes), -1, dtype=np.intp)
     nb1[node_of[ends[second]]] = node_of[ends[second ^ 1]]
-
-    is_x = nodes < n_xedges
-    i0 = np.where(is_x, nodes // ny, (nodes - n_xedges) // (ny - 1))
-    j0 = np.where(is_x, nodes % ny, (nodes - n_xedges) % (ny - 1))
-    i1, j1 = i0 + is_x, j0 + ~is_x
-    v0, v1 = values[i0, j0], values[i1, j1]
+    # a node's grid edge runs from grid node g0 = (i0, j0) to (i1, j1)
+    is_y, g0 = np.divmod(nodes, vf.size)
+    i0, j0 = np.divmod(g0, ny)
+    i1, j1 = i0 + 1 - is_y, j0 + is_y
+    v0, v1 = vf[g0], vf[i1 * ny + j1]
     t = np.clip(v0 / (v0 - v1), 0.0, 1.0)
     points = np.column_stack([xs[i0] + t * (xs[i1] - xs[i0]),
                               ys[j0] + t * (ys[j1] - ys[j0])])
@@ -178,7 +175,9 @@ def extract_level_set(rep: ChargeReport, window: Window,
         raise ValueError("oracle grid must be at least 64x64 cells")
     xs = np.linspace(window.xmin, window.xmax, samples + 1)
     ys = np.linspace(window.ymin, window.ymax, samples + 1)
-    zx = np.empty((samples + 1, samples + 1), dtype=complex)
+    # one block holds both factors and is dropped before the oracle runs, so
+    # the heap stays under glibc's trim threshold (twice the largest block)
+    zx, phi = np.empty((2, samples + 1, samples + 1), dtype=complex)
     zx.real = xs[:, None]
     zx.imag = ys[None, :]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -188,12 +187,13 @@ def extract_level_set(rep: ChargeReport, window: Window,
         while not k & 1:
             np.multiply(zx, zx, out=zx)
             k >>= 1
-        phi = np.exp(-1j * th) * zx
+        np.multiply(np.exp(-1j * th), zx, out=phi)
         while k := k >> 1:
             np.multiply(zx, zx, out=zx)
             if k & 1:
                 np.multiply(phi, zx, out=phi)
         values = phi.imag - rep.c
+        del zx, phi
         # NaN propagates through the max, so one pass checks finiteness
         peak = float(np.max(np.abs(values)))
     if not math.isfinite(peak):

@@ -280,6 +280,23 @@ def test_stitcher_matches_reference_on_noise(rng):
         _assert_same_polylines(vals, xs, ys)
 
 
+def test_memory_layout_does_not_change_the_result(rng):
+    # marching_squares reads the field through a flat view, so a Fortran
+    # copy or a strided slice must give the bytes of the C-ordered array
+    for _ in range(30):
+        nx, ny = (int(k) for k in rng.integers(2, 41, 2))
+        xs, ys = np.sort(rng.uniform(-5, 5, nx)), np.sort(rng.uniform(-5, 5, ny))
+        vals = rng.standard_normal((nx, ny))
+        points, chains = marching_squares(vals, xs, ys)
+        big = rng.standard_normal((2 * nx + 1, 3 * ny + 2))
+        big[1::2, 2::3] = vals
+        for other in (np.asfortranarray(vals), big[1::2, 2::3]):
+            assert not other.flags.c_contiguous
+            got_points, got_chains = marching_squares(other, xs, ys)
+            assert got_points.tobytes() == points.tobytes()
+            assert got_chains == chains
+
+
 def test_stitcher_matches_reference_on_level_sets(rng, monkeypatch):
     grids = []
 

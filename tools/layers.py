@@ -7,17 +7,20 @@ package.  For every root, fresh interpreters with ``ROOT/src`` on the path
 time each layer in ``LAYERS`` over seeded pools drawn by the samplers of
 this checkout's ``bench/run.py``, so every root sees the same inputs:
 
-- ``charge_report``, ``existence_verdict`` and ``analysis_report`` on
-  ``random_instance``, the inputs of analyze_pool;
+- ``charge_report``, ``stability_verdict``, ``existence_verdict``,
+  ``sector_lift``, ``cxy_path_lift``, ``graphical_existence`` and
+  ``analysis_report`` on ``random_instance``, the inputs of analyze_pool;
 - ``trace_solution`` and ``verify_solution`` on ``stable_instance``, the
   inputs of solve_stable, wherever the verdict is EXISTS;
-- ``extract_level_set`` and ``render_figure`` on ``random_instance`` with
-  figure_pool's window at the default 256^2 grid.
+- ``marching_squares``, ``extract_level_set`` and ``render_figure`` on
+  ``random_instance`` with figure_pool's window at the default 256^2 grid;
+  ``marching_squares`` gets the grids that ``extract_level_set`` passes it.
 
-A layer's inputs (the report, the verdict, the curve) are built untimed,
-and its time is one pass over its pool divided by the pool's size, so it
-counts the layer's own call and what it calls: ``render_figure`` includes
-``extract_level_set``.  Every child first makes one untimed pass.
+A layer's inputs (the report, the verdict, the curve, the grids) are built
+untimed, and its time is one pass over its pool divided by the pool's size,
+so it counts the layer's own call and what it calls: ``render_figure``
+includes ``extract_level_set``, which includes ``marching_squares``.  Every
+child first makes one untimed pass.
 
 Each child also times two fixed kernels, a pure-Python loop and a numpy
 complex multiply.  A layer's time divided by a kernel's compares across
@@ -49,10 +52,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SAMPLES = 256  # the figure grid that figure_pool draws at
 # "<module>.<function>" of every timed layer, in dhym
-LAYERS = ("charges.charge_report", "stability.existence_verdict",
+LAYERS = ("charges.charge_report", "stability.stability_verdict",
+          "stability.existence_verdict", "lifting.sector_lift",
+          "lifting.cxy_path_lift", "levelcurve.graphical_existence",
           "cli.analysis_report", "levelcurve.trace_solution",
-          "levelcurve.verify_solution", "contour.extract_level_set",
-          "figure.render_figure")
+          "levelcurve.verify_solution", "contour.marching_squares",
+          "contour.extract_level_set", "figure.render_figure")
 # the fewest instances that hold every dimension 2..12 of the samplers once
 MIN_INSTANCES = 11
 SEED = 1  # of each pool's random.Random
@@ -87,14 +92,33 @@ def numpy_kernel(np) -> None:
         np.multiply(z, z, out=z)
 
 
+def recorded_grids(contour, reps: list, windows: list) -> list:
+    """The (values, xs, ys) that extract_level_set passes to
+    marching_squares, one per instance, from an untimed pass."""
+    grids, original = [], contour.marching_squares
+
+    def recording(*grid):
+        grids.append(grid)
+        return original(*grid)
+
+    contour.marching_squares = recording
+    try:
+        for rep, w in zip(reps, windows):
+            contour.extract_level_set(rep, w, SAMPLES)
+    finally:
+        contour.marching_squares = original
+    return grids
+
+
 def child() -> int:
     """Read the pools as JSON on stdin; print seconds per instance of each
     layer the package defines, and seconds per call of each kernel."""
     import numpy as np
-    from dhym import charges, cli, contour, figure, levelcurve, stability
+    from dhym import (charges, cli, contour, figure, levelcurve, lifting,
+                      stability)
     from dhym.config import FigureSpec
-    modules = {m.__name__.rsplit(".", 1)[1]: m
-               for m in (charges, cli, contour, figure, levelcurve, stability)}
+    modules = {m.__name__.rsplit(".", 1)[1]: m for m in
+               (charges, cli, contour, figure, levelcurve, lifting, stability)}
 
     def layer(name):
         module, func = name.split(".")
@@ -115,11 +139,18 @@ def child() -> int:
                 for _, a, p, q in pool["random"])]
     inputs = {
         "charges.charge_report": [(rep.g,) for rep in reps],
+        "stability.stability_verdict": [(rep,) for rep in reps],
         "stability.existence_verdict": [(rep,) for rep in reps],
+        "lifting.sector_lift": [(rep,) for rep in reps],
+        "lifting.cxy_path_lift": [(rep,) for rep in reps],
+        "levelcurve.graphical_existence": [(rep,) for rep in reps],
         "cli.analysis_report": list(zip(reps, verdicts)),
         "levelcurve.trace_solution": traces,
         "levelcurve.verify_solution": [
             (levelcurve.trace_solution(rep, v), rep) for rep, v in traces],
+        "contour.marching_squares": (
+            recorded_grids(contour, reps, windows)
+            if layer("contour.marching_squares") else []),
         "contour.extract_level_set": [(rep, w, SAMPLES)
                                       for rep, w in zip(reps, windows)],
         "figure.render_figure": [
@@ -213,7 +244,7 @@ def main(argv=None) -> int:
     Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
     for label, entry in result["roots"].items():
         for name, row in (*entry["layers"].items(), *entry["kernels"].items()):
-            print(f"{label:10s} {name:28s} best {row['best_us']:10.1f} us"
+            print(f"{label:10s} {name:32s} best {row['best_us']:10.1f} us"
                   f"  median {row['median_us']:10.1f} us")
         if entry["missing"]:
             print(f"{label:10s} missing layers: {' '.join(entry['missing'])}")

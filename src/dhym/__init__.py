@@ -1,8 +1,8 @@
 """Deformed Hermitian-Yang-Mills existence tests on the blowup of P^n."""
 
 from .charges import (ChargeReport, DegenerateGeometryError, Geometry,
-                      InvalidGeometryError, central_charges, charge_report,
-                      degeneracy_check, theta_hat, zeta)
+                      InvalidGeometryError, charge_report, degeneracy_check,
+                      theta_hat, zeta)
 from .contour import ContourSet, Window, extract_level_set
 from .levelcurve import (SolutionCurve, TraceError, graphical_existence,
                          level_context, same_component, trace_solution,

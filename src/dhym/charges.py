@@ -10,7 +10,6 @@ intersection ring is hard-coded (E^n integrates to (-1)^(n-1)).
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from typing import NamedTuple
 
@@ -34,10 +33,6 @@ def principal_angle(theta: float) -> float:
 def cpow(z: complex, k: int) -> complex:
     """z**k through polar form; avoids cancellation in repeated products."""
     return (abs(z) ** k) * cmath.exp(1j * k * cmath.phase(z))
-
-
-# i**(-k) for k mod 4
-_INV_I = (1 + 0j, -1j, -1 + 0j, 1j)
 
 
 class _GeometryFields(NamedTuple):
@@ -116,32 +111,6 @@ def theta_hat(g: Geometry) -> tuple[float, float]:
     """
     rep = charge_report(g)
     return rep.angle(), rep.r_x
-
-
-def central_charges(rep: ChargeReport) -> dict[str, complex]:
-    """Central charge of every cycle class, keyed "X" for the full space and
-    "H:dimk" / "E:dimk" for the k-dimensional cycles H^(n-k) and the
-    effective (-1)^(n-k-1) E^(n-k): -i^(-n) zeta for X, -i^(-k) z2^k and
-    -i^(-k) z1^k for the others.  The keys come in string order, the order
-    of dhym analyze ("E:dim10" before "E:dim2", "X" last)."""
-    g = rep.g
-    # z**k as cpow forms it, with |z| and arg z taken once; a > 1, so
-    # neither endpoint is 0
-    r1, r2 = abs(g.z1), abs(g.z2)
-    keys = _charge_keys(g.n)
-    out = {e_key: i_k * (r1 ** k * cmath.exp(1j * k * rep.psi1))
-           for k, i_k, e_key, _ in keys}
-    out.update({h_key: i_k * (r2 ** k * cmath.exp(1j * k * rep.psi2))
-                for k, i_k, _, h_key in keys})
-    out["X"] = -_INV_I[g.n % 4] * rep.zeta
-    return out
-
-
-@functools.lru_cache(maxsize=16)
-def _charge_keys(n: int) -> tuple:
-    """(k, -i^(-k), "E:dimk", "H:dimk") for k in 1..n-1, in string order."""
-    return tuple(sorted([(k, -_INV_I[k % 4], f"E:dim{k}", f"H:dim{k}")
-                         for k in range(1, n)], key=lambda row: row[2]))
 
 
 def degeneracy_check(rep: ChargeReport) -> int | None:

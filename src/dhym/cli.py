@@ -23,7 +23,7 @@ import sys
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .charges import (ChargeReport, DegenerateGeometryError, Geometry,
-                      central_charges, charge_report, degeneracy_check)
+                      charge_report, degeneracy_check)
 from .config import ConfigError, RunConfig, load_config
 from .figure import render_figure
 from .levelcurve import (ExistenceVerdict, TraceError, same_component,
@@ -47,8 +47,8 @@ _SWEEP_ROW = "%.17g,%.17g,%s,%s,%s,%.17g,%.17g,%.17g"
 
 # The leaves of a _layout skeleton: a value slot prints %s and takes JSON
 # text, a token slot prints "%s" and takes a token of a closed set as it is,
-# and the rows slot {_ROWS: None} gives its line to the joined rows of an
-# O(n) block.
+# and the rows slot {_ROWS: None} gives its line to the joined rows of a
+# block.
 _VALUE, _TOKEN, _ROWS = "<value>", "%s", "<rows>"
 
 
@@ -64,16 +64,13 @@ def _layout(skeleton, depth: int = 1) -> str:
 
 
 # The analyze report's layout, one template per block and variant and one
-# per row of its two O(n) blocks (charges and per_k).  Each skeleton lists
-# its keys in sorted order, the order of the % arguments.  The rows'
-# numbers print through "%s", which is repr; they are finite: zeta is
-# checked, |z|^k <= rep.scale for k < n, and a stability margin is at most
-# pi/2.
+# per row of its O(n) block, per_k.  Each skeleton lists its keys in sorted
+# order, the order of the % arguments.  The per_k margins print through
+# "%s", which is repr; they are finite, at most pi/2.
 _CHARGE, _CHARGE_DEGENERATE = [_layout({"charge": {
-    "charges": {_ROWS: None}, "degenerate": _VALUE, **degenerate_m,
-    "r_x": _VALUE, "theta_hat": _VALUE, "zeta": [_VALUE, _VALUE]}})
+    "degenerate": _VALUE, **degenerate_m, "r_x": _VALUE, "theta_hat": _VALUE,
+    "zeta": [_VALUE, _VALUE]}})
     for degenerate_m in ({}, {"degenerate_m": _VALUE})]
-_CHARGE_ROW = _layout({_TOKEN: [_VALUE, _VALUE]}, depth=3)
 _EXISTENCE = _layout({"existence": {
     "margin": _VALUE, "reason": _TOKEN, "value": _TOKEN}})
 _GEOMETRY = _layout({"geometry": dict.fromkeys("anpq", _VALUE)})
@@ -112,8 +109,6 @@ def analysis_report(rep: ChargeReport, verdict: ExistenceVerdict) -> str:
     components.
     """
     g = rep.g
-    charges = ",\n".join([_CHARGE_ROW % (key, z.real, z.imag)
-                          for key, z in central_charges(rep).items()])
     degenerate_m, certificates = (), []
     if rep.degenerate:
         degenerate_m = (_json(degeneracy_check(rep)),)
@@ -145,7 +140,7 @@ def analysis_report(rep: ChargeReport, verdict: ExistenceVerdict) -> str:
             else _VOLUME_PATH % (_json(cxy.lifted), _json(cxy.winding))]
     return _REPORT % ",\n".join([
         (_CHARGE_DEGENERATE if rep.degenerate else _CHARGE) % (
-            charges, _json(rep.degenerate), *degenerate_m, _json(rep.r_x),
+            _json(rep.degenerate), *degenerate_m, _json(rep.r_x),
             _json(rep.theta_hat), _json(rep.zeta.real), _json(rep.zeta.imag)),
         _EXISTENCE % (_json(verdict.margin), verdict.reason,
                       verdict.value.value),

@@ -37,16 +37,21 @@ def _digit_words():
     higher group; the decimals and the comma after an x, then (offset
     1000) the space after a y; and the minus sign."""
     import numpy as np
+    i = np.arange(10000)[:, None]
+    digits = (i // [1000, 100, 10, 1] % 10 + 48).astype(np.uint8)
+    three = digits[:1000, 1:]  # 000..999 zero-padded
 
-    def words(groups):
-        return np.frombuffer("".join(groups).encode("ascii"), dtype=np.uint32)
+    def words(groups, last: str):
+        """Rows of three bytes, then the byte last, as uint32 words."""
+        tail = np.full((len(groups), 1), ord(last), dtype=np.uint8)
+        return np.hstack((groups, tail)).view(np.uint32).ravel()
 
-    high = words(str(i).rjust(4, "\0") if i else "\0" * 4 for i in range(10000))
-    units = words([str(i).rjust(3, "\0") + "." for i in range(1000)]
-                  + [f"{i:03}." for i in range(1000)])
-    decimals = words([f"{i:03}," for i in range(1000)]
-                     + [f"{i:03} " for i in range(1000)])
-    return high, units, decimals, words("-\0\0\0")[0]
+    # a digit above a number's leading one is blank, and 0 is all blank
+    high = (digits * (i >= [1000, 100, 10, 1])).view(np.uint32).ravel()
+    units = np.concatenate((words(three * (i[:1000] >= [100, 10, 0]), "."),
+                            words(three, ".")))
+    decimals = np.concatenate((words(three, ","), words(three, " ")))
+    return high, units, decimals, np.frombuffer(b"-\0\0\0", np.uint32)[0]
 
 
 def _fixed_pairs(flat) -> list:

@@ -8,7 +8,6 @@ from dhym.charges import (
     DegenerateGeometryError,
     Geometry,
     InvalidGeometryError,
-    central_charges,
     charge_report,
     cpow,
     degeneracy_check,
@@ -16,6 +15,8 @@ from dhym.charges import (
     theta_hat,
     zeta,
 )
+from dhym.rays import Sign
+from dhym.stability import stability_verdict
 
 from conftest import degenerate_example, random_geometry
 
@@ -106,52 +107,24 @@ def test_theta_hat_reconstructs_zeta(rng):
         assert r * cmath.exp(1j * th) == pytest.approx(zeta(g), rel=1e-12)
 
 
-def test_central_charge_examples():
-    g = Geometry(2, 2.0, 2.0, 1.0)
-    charges = central_charges(charge_report(g))
-    assert charges["H:dim1"] == pytest.approx(-2 + 2j, abs=1e-12)
-    assert charges["E:dim1"] == pytest.approx(-1 + 1j, abs=1e-12)
-    inv_i_n = (-1j) ** g.n
-    assert charges["X"] == pytest.approx(-inv_i_n * zeta(g), rel=1e-12)
-
-
-def test_all_subvariety_classes():
-    # every cycle class has a charge: X, plus the H and E powers of every
-    # dimension k in 1..n-1
-    for n in (2, 3, 4, 7):
-        charges = central_charges(charge_report(Geometry(n, 2.0, 1.0, 0.5)))
-        assert set(charges) == ({"X"} | {f"H:dim{k}" for k in range(1, n)}
-                                | {f"E:dim{k}" for k in range(1, n)})
-
-
-def test_central_charge_dimension_range():
-    # dimensions 0 and n are not proper cycles and get no charge; each k in
-    # 1..n-1 gets -i^(-k) z^k of its own k
-    g = Geometry(3, 2.0, 1.0, 0.5)
-    charges = central_charges(charge_report(g))
-    for tag in ("H", "E"):
-        assert f"{tag}:dim0" not in charges
-        assert f"{tag}:dim{g.n}" not in charges
-    for k in range(1, g.n):
-        assert charges[f"H:dim{k}"] == pytest.approx(-((-1j) ** k) * g.z2 ** k, rel=1e-12)
-        assert charges[f"E:dim{k}"] == pytest.approx(-((-1j) ** k) * g.z1 ** k, rel=1e-12)
-
-
 def test_central_charge_sign_consistency(rng):
-    # the stability quotient reduces to Im(i^{n-k} e^{-i theta} z_l^k);
-    # the raw charge form Im(-i^n e^{-i theta} Z(V)) must agree in sign
+    # the class of dimension k has charge Z = -i^(-k) z^k, z2 for H^(n-k)
+    # and z1 for E^(n-k); the stability quotient Im(-i^n e^(-i theta) Z)
+    # reduces to Im(i^(n-k) e^(-i theta) z^k), whose sign per_k prints
     for _ in range(300):
         g = random_geometry(rng)
-        charges = central_charges(charge_report(g))
-        th, _ = theta_hat(g)
-        w = cmath.exp(-1j * th)
+        rep = charge_report(g)
+        w = cmath.exp(-1j * rep.theta_hat)
+        per_k = stability_verdict(rep).per_k
         for k in range(1, g.n):
-            for tag, zl in (("H", g.z2), ("E", g.z1)):
-                zv = charges[f"{tag}:dim{k}"]
+            for zl, sign in ((g.z2, per_k[k].sign_h), (g.z1, per_k[k].sign_e)):
+                zv = -((-1j) ** k) * zl ** k
                 raw = (-(1j ** g.n) * w * zv).imag
                 red = ((1j ** (g.n - k)) * w * cpow(zl, k)).imag
                 if abs(red) > 1e-9 * max(1.0, abs(zl) ** k):
                     assert raw * red > 0
+                    assert sign.value is (Sign.POSITIVE if raw > 0
+                                          else Sign.NEGATIVE)
 
 
 def test_degeneracy_check():
@@ -167,7 +140,6 @@ def test_charge_report_consistency():
     assert rep.zeta == pytest.approx(6j, abs=1e-12)
     assert rep.theta_hat == pytest.approx(math.pi / 2, abs=1e-12)
     assert rep.r_x == pytest.approx(6.0, abs=1e-12)
-    assert len(central_charges(rep)) == 3
 
     rep = charge_report(degenerate_example())
     assert rep.degenerate

@@ -70,6 +70,24 @@ def test_formatter_matches_python_on_uniform_values(seed, monkeypatch):
     assert fallbacks == []
 
 
+def test_digit_words_match_fstring_tables():
+    # the reference builds each 4-byte word as Python's formatting prints
+    # it, NUL where a digit is blank
+    def words(groups):
+        return np.frombuffer("".join(groups).encode("ascii"), dtype=np.uint32)
+
+    reference = (
+        words(str(i).rjust(4, "\0") if i else "\0" * 4 for i in range(10000)),
+        words([str(i).rjust(3, "\0") + "." for i in range(1000)]
+              + [f"{i:03}." for i in range(1000)]),
+        words([f"{i:03}," for i in range(1000)]
+              + [f"{i:03} " for i in range(1000)]),
+        words("-\0\0\0")[0])
+    for got, want in zip(figure._digit_words(), reference):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def reference_extract(rep, window, samples, grids):
     """extract_level_set with Phi as numpy's integer power of z followed by
     the rotation, the path binary powering replaced; appends its grid."""

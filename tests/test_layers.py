@@ -31,3 +31,5 @@ def test_every_layer_is_timed_on_this_tree(tmp_path, capsys):
     for row in (*entry["layers"].values(), *entry["kernels"].values()):
         assert math.isfinite(row["best_us"]) and row["best_us"] > 0
         assert row["instances"] >= 1
+        faults = row["minflt_per_instance"]
+        assert math.isfinite(faults) and faults >= 0

@@ -18,11 +18,21 @@ Every measure runs ``--runs`` times per root (at least 15).  Runs alternate
 between the roots, and the order of the roots is reversed on every other
 run, so a drift of the machine falls on both sides alike.  Each child is
 waited for with a blocking wait: ``subprocess.run`` without ``timeout=``,
-which would poll.  One untimed run of each measure per root comes first, so
-the bytecode cache is written and compilation is not counted.
+which would poll.  One untimed run of each measure per root comes first.
+
+Whether compilation is counted depends on the bytecode cache.  A child
+inherits the environment, so with ``PYTHONDONTWRITEBYTECODE`` set the
+untimed run writes no cache, and unless ``src/dhym/__pycache__`` already
+holds one for this interpreter, every timed child compiles every ``dhym``
+module it imports.  Without it, the untimed run writes the cache and no
+timed child compiles ``dhym``.
 
 The JSON output holds, per root and measure, the median and quartiles in ms
 and every sample, with the Python and numpy versions and the core count.
+It records which case was measured: ``children_write_bytecode``, the
+children's own ``not sys.dont_write_bytecode``, and per root
+``dhym_bytecode_cached``, whether every ``dhym`` module had a cache file
+for this interpreter after the untimed runs.
 """
 
 from __future__ import annotations
@@ -80,6 +90,23 @@ def run_once(root: Path, argv: list, child_timed: bool) -> float:
     return float(res.stdout) if child_timed else elapsed
 
 
+def children_write_bytecode() -> bool:
+    """Whether a child started as run_once starts it writes bytecode."""
+    res = subprocess.run(
+        [sys.executable, "-c", "import sys; print(sys.dont_write_bytecode)"],
+        check=True, stdout=subprocess.PIPE, text=True)
+    return res.stdout.strip() == "False"
+
+
+def dhym_bytecode_cached(root: Path) -> bool:
+    """Whether every dhym module of root has a cache file for this
+    interpreter, so that a child loads it without compiling."""
+    package = root / "src" / "dhym"
+    tag = sys.implementation.cache_tag
+    return all((package / "__pycache__" / f"{py.stem}.{tag}.pyc").is_file()
+               for py in package.glob("*.py"))
+
+
 def summary(samples_s: list) -> dict:
     ms = [s * 1e3 for s in samples_s]
     q1, median, q3 = statistics.quantiles(ms, n=4)
@@ -106,9 +133,11 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         todo = measures(Path(tmp))
         samples = {label: {name: [] for name in todo} for label in roots}
-        for root in roots.values():  # untimed: writes the bytecode cache
+        for root in roots.values():  # untimed
             for child_argv, child_timed in todo.values():
                 run_once(root, child_argv, child_timed)
+        cached = {label: dhym_bytecode_cached(root)
+                  for label, root in roots.items()}
         for i in range(args.runs):
             order = list(roots.items())
             if i % 2:
@@ -124,6 +153,8 @@ def main(argv=None) -> int:
         "numpy": version("numpy"),
         "cpu_count": os.cpu_count(),
         "runs": args.runs,
+        "children_write_bytecode": children_write_bytecode(),
+        "dhym_bytecode_cached": cached,
         "geometry": GEOMETRY,
         "figure": FIGURE,
         "roots": {label: {name: summary(values)

@@ -22,6 +22,10 @@ so it counts the layer's own call and what it calls: ``render_figure``
 includes ``extract_level_set``, which includes ``marching_squares``.  Every
 child first makes one untimed pass.
 
+Around each pass the child also reads its minor page faults
+(``resource.getrusage(RUSAGE_SELF).ru_minflt``), per instance like the
+time: a layer that allocates fresh pages on every call shows there.
+
 Each child also times two fixed kernels, a pure-Python loop and a numpy
 complex multiply.  A layer's time divided by a kernel's compares across
 sessions and machines, where the raw times do not.
@@ -29,7 +33,8 @@ sessions and machines, where the raw times do not.
 Children run ``--runs`` times per root.  Runs alternate between the roots,
 and the order of the roots is reversed on every other run.  The JSON output
 holds, per root, the best (least) and median time of each layer and kernel
-with every sample and the names of layers the root does not define, with the
+with every sample, the median minor page faults per instance with every
+sample, and the names of layers the root does not define, with the
 Python and numpy versions and the core count.  The script exits 1 if a root
 lacks a layer.
 """
@@ -42,6 +47,7 @@ import json
 import os
 import platform
 import random
+import resource
 import statistics
 import subprocess
 import sys
@@ -111,8 +117,9 @@ def recorded_grids(contour, reps: list, windows: list) -> list:
 
 
 def child() -> int:
-    """Read the pools as JSON on stdin; print seconds per instance of each
-    layer the package defines, and seconds per call of each kernel."""
+    """Read the pools as JSON on stdin; print seconds and minor page faults
+    per instance of each layer the package defines, and per call of each
+    kernel."""
     import numpy as np
     from dhym import (charges, cli, contour, figure, levelcurve, lifting,
                       stability)
@@ -165,10 +172,13 @@ def child() -> int:
     result = {}
     for _ in range(2):  # the first pass is untimed
         for name, (fn, args) in timed.items():
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             t0 = time.perf_counter()
             for a in args:
                 fn(*a)
-            result[name] = [(time.perf_counter() - t0) / len(args), len(args)]
+            seconds = time.perf_counter() - t0
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+            result[name] = [seconds / len(args), faults / len(args), len(args)]
     json.dump(result, sys.stdout)
     return 0
 
@@ -181,10 +191,12 @@ def run_child(root: Path, pool: dict) -> dict:
     return json.loads(res.stdout)
 
 
-def summary(seconds: list, instances: int) -> dict:
+def summary(seconds: list, faults: list, instances: int) -> dict:
     us = [s * 1e6 for s in seconds]
     return {"best_us": min(us), "median_us": statistics.median(us),
-            "instances": instances, "samples_us": [round(v, 3) for v in us]}
+            "instances": instances, "samples_us": [round(v, 3) for v in us],
+            "minflt_per_instance": statistics.median(faults),
+            "samples_minflt": [round(v, 3) for v in faults]}
 
 
 def main(argv=None) -> int:
@@ -217,8 +229,11 @@ def main(argv=None) -> int:
         if i % 2:
             order.reverse()
         for label, root in order:
-            for name, (seconds, count) in run_child(root, pool).items():
-                samples[label].setdefault(name, ([], count))[0].append(seconds)
+            for name, (seconds, faults, count) in run_child(root,
+                                                            pool).items():
+                row = samples[label].setdefault(name, ([], [], count))
+                row[0].append(seconds)
+                row[1].append(faults)
         print(f"run {i + 1} of {args.runs}", file=sys.stderr)
 
     result = {
@@ -245,7 +260,8 @@ def main(argv=None) -> int:
     for label, entry in result["roots"].items():
         for name, row in (*entry["layers"].items(), *entry["kernels"].items()):
             print(f"{label:10s} {name:32s} best {row['best_us']:10.1f} us"
-                  f"  median {row['median_us']:10.1f} us")
+                  f"  median {row['median_us']:10.1f} us"
+                  f"  {row['minflt_per_instance']:8.1f} minflt")
         if entry["missing"]:
             print(f"{label:10s} missing layers: {' '.join(entry['missing'])}")
     return 1 if missing else 0
